@@ -57,7 +57,6 @@ from .solver import (
     certify,
     export_sdpa,
     parse_sdpa,
-    project_psd,
     solve,
 )
 from .workspace import (
@@ -124,7 +123,6 @@ __all__ = [
     "nominal_distances",
     "parse_sdpa",
     "pose_error",
-    "project_psd",
     "reconstruct_angles",
     "residuals",
     "run_benchmark",

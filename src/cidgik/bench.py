@@ -15,10 +15,8 @@ from scipy.optimize import brentq
 from scipy.special import betainc
 
 from .generator import GenerationError, generate
-from .iteration import CidgikOptions, cidgik_solve, verify_solution
+from .iteration import CidgikOptions, cidgik_solve
 from .kinematics import RobotModel, load_robot
-from .solver import SolverSettings
-from .workspace import environment
 
 logger = logging.getLogger("cidgik.bench")
 
@@ -53,14 +51,14 @@ class InstanceRow:
     seed: int
     status: str
     success: bool
-    position_error: float | None
-    direction_error: float | None
-    max_penetration: float | None
-    h_trace: tuple[float, ...]
-    iterations: int
     setup_time_s: float
-    solve_time_s: float
-    theta: tuple[float, ...] | None
+    position_error: float | None = None
+    direction_error: float | None = None
+    max_penetration: float | None = None
+    h_trace: tuple[float, ...] = ()
+    iterations: int = 0
+    solve_time_s: float = 0.0
+    theta: tuple[float, ...] | None = None
     certified_infeasible: bool = False
     error: str | None = None
 
@@ -175,7 +173,10 @@ def solve_one(
     *,
     table_obstacles: int = 100,
 ) -> InstanceRow:
-    """Generate, solve, and verify one instance; failures become rows, not raises."""
+    """Generate and solve one instance; failures become rows, not raises.
+
+    `success` is the solve's own `verified` verdict.
+    """
     t0 = time.perf_counter()
     try:
         problem = generate(
@@ -186,84 +187,37 @@ def solve_one(
             seed=seed,
             status="generation_error",
             success=False,
-            position_error=None,
-            direction_error=None,
-            max_penetration=None,
-            h_trace=(),
-            iterations=0,
             setup_time_s=time.perf_counter() - t0,
-            solve_time_s=0.0,
-            theta=None,
             error=str(e),
         )
     setup = time.perf_counter() - t0
     try:
         result = cidgik_solve(problem.qcqp, options)
-        if result.theta is not None:
-            workspace = environment(
-                environment_name, robot, table_obstacles=table_obstacles
-            )
-            report = verify_solution(robot, problem.qcqp.goals, workspace, result.theta)
-            success = report.success
-            row = InstanceRow(
-                seed=seed,
-                status=result.status,
-                success=success,
-                position_error=report.position_error,
-                direction_error=report.direction_error,
-                max_penetration=report.max_penetration,
-                h_trace=tuple(result.trace.h_values),
-                iterations=result.iterations,
-                setup_time_s=setup,
-                solve_time_s=result.solve_time,
-                theta=tuple(float(t) for t in result.theta),
-                certified_infeasible=result.certificate is not None,
-            )
-        else:
-            row = InstanceRow(
-                seed=seed,
-                status=result.status,
-                success=False,
-                position_error=None,
-                direction_error=None,
-                max_penetration=None,
-                h_trace=tuple(result.trace.h_values),
-                iterations=result.iterations,
-                setup_time_s=setup,
-                solve_time_s=result.solve_time,
-                theta=None,
-                certified_infeasible=result.certificate is not None,
-            )
     except Exception as e:  # per-instance errors must not abort the campaign
         logger.warning("seed %d failed: %s", seed, e)
-        row = InstanceRow(
-            seed=seed,
-            status="error",
-            success=False,
-            position_error=None,
-            direction_error=None,
-            max_penetration=None,
-            h_trace=(),
-            iterations=0,
-            setup_time_s=setup,
-            solve_time_s=0.0,
-            theta=None,
-            error=str(e),
+        return InstanceRow(
+            seed=seed, status="error", success=False, setup_time_s=setup, error=str(e)
         )
-    return row
+    return InstanceRow(
+        seed=seed,
+        status=result.status,
+        success=result.verified,
+        setup_time_s=setup,
+        position_error=result.position_error,
+        direction_error=result.direction_error,
+        max_penetration=result.max_penetration,
+        h_trace=tuple(result.trace.h_values),
+        iterations=result.iterations,
+        solve_time_s=result.solve_time,
+        theta=None if result.theta is None else tuple(float(t) for t in result.theta),
+        certified_infeasible=result.certificate is not None,
+    )
 
 
 def _worker(args) -> InstanceRow:
-    document, environment_name, seed, options_args, table_obstacles = args
-    robot = load_robot(document)
-    options = CidgikOptions(
-        max_iterations=options_args["max_iterations"],
-        h_tol=options_args["h_tol"],
-        solver=SolverSettings(**options_args["solver"]),
-        first_solve_budget=options_args["first_solve_budget"],
-    )
+    document, environment_name, seed, options, table_obstacles = args
     return solve_one(
-        robot, environment_name, seed, options, table_obstacles=table_obstacles
+        load_robot(document), environment_name, seed, options, table_obstacles=table_obstacles
     )
 
 
@@ -291,19 +245,8 @@ def run_benchmark(
             for s in seeds
         ]
     else:
-        options_args = {
-            "max_iterations": options.max_iterations,
-            "h_tol": options.h_tol,
-            "first_solve_budget": options.first_solve_budget,
-            "solver": {
-                "eps_abs": options.solver.eps_abs,
-                "eps_rel": options.solver.eps_rel,
-                "max_iters": options.solver.max_iters,
-                "scaling": options.solver.scaling,
-            },
-        }
         work = [
-            (robot.document, environment_name, s, options_args, table_obstacles)
+            (robot.document, environment_name, s, options, table_obstacles)
             for s in seeds
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:

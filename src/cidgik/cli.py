@@ -16,12 +16,12 @@ from pathlib import Path
 
 from .bench import run_benchmark
 from .generator import GenerationError, generate
-from .iteration import CidgikOptions, cidgik_solve, verify_solution
+from .iteration import CidgikOptions, cidgik_solve
 from .kinematics import RobotError, load_robot
 from .lifting import lift
 from .problemio import ProblemFormatError, load_problem, save_generated
 from .solver import SolverSettings, export_sdpa
-from .workspace import ENVIRONMENT_NAMES, WorkspaceSpec
+from .workspace import ENVIRONMENT_NAMES
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -66,14 +66,7 @@ def cmd_solve(args) -> int:
         max_iterations=args.max_iter, h_tol=args.h_tol, solver=_solver_settings(args)
     )
     result = cidgik_solve(qcqp, options)
-    payload = result.to_json_dict()
-    success = False
-    if result.theta is not None:
-        workspace = WorkspaceSpec(spheres=list(qcqp.spheres), planes=list(qcqp.planes))
-        report = verify_solution(qcqp.robot, qcqp.goals, workspace, result.theta)
-        success = report.success
-    payload["verified"] = success
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = json.dumps(result.to_json_dict(), sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -81,11 +74,11 @@ def cmd_solve(args) -> int:
     h = result.h if result.h is not None else float("nan")
     print(
         f"{result.status}: h={h:.2e} iterations={result.iterations} "
-        f"verified={'yes' if success else 'no'}"
+        f"verified={'yes' if result.verified else 'no'}"
     )
     if result.status == "infeasible":
         return 2
-    return 0 if success else 1
+    return 0 if result.verified else 1
 
 
 def cmd_bench(args) -> int:

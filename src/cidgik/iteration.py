@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import QcqpInstance, residuals
+from .graph import QcqpInstance
 from .kinematics import (
     Pose,
     RobotModel,
@@ -28,7 +28,6 @@ from .kinematics import (
 )
 from .lifting import extract_points, lift
 from .solver import InfeasibilityCertificate, SolverSettings, solve
-from .workspace import WorkspaceSpec, sphere_violation
 
 logger = logging.getLogger("cidgik.iteration")
 
@@ -240,89 +239,6 @@ def refine_configuration(
     return theta if float(np.max(np.abs(r))) < tol else None
 
 
-def refine_rank_d_points(
-    instance, X: np.ndarray, *, tol: float = 1e-10, max_steps: int = 20
-) -> np.ndarray | None:
-    """Gauss-Newton refinement of a near-feasible rank-d point.
-
-    X is either the point matrix of shape (d, nv) or the homogenized factor
-    [X I_d] of shape (d, side) with side = nv + d, whose trailing d x d block
-    must equal I_d to within tol; that block is dropped before refinement.
-    Any other shape, or a trailing block that is not I_d (s = -1, say, or a
-    non-identity rotation), raises ValueError rather than being normalized.
-
-    Drives the equality residuals of the lifted system to machine precision
-    over the point matrix (so the refined Z = Z(X) has rank at most d by
-    construction).  Inequalities are checked afterwards; any that end up
-    violated are pinned at their boundary and the refinement retried once.
-    Returns the refined point matrix of shape (d, nv), or None when the
-    iteration fails to reach the tolerance.
-    """
-    from .lifting import evaluate, lift_points
-
-    nv = instance.num_variables
-    d = instance.dim
-    X = np.asarray(X, dtype=float)
-    accepted = (
-        f"expected (d, nv) = {(d, nv)} or [X I_d] of shape (d, side) = {(d, instance.side)}"
-    )
-    if X.shape == (d, instance.side):
-        if not np.allclose(X[:, nv:], np.eye(d), rtol=0.0, atol=tol):
-            raise ValueError(f"trailing {d}x{d} block of the factor is not I_d; {accepted}")
-        X = X[:, :nv]
-    elif X.shape != (d, nv):
-        raise ValueError(f"factor has shape {X.shape}; {accepted}")
-
-    def _solve_system(extra_rows):
-        mats = list(instance.eq_mats) + [instance.ineq_mats[j] for j in extra_rows]
-        rhs = np.concatenate(
-            [instance.eq_rhs, [instance.ineq_rhs[j] for j in extra_rows]]
-        )
-        X_cur = X.copy()
-
-        def residual(Xc):
-            Z = lift_points(Xc)
-            return np.array([float(np.tensordot(A, Z)) for A in mats]) - rhs
-
-        r = residual(X_cur)
-        for _ in range(max_steps):
-            if float(np.max(np.abs(r))) < tol:
-                break
-            J = np.empty((len(mats), d * nv))
-            for k, A in enumerate(mats):
-                J[k] = (2.0 * (X_cur @ A[:nv, :nv] + A[nv:, :nv])).ravel()
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            step = step.reshape(d, nv)
-            alpha = 1.0
-            norm_r = float(np.linalg.norm(r))
-            while alpha > 1e-4:
-                r_new = residual(X_cur + alpha * step)
-                if float(np.linalg.norm(r_new)) < norm_r:
-                    X_cur = X_cur + alpha * step
-                    r = r_new
-                    break
-                alpha *= 0.5
-            else:
-                return None
-        if float(np.max(np.abs(r))) >= tol:
-            return None
-        return X_cur
-
-    refined = _solve_system([])
-    if refined is None:
-        return None
-    _, slack = evaluate(instance, lift_points(refined))
-    violated = [j for j in range(len(slack)) if slack[j] < -1e-9]
-    if violated:
-        refined = _solve_system(violated)
-        if refined is None:
-            return None
-        _, slack = evaluate(instance, lift_points(refined))
-        if slack.size and float(np.min(slack)) < -1e-9:
-            return None
-    return refined
-
-
 @dataclass(eq=False)
 class CidgikResult:
     status: str  # converged | max_iterations | infeasible
@@ -334,6 +250,8 @@ class CidgikResult:
     position_error: float | None = None
     direction_error: float | None = None
     max_penetration: float | None = None
+    # verify_solution's verdict on theta; the CLI and the bench report it as is
+    verified: bool = False
     certificate: InfeasibilityCertificate | None = None
     solve_time: float = 0.0  # SDP + direction-update time, setup excluded
     h: float | None = None
@@ -350,6 +268,7 @@ class CidgikResult:
             "position_error": self.position_error,
             "direction_error": self.direction_error,
             "max_penetration": self.max_penetration,
+            "verified": self.verified,
             "iterations": self.iterations,
             "solve_time_s": self.solve_time,
         }
@@ -367,6 +286,9 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     extracted points were refined to an exactly rank-d matrix whose lifted
     residuals pass the solver tolerance.  h is measured on the solver's
     cone-projected iterate, and the trace records it before any refinement.
+    The returned configuration is checked once, by verify_solution, and
+    `verified` holds its verdict; an infeasible result carries only its
+    certificate and the h-trace.
     """
     options = options or CidgikOptions()
     instance = lift(qcqp)
@@ -447,6 +369,10 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
         certificate=certificate,
         solve_time=solve_time,
     )
+    # An infeasible result is its certificate; an earlier pass's best iterate
+    # is no solution of anything, so nothing is reconstructed or verified.
+    if status == "infeasible":
+        return out
     if final is None:
         final = best
     if final is None:
@@ -456,45 +382,36 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     X, gap = extract_points(final[1], dim=dim)
     out.X = X
     out.gram_gap = gap
-    robot = qcqp.robot
-    if robot is None:
-        return out
-
     if final_theta is not None:
         out.theta = final_theta
         out.reconstruction_residual = 0.0
     else:
-        rec = reconstruct_angles(robot, _full_point_matrix(qcqp, X))
+        rec = reconstruct_angles(qcqp.robot, _full_point_matrix(qcqp, X))
         out.theta = rec.theta
         out.reconstruction_residual = rec.residual
-    report = verify_solution(
-        robot,
-        qcqp.goals,
-        WorkspaceSpec(spheres=qcqp.spheres, planes=[]),
-        out.theta,
-    )
+    report = verify_solution(qcqp, out.theta)
     out.position_error = report.position_error
     out.direction_error = report.direction_error
     out.max_penetration = report.max_penetration
+    out.verified = report.success
     return out
 
 
 def _attempt_refinement(qcqp: QcqpInstance, instance, Z, tol_con: float, h_tol: float):
     """Try to turn a low-h iterate into a verified, exactly rank-d solution.
 
-    With a robot attached, the reconstructed angles seed a local refinement
-    of the goal residuals; a configuration satisfies every structural
-    distance identically, so only the goal edges need closing.  Without a
-    robot the factor itself is refined by Gauss-Newton.  Either way the
-    candidate only counts if the exact lifted residuals pass the solver
-    tolerance and no inequality is violated, so an accepted refinement is a
-    certified feasible rank-d point, not a guess.
+    The reconstructed angles seed a local refinement of the goal residuals;
+    a configuration satisfies every structural distance identically, so only
+    the goal edges need closing.  The candidate only counts if the exact
+    lifted residuals pass the solver tolerance and no inequality is violated,
+    so an accepted refinement is a certified feasible rank-d point, not a
+    guess.
     """
     from .graph import feasible_points
     from .lifting import evaluate, lift_points
 
     dim = instance.dim
-    robot = qcqp.robot if qcqp is not None else None
+    robot = qcqp.robot
     X0, _ = extract_points(Z, dim=dim)
 
     def gate(X, theta):
@@ -507,10 +424,6 @@ def _attempt_refinement(qcqp: QcqpInstance, instance, Z, tol_con: float, h_tol: 
         if ok and hr < h_tol:
             return hr, Zr, theta
         return None
-
-    if robot is None:
-        refined = refine_rank_d_points(instance, X0)
-        return gate(refined, None) if refined is not None else None
 
     rec = reconstruct_angles(robot, _full_point_matrix(qcqp, X0))
     theta = refine_configuration(robot, qcqp.goals, rec.theta)
@@ -590,21 +503,21 @@ class VerificationReport:
     failures: tuple[str, ...] = ()
 
 
-def verify_solution(
-    robot: RobotModel, goals, workspace: WorkspaceSpec | None, theta
-) -> VerificationReport:
-    """Check a configuration against the goal and workspace tolerances.
+def verify_solution(qcqp: QcqpInstance, theta) -> VerificationReport:
+    """Check a configuration against the instance's goals and workspace.
 
     Success requires every goal position within 0.01 m, every specified goal
-    direction within 0.01 rad, and every joint point clear of every keep-out
-    sphere up to 0.01 m of penetration depth (keep-in spheres and planes are
-    held to the same depth tolerance).
+    direction within 0.01 rad, every joint point clear of every keep-out
+    sphere up to 0.01 m of penetration depth (keep-in spheres are held to the
+    same depth), and each plane met to that depth at the point of its own
+    graph vertex.
     """
+    robot = qcqp.robot
     theta = np.asarray(theta, dtype=float)
     poses, _ = forward_kinematics(robot, theta)
     pos_err = 0.0
     dir_err = 0.0
-    for g in goals:
+    for g in qcqp.goals:
         achieved = poses[g.end_effector]
         direction = g.direction if g.direction is not None else achieved.direction
         p, a = pose_error(achieved, Pose(position=np.asarray(g.position, float), direction=np.asarray(direction, float)))
@@ -614,20 +527,18 @@ def verify_solution(
 
     penetration = 0.0
     P = joint_points(robot, theta)
-    workspace = workspace or WorkspaceSpec()
-    for s in workspace.spheres:
+    for s in qcqp.spheres:
         dist = np.linalg.norm(P - s.center[:, None], axis=0)
         if s.sense == "keep_out":
             depth = float(np.max(s.radius - dist))
         else:
             depth = float(np.max(dist - s.radius))
         penetration = max(penetration, depth, 0.0)
-    for vertex, plane in workspace.planes:
-        vals = plane.normal @ P - plane.offset
-        if plane.relation == "above":
-            penetration = max(penetration, float(np.max(-vals)), 0.0)
-        else:
-            penetration = max(penetration, float(np.max(np.abs(vals))))
+    index = robot.layout.index
+    labels = qcqp.graph.variable_labels
+    for vertex, plane in qcqp.planes:
+        val = float(plane.normal @ P[:, index[labels[vertex]]] - plane.offset)
+        penetration = max(penetration, -val if plane.relation == "above" else abs(val))
 
     failures = []
     if pos_err >= POSITION_TOL:

@@ -42,7 +42,6 @@ class SolverSettings:
     eps_abs: float = 1e-7
     eps_rel: float = 1e-7
     max_iters: int = 50000
-    scaling: bool = True
 
     def __post_init__(self):
         if self.eps_abs <= 0 or self.eps_rel <= 0:
@@ -81,21 +80,6 @@ class SolveResult:
     certificate: InfeasibilityCertificate | None = None
 
 
-def project_psd(M: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius norm: clamp negative eigenvalues to zero."""
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("cannot eigendecompose a non-finite matrix")
-    if M.shape[0] != M.shape[1] or np.max(np.abs(M - M.T)) > 1e-9 * max(
-        1.0, float(np.max(np.abs(M)))
-    ):
-        raise ValueError("project_psd expects a symmetric matrix")
-    sym = 0.5 * (M + M.T)
-    lam, V = np.linalg.eigh(sym)
-    np.maximum(lam, 0.0, out=lam)
-    return (V * lam) @ V.T
-
-
 class _SvecSpace:
     """Symmetric matrices as vectors with the trace inner product preserved."""
 
@@ -119,7 +103,7 @@ class _SvecSpace:
 class _ConicData:
     """Preprocessed constraint system shared by the solve loop and certificates."""
 
-    def __init__(self, instance: SdpInstance, scaling: bool):
+    def __init__(self, instance: SdpInstance):
         self.instance = instance
         self.space = _SvecSpace(instance.side)
         D = self.space.dim
@@ -133,8 +117,8 @@ class _ConicData:
         norms = np.linalg.norm(rows, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("constraint matrices must be nonzero")
-        self.scale = 1.0 / norms if scaling else np.ones(m)
-        self.row_norms = norms if scaling else np.ones(m)
+        self.scale = 1.0 / norms
+        self.row_norms = norms
 
         G = np.zeros((m, D + self.n_ineq))
         G[:, :D] = rows * self.scale[:, None]
@@ -473,7 +457,7 @@ def solve(
         raise ValueError("objective matrix must be symmetric")
 
     t0 = time.perf_counter()
-    data = _ConicData(instance, settings.scaling)
+    data = _ConicData(instance)
     space = data.space
     D = data.D
     total = D + data.n_ineq

@@ -124,6 +124,7 @@ def test_cidgik_reports_trace_records(toy_qcqp):
         "position_error",
         "direction_error",
         "max_penetration",
+        "verified",
         "iterations",
         "solve_time_s",
     }
@@ -134,7 +135,7 @@ def test_verify_solution_round_trip(chain_6dof):
     theta = np.pi - rng.uniform(0, 2 * np.pi, size=6)
     poses, _ = forward_kinematics(chain_6dof, theta)
     goals = [Goal(end_effector=0, position=poses[0].position, direction=poses[0].direction)]
-    report = verify_solution(chain_6dof, goals, WorkspaceSpec(), theta)
+    report = verify_solution(assemble_qcqp(chain_6dof, goals), theta)
     assert report.success
     assert report.position_error < 1e-12
 
@@ -149,7 +150,7 @@ def test_verify_solution_position_failure(chain_6dof):
             direction=poses[0].direction,
         )
     ]
-    report = verify_solution(chain_6dof, goals, WorkspaceSpec(), theta)
+    report = verify_solution(assemble_qcqp(chain_6dof, goals), theta)
     assert not report.success
     assert "position" in report.failures
 
@@ -161,7 +162,7 @@ def test_verify_solution_tolerated_penetration(chain_6dof):
     # sphere grazing a joint origin by 5 mm: inside the 10 mm tolerance
     center = frames.origins[3] + np.array([0.3, 0.0, 0.0])
     ws = WorkspaceSpec(spheres=[Sphere(center=center, radius=0.305)])
-    report = verify_solution(chain_6dof, goals, ws, theta)
+    report = verify_solution(assemble_qcqp(chain_6dof, goals, ws), theta)
     assert report.max_penetration == pytest.approx(0.005, abs=1e-9)
     assert report.success
 
@@ -174,56 +175,10 @@ def test_refine_configuration_closes_goals(chain_6dof):
     theta0 = theta_true + rng.normal(scale=0.05, size=6)
     refined = refine_configuration(chain_6dof, goals, theta0)
     assert refined is not None
-    report = verify_solution(chain_6dof, goals, WorkspaceSpec(), refined)
+    report = verify_solution(assemble_qcqp(chain_6dof, goals), refined)
     assert report.position_error < 1e-9
     # acos of a clamped dot product floors at sqrt(machine eps) ~ 1.5e-8
     assert report.direction_error < 1e-6
-
-
-def test_refine_rank_d_points_on_homogenized_toy():
-    """Factor refinement drives the robot-free toy to an exact rank-1 point."""
-    from cidgik import build_toy_instance, evaluate, lift_points
-    from cidgik.iteration import refine_rank_d_points
-
-    toy = build_toy_instance()
-    X0 = np.array([[0.1, 0.9, 1.0]])  # near the feasible root (0, 1, 1)
-    refined = refine_rank_d_points(toy, X0)
-    assert refined is not None
-    eq, slack = evaluate(toy, lift_points(refined))
-    assert np.max(np.abs(eq)) < 1e-9
-    assert np.min(slack) > -1e-9
-
-
-def test_refine_rank_d_points_same_result_for_both_factor_forms():
-    """The (d, nv) point matrix and its homogenized (d, side) factor agree."""
-    from cidgik import build_toy_instance
-    from cidgik.iteration import refine_rank_d_points
-
-    toy = build_toy_instance()
-    points = np.array([[0.1, 0.9]])
-    from_points = refine_rank_d_points(toy, points)
-    from_factor = refine_rank_d_points(toy, np.hstack([points, np.eye(toy.dim)]))
-    assert from_points is not None and from_factor is not None
-    assert from_points.shape == from_factor.shape == (toy.dim, toy.num_variables)
-    np.testing.assert_array_equal(from_points, from_factor)
-
-
-@pytest.mark.parametrize(
-    "X",
-    [
-        np.array([[0.1, 0.9, 1.0, 0.0]]),  # neither (d, nv) nor (d, side)
-        np.array([[0.1], [0.9]]),
-        np.array([0.1, 0.9, 1.0]),
-        np.array([[0.1, 0.9, -1.0]]),  # trailing block s = -1, not I_d
-        np.array([[0.1, 0.9, 0.5]]),
-    ],
-)
-def test_refine_rank_d_points_rejects_other_factors(X):
-    from cidgik import build_toy_instance
-    from cidgik.iteration import refine_rank_d_points
-
-    with pytest.raises(ValueError, match=r"\(d, nv\).*\(d, side\)"):
-        refine_rank_d_points(build_toy_instance(), X)
 
 
 def test_cidgik_planar_without_obstacle_picks_some_root(planar_2r):

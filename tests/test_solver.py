@@ -14,7 +14,6 @@ from cidgik import (
     export_sdpa,
     lift,
     parse_sdpa,
-    project_psd,
     solve,
 )
 from cidgik.solver import NumericalBreakdownError, SolverSettings
@@ -27,31 +26,6 @@ def test_settings_validation():
         SolverSettings(eps_abs=0.0)
     with pytest.raises(ValueError):
         SolverSettings(max_iters=0)
-
-
-def test_project_psd_basics():
-    M = np.diag([1.0, -1.0])
-    np.testing.assert_allclose(project_psd(M), np.diag([1.0, 0.0]), atol=1e-14)
-    rng = np.random.Generator(np.random.Philox(key=2))
-    A = rng.normal(size=(6, 6))
-    P = A @ A.T  # already PSD
-    np.testing.assert_allclose(project_psd(P), P, atol=1e-12)
-    with pytest.raises(ValueError):
-        project_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        project_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_project_psd_is_nearest():
-    rng = np.random.Generator(np.random.Philox(key=3))
-    M = rng.normal(size=(5, 5))
-    M = 0.5 * (M + M.T)
-    best = project_psd(M)
-    dist = np.linalg.norm(best - M)
-    for _ in range(1000):
-        A = rng.normal(size=(5, 5))
-        sample = A @ A.T
-        assert np.linalg.norm(sample - M) >= dist - 1e-12
 
 
 def test_toy_solve_feasible():
