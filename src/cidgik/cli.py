@@ -1,8 +1,8 @@
 """Command-line interface: solve single problems, run campaigns, generate, export.
 
 Exit codes for `solve`: 0 verified success, 1 verified failure, 2 infeasible,
-3 input or schema error.  Set CIDGIK_LOG to error, info, or debug to control
-logging verbosity.
+3 input error (a bad file or an out-of-range flag).  Set CIDGIK_LOG to error,
+info, or debug to control logging verbosity.
 """
 
 from __future__ import annotations
@@ -31,11 +31,14 @@ def _configure_logging() -> None:
     logging.basicConfig(level=_LOG_LEVELS.get(level, logging.ERROR))
 
 
-def _solver_settings(args) -> SolverSettings:
-    return SolverSettings(
-        eps_abs=args.eps,
-        eps_rel=args.eps,
-        max_iters=args.solver_iters,
+def _options(args) -> CidgikOptions:
+    """Options from the solver flags; raises ValueError on an out-of-range value."""
+    return CidgikOptions(
+        max_iterations=args.max_iter,
+        h_tol=args.h_tol,
+        solver=SolverSettings(
+            eps_abs=args.eps, eps_rel=args.eps, max_iters=args.solver_iters
+        ),
     )
 
 
@@ -51,6 +54,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_solve(args) -> int:
     try:
         qcqp = load_problem(args.problem)
+        options = _options(args)
     except (OSError, ProblemFormatError, RobotError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -62,9 +66,6 @@ def cmd_solve(args) -> int:
         print(f"wrote {out}")
         return 0
 
-    options = CidgikOptions(
-        max_iterations=args.max_iter, h_tol=args.h_tol, solver=_solver_settings(args)
-    )
     result = cidgik_solve(qcqp, options)
     text = json.dumps(result.to_json_dict(), sort_keys=True, indent=2)
     if args.out:
@@ -84,12 +85,12 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     try:
         robot = load_robot(Path(args.robot).read_text())
-    except (OSError, RobotError) as e:
+        options = _options(args)
+        if args.n < 1:
+            raise ValueError("--n must be at least 1")
+    except (OSError, RobotError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    options = CidgikOptions(
-        max_iterations=args.max_iter, h_tol=args.h_tol, solver=_solver_settings(args)
-    )
     report = run_benchmark(
         robot,
         args.env,

@@ -112,6 +112,14 @@ class CidgikOptions:
     # fixed budget instead of the full solver iteration cap.
     first_solve_budget: int = 4000
 
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        if not self.h_tol > 0:
+            raise ValueError("h_tol must be positive")
+        if self.first_solve_budget < 1:
+            raise ValueError("first_solve_budget must be at least 1")
+
 
 def _pose_residual(robot: RobotModel, goals, theta, clearances=()) -> np.ndarray:
     """Goal residuals plus hinge terms for requested obstacle clearances.
@@ -318,22 +326,10 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
         else:
             result = solve(instance, C, options.solver, warm_start=warm, method="dual")
         solve_time += result.wall_time
-        if result.status == "infeasible":
-            trace.records.append(
-                IterationRecord(
-                    h=float("nan"),
-                    solver_status=result.status,
-                    eq_residual=result.eq_residual,
-                    ineq_violation=result.ineq_violation,
-                    objective=result.objective,
-                )
-            )
-            status = "infeasible"
-            certificate = result.certificate
-            break
+        infeasible = result.status == "infeasible"
         Z = result.Z.Z
         t_post = time.perf_counter()
-        h = excess_rank(Z, dim)
+        h = float("nan") if infeasible else excess_rank(Z, dim)
         trace.records.append(
             IterationRecord(
                 h=h,
@@ -343,6 +339,10 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
                 objective=result.objective,
             )
         )
+        if infeasible:
+            status = "infeasible"
+            certificate = result.certificate
+            break
         logger.info("iteration %d: h=%.3e solver=%s", k + 1, h, result.status)
         if best is None or h < best[0]:
             best = (h, Z)

@@ -4,15 +4,19 @@ The built-in method is an operator-splitting (ADMM) scheme on
 
     min tr(C Z)  s.t.  tr(A_k Z) = a_k,  tr(B_j Z) <= b_j,  Z PSD,
 
-with inequality slacks appended so one iterate alternates between a
-projection onto the affine constraint set (through a cached factorization of
-the constraint normal system) and a projection onto the PSD x nonnegative
-cone, with over-relaxation and scaled dual updates.  Everything is dense and
+with inequality slacks appended.  The constraint normal system is factored
+once and cached; one ADMM step pairs a projection onto the affine constraint
+set with a projection onto the PSD x nonnegative cone, with over-relaxation
+and scaled dual updates.  One loop in `solve` owns the iteration cap, the
+best iterate, the stall check and the Farkas certificate hunt; the two
+splittings (`_dual_steps`, `_primal_steps`) differ only in their update,
+their stopping test and their step-size rule.  Everything is dense and
 deterministic: the same instance and settings reproduce the same iterates.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -44,7 +48,7 @@ class SolverSettings:
     max_iters: int = 50000
 
     def __post_init__(self):
-        if self.eps_abs <= 0 or self.eps_rel <= 0:
+        if not (self.eps_abs > 0 and self.eps_rel > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
@@ -244,8 +248,9 @@ def _affine_infeasibility_certificate(
     return _verify_certificate(data.instance, y, mu)
 
 
-def _true_residuals(data: _ConicData, instance: SdpInstance, x_vec):
+def _true_residuals(data: _ConicData, x_vec):
     """(equality residual inf-norm, inequality violation inf-norm) of an iterate."""
+    instance = data.instance
     evaluation = data.unscaled_evaluation(x_vec[: data.D])
     eq_res = (
         float(np.max(np.abs(evaluation[: data.n_eq] - instance.eq_rhs)))
@@ -257,30 +262,18 @@ def _true_residuals(data: _ConicData, instance: SdpInstance, x_vec):
     return eq_res, ineq_viol
 
 
-def _iterate_dual(data, instance, c_vec, settings, x0):
+def _dual_steps(data, c_vec, settings, tol_con, x0):
     """ADMM on the dual pair A^T y + S = C with the primal iterate as multiplier.
 
     One eigendecomposition per iteration both projects the dual slack and
     rebuilds X = sigma * proj(-M), so X stays PSD with X S = 0 exactly; only
     affine feasibility has to converge, and optima land on low-rank faces.
     """
-    D = data.D
     x_vec = x0.copy()
     s_vec = np.zeros_like(x0)
     sigma = 1.0
-    rhs_scale = float(np.max(np.abs(data.rhs))) if data.rhs.size else 0.0
-    tol_con = settings.eps_abs + settings.eps_rel * rhs_scale
-    obj_scale = max(1.0, float(np.max(np.abs(c_vec))))
-
-    best = None
-    best_combined = float("inf")
-    last_progress_iter = 0
-    status = "max_iters"
-    eq_res = ineq_viol = dual_res = float("inf")
-    certificate = None
-    iters_used = settings.max_iters
-
-    for it in range(1, settings.max_iters + 1):
+    dual_tol = settings.eps_abs + settings.eps_rel * max(1.0, float(np.max(np.abs(c_vec))))
+    for it in itertools.count(1):
         rhs = data.h / sigma - data.G @ (x_vec / sigma + s_vec - c_vec)
         y = data.solve_normal(rhs)
         r = data.GT @ y  # A^T y in original units (row scaling folds into y)
@@ -297,40 +290,17 @@ def _iterate_dual(data, instance, c_vec, settings, x0):
         prim_res = (
             float(np.max(np.abs(full_res * data.row_norms))) if full_res.size else 0.0
         )
-        eq_res, ineq_viol = _true_residuals(data, instance, x_vec)
-
-        combined = max(prim_res, eq_res, ineq_viol)
-        if not np.isfinite(combined):
-            raise NumericalBreakdownError(
-                f"solver iterates became non-finite at iteration {it}"
-            )
-        if combined < 0.999 * best_combined:
-            best_combined = combined
-            last_progress_iter = it
-            best = (x_vec.copy(), eq_res, ineq_viol, dual_res)
-
+        eq_res, ineq_viol = _true_residuals(data, x_vec)
         pobj = float(c_vec @ x_vec)
         dobj = float(data.h @ y)
         gap_tol = settings.eps_abs + settings.eps_rel * max(abs(pobj), abs(dobj))
-        dual_tol = settings.eps_abs + settings.eps_rel * obj_scale
-        if (
+        converged = (
             prim_res <= tol_con
             and ineq_viol <= tol_con
             and dual_res <= dual_tol
             and abs(pobj - dobj) <= max(gap_tol, 10.0 * tol_con)
-        ):
-            status = "optimal"
-            iters_used = it
-            break
-
-        if it - last_progress_iter >= STALL_WINDOW and combined > 50 * tol_con:
-            cert = _certificate_from_projections(data, x_vec)
-            if cert is not None:
-                status = "infeasible"
-                certificate = cert
-                iters_used = it
-                break
-            last_progress_iter = it  # do not retry immediately
+        )
+        yield x_vec, eq_res, ineq_viol, dual_res, max(prim_res, eq_res, ineq_viol), converged
 
         if it % RHO_ADAPT_EVERY == 0:
             rp = float(np.linalg.norm(full_res))
@@ -340,12 +310,8 @@ def _iterate_dual(data, instance, c_vec, settings, x0):
             elif rp > 10.0 * rd and sigma > RHO_MIN:
                 sigma *= 0.5
 
-    if status == "max_iters" and best is not None:
-        x_vec, eq_res, ineq_viol, dual_res = best
-    return status, x_vec, eq_res, ineq_viol, dual_res, iters_used, certificate
 
-
-def _iterate_primal(data, instance, c_vec, settings, x0):
+def _primal_steps(data, c_vec, settings, tol_con, x0):
     """Over-relaxed ADMM alternating the affine and cone projections directly.
 
     Slower to high accuracy than the dual variant, but when the objective
@@ -355,18 +321,7 @@ def _iterate_primal(data, instance, c_vec, settings, x0):
     z = x0.copy()
     u = np.zeros_like(z)
     rho = 1.0
-    rhs_scale = float(np.max(np.abs(data.rhs))) if data.rhs.size else 0.0
-    tol_con = settings.eps_abs + settings.eps_rel * rhs_scale
-
-    best = None
-    best_combined = float("inf")
-    last_progress_iter = 0
-    status = "max_iters"
-    eq_res = ineq_viol = dual_res = float("inf")
-    certificate = None
-    iters_used = settings.max_iters
-
-    for it in range(1, settings.max_iters + 1):
+    for it in itertools.count(1):
         w = z - u - c_vec / rho
         x = data.project_affine(w)
         xr = OVER_RELAXATION * x + (1.0 - OVER_RELAXATION) * z
@@ -376,39 +331,18 @@ def _iterate_primal(data, instance, c_vec, settings, x0):
         dual_change = rho * float(np.linalg.norm(z_new - z))
         z = z_new
 
-        eq_res, ineq_viol = _true_residuals(data, instance, z)
+        eq_res, ineq_viol = _true_residuals(data, z)
         split = float(np.max(np.abs(x - z)))
-        combined = max(eq_res, ineq_viol, split)
-        if not np.isfinite(combined):
-            raise NumericalBreakdownError(
-                f"solver iterates became non-finite at iteration {it}"
-            )
-        if combined < 0.999 * best_combined:
-            best_combined = combined
-            last_progress_iter = it
-            best = (z.copy(), eq_res, ineq_viol, dual_res)
-
         split_tol = settings.eps_abs + settings.eps_rel * max(
             float(np.max(np.abs(x))), float(np.max(np.abs(z)))
         )
-        if (
+        converged = (
             eq_res <= tol_con
             and ineq_viol <= tol_con
             and split <= split_tol
             and dual_res <= settings.eps_abs + settings.eps_rel
-        ):
-            status = "optimal"
-            iters_used = it
-            break
-
-        if it - last_progress_iter >= STALL_WINDOW and combined > 50 * tol_con:
-            cert = _certificate_from_projections(data, z)
-            if cert is not None:
-                status = "infeasible"
-                certificate = cert
-                iters_used = it
-                break
-            last_progress_iter = it
+        )
+        yield z, eq_res, ineq_viol, dual_res, max(eq_res, ineq_viol, split), converged
 
         if it % RHO_ADAPT_EVERY == 0:
             rp = float(np.linalg.norm(x - z))
@@ -418,10 +352,6 @@ def _iterate_primal(data, instance, c_vec, settings, x0):
             elif dual_change > 10.0 * rp and rho > RHO_MIN:
                 rho *= 0.5
                 u *= 2.0
-
-    if status == "max_iters" and best is not None:
-        z, eq_res, ineq_viol, dual_res = best
-    return status, z, eq_res, ineq_viol, dual_res, iters_used, certificate
 
 
 def solve(
@@ -493,10 +423,38 @@ def solve(
         ev = data.unscaled_evaluation(x0[:D])
         x0[D:] = np.maximum(instance.ineq_rhs - ev[data.n_eq :], 0.0)
 
-    loop = _iterate_dual if method == "dual" else _iterate_primal
-    status, x_vec, eq_res, ineq_viol, dual_res, iters_used, certificate = loop(
-        data, instance, c_vec, settings, x0
-    )
+    rhs_scale = float(np.max(np.abs(data.rhs))) if data.rhs.size else 0.0
+    tol_con = settings.eps_abs + settings.eps_rel * rhs_scale
+    make_steps = _dual_steps if method == "dual" else _primal_steps
+    steps = make_steps(data, c_vec, settings, tol_con, x0)
+    status = "max_iters"
+    certificate = None
+    best = None
+    last_progress_iter = 0
+    # A step yields (iterate, eq_res, ineq_viol, dual_res, combined, converged)
+    # and adapts its step size only when resumed.  Its iterate is a fresh array
+    # that later steps never mutate, so it can be kept as the best one.  zip
+    # takes the cap first, so the steps never run past max_iters.
+    for it, step in zip(range(1, settings.max_iters + 1), steps):
+        x_vec, eq_res, ineq_viol, dual_res, combined, converged = step
+        if not np.isfinite(combined):
+            raise NumericalBreakdownError(
+                f"solver iterates became non-finite at iteration {it}"
+            )
+        if best is None or combined < 0.999 * best[4]:
+            best = step
+            last_progress_iter = it
+        if converged:
+            status = "optimal"
+            break
+        if it - last_progress_iter >= STALL_WINDOW and combined > 50 * tol_con:
+            certificate = _certificate_from_projections(data, x_vec)
+            if certificate is not None:
+                status = "infeasible"
+                break
+            last_progress_iter = it  # do not retry immediately
+    else:
+        x_vec, eq_res, ineq_viol, dual_res = best[:4]
 
     Zm = space.mat(x_vec[:D])
     eigenvalues = np.linalg.eigvalsh(Zm)[::-1]
@@ -506,7 +464,7 @@ def solve(
     logger.debug(
         "solve finished: status=%s iters=%d eq_res=%.3e ineq=%.3e obj=%.6g",
         status,
-        iters_used,
+        it,
         eq_res,
         ineq_viol,
         objective,
@@ -515,7 +473,7 @@ def solve(
         status=status,
         Z=lifted,
         objective=objective,
-        iterations=iters_used,
+        iterations=it,
         wall_time=wall,
         eq_residual=eq_res,
         ineq_violation=ineq_viol,

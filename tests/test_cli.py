@@ -54,6 +54,42 @@ def test_solve_command_malformed(tmp_path):
     assert main(["solve", str(tmp_path / "missing.json")]) == 3
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--solver-iters", "0"],
+        ["--eps", "0"],
+        ["--eps", "nan"],
+        ["--max-iter", "0"],
+        ["--h-tol", "0"],
+    ],
+)
+def test_solve_bad_numeric_flag(toy_problem_file, flags, monkeypatch, capsys):
+    monkeypatch.setattr("cidgik.cli.cidgik_solve", None)  # must not be reached
+    assert main(["solve", str(toy_problem_file), *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "0", "--solver-iters", "6000"],
+        ["--n", "2", "--solver-iters", "0"],
+        ["--n", "2", "--max-iter", "0"],
+    ],
+)
+def test_bench_bad_numeric_flag(flags, monkeypatch, capsys):
+    monkeypatch.setattr("cidgik.cli.run_benchmark", None)  # must not be reached
+    robot_path = Path(__file__).parent.parent / "robots" / "arm_6dof.json"
+    argv = ["bench", "--robot", str(robot_path), "--env", "free", "--seed", "3", *flags]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_solve_export_only(toy_problem_file, tmp_path):
     out = tmp_path / "toy.dat-s"
     code = main(

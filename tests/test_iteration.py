@@ -23,6 +23,20 @@ from cidgik.kinematics import load_robot
 FAST = CidgikOptions(solver=SolverSettings(max_iters=6000))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"max_iterations": 0},
+        {"h_tol": 0.0},
+        {"h_tol": float("nan")},
+        {"first_solve_budget": 0},
+    ],
+)
+def test_options_validation(bad):
+    with pytest.raises(ValueError):
+        CidgikOptions(**bad)
+
+
 def random_psd(rng, n):
     A = rng.normal(size=(n, n))
     return A @ A.T

@@ -3,12 +3,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cidgik.iteration
+import cidgik.solver
 from cidgik import (
+    CidgikOptions,
     Goal,
     SdpInstance,
+    WorkspaceSpec,
     build_toy_instance,
     assemble_qcqp,
     certify,
+    cidgik_solve,
     direction_matrix,
     excess_rank,
     export_sdpa,
@@ -16,7 +21,7 @@ from cidgik import (
     parse_sdpa,
     solve,
 )
-from cidgik.solver import NumericalBreakdownError, SolverSettings
+from cidgik.solver import STALL_WINDOW, NumericalBreakdownError, SolverSettings
 
 GOLDEN = Path(__file__).parent / "data" / "toy_identity.dat-s"
 
@@ -93,6 +98,61 @@ def test_unreachable_goal_certified(chain_6dof):
         assert cert.value < -1e-6
         assert cert.min_eigenvalue >= -1e-6
         assert cert.mu.size == 0 or np.min(cert.mu) >= 0.0
+
+
+@pytest.mark.parametrize(
+    "key, methods, statuses",
+    [
+        (0, ["primal"], ["infeasible"]),
+        (22, ["primal", "dual"], ["max_iters", "infeasible"]),
+    ],
+)
+def test_stall_path_certifies_unreachable_goal(
+    chain_6dof, monkeypatch, key, methods, statuses
+):
+    """Each splitting, stalled on a goal at 1.5x reach, hunts down a certificate.
+
+    The goal is built as the benchmark's arm-unreachable workload builds it.
+    Key 0 stalls in the primal nuclear-norm pass (4000-iteration budget);
+    key 22 reaches that budget and stalls in the dual pass that follows.
+    """
+    direction = np.random.Generator(np.random.Philox(key=key)).standard_normal(3)
+    direction /= np.linalg.norm(direction)
+    goal = Goal(
+        end_effector=0,
+        position=1.5 * chain_6dof.reach * direction,
+        direction=direction,
+    )
+    qcqp = assemble_qcqp(chain_6dof, [goal], WorkspaceSpec())
+    passes = []  # (method, result, certificate hunts in the pass)
+    hunts = []
+    inner_solve = cidgik.iteration.solve
+    inner_hunt = cidgik.solver._certificate_from_projections
+
+    def recording_solve(*args, **kwargs):
+        hunts.clear()
+        result = inner_solve(*args, **kwargs)
+        passes.append((kwargs["method"], result, len(hunts)))
+        return result
+
+    def recording_hunt(*args):
+        hunts.append(args)
+        return inner_hunt(*args)
+
+    monkeypatch.setattr(cidgik.iteration, "solve", recording_solve)
+    monkeypatch.setattr(cidgik.solver, "_certificate_from_projections", recording_hunt)
+    result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
+    assert result.status == "infeasible"
+    assert [p[0] for p in passes] == methods
+    assert [p[1].status for p in passes] == statuses
+    # A failed hunt waits another stall window before the next one.
+    for _, r, count in passes:
+        assert 1 <= count <= r.iterations // STALL_WINDOW
+    last = passes[-1][1]
+    assert last.iterations >= STALL_WINDOW
+    cert = certify(last)
+    assert cert.value < 0.0
+    assert cert.min_eigenvalue >= -1e-6
 
 
 def test_certify_requires_infeasible_status():
