@@ -2,9 +2,12 @@
 
     PYTHONPATH=src python3 scripts/solver_fingerprint.py > fingerprint.txt
 
-Each line holds the pass's status, ADMM iterations, the SHA-1 of Z and the
-SHA-1 of the certificate's y and mu.  Run it at two commits and diff the
-output: a refactor of the solve path must leave it byte-identical.
+Each instance first gets a line with the SHA-1 of its lifted constraint data
+(eq_mats, eq_rhs, ineq_mats, ineq_rhs) and of its export_sdpa text, so a change
+to the lift or the operator shows up before any solve runs.  Each pass line
+holds the pass's status, ADMM iterations, the SHA-1 of Z and the SHA-1 of the
+certificate's y and mu.  Run it at two commits and diff the output: a refactor
+of the solve path must leave it byte-identical.
 """
 
 import hashlib
@@ -30,7 +33,14 @@ def _qcqp(robot, environment: str, key: int):
 
 
 def _sha1(*arrays) -> str:
-    return hashlib.sha1(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    return hashlib.sha1(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+def _print_lift(name: str, qcqp) -> None:
+    sdp = ck.lift(qcqp)
+    lifted = _sha1(sdp.eq_mats, sdp.eq_rhs, sdp.ineq_mats, sdp.ineq_rhs)
+    sdpa = hashlib.sha1(ck.export_sdpa(sdp).encode()).hexdigest()
+    print(json.dumps({"instance": name, "lift": lifted, "sdpa": sdpa}))
 
 
 def _print_pass(name: str, k: int, r) -> None:
@@ -52,7 +62,9 @@ def main():
     for environment, keys in KEYS.items():
         for key in keys:
             passes.clear()
-            ck.cidgik_solve(_qcqp(robot, environment, key), options)
+            qcqp = _qcqp(robot, environment, key)
+            _print_lift(f"{environment}-{key}", qcqp)
+            ck.cidgik_solve(qcqp, options)
             for k, r in enumerate(passes):
                 _print_pass(f"{environment}-{key}", k, r)
     for method in ("primal", "dual"):

@@ -7,7 +7,7 @@ closed-form rank-direction objective recovers those points.
 """
 
 from .bench import BenchmarkReport, jeffreys_interval, run_benchmark
-from .generator import GeneratedProblem, GenerationError, batch, generate
+from .generator import GeneratedProblem, GenerationError, generate
 from .graph import (
     DistanceGraph,
     Goal,
@@ -15,7 +15,6 @@ from .graph import (
     QcqpInstance,
     assemble_qcqp,
     build_graph,
-    incidence_matrix,
     residuals,
 )
 from .iteration import (
@@ -99,7 +98,6 @@ __all__ = [
     "add_aux_point",
     "add_self_collision",
     "assemble_qcqp",
-    "batch",
     "build_graph",
     "build_toy_instance",
     "certify",
@@ -113,7 +111,6 @@ __all__ = [
     "extract_points",
     "forward_kinematics",
     "generate",
-    "incidence_matrix",
     "jeffreys_interval",
     "joint_points",
     "lift",

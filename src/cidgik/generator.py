@@ -84,20 +84,3 @@ def generate(
         f"no collision-free configuration in {REJECTION_CAP} draws; "
         f"environment {environment_name!r} is too cluttered for this robot"
     )
-
-
-def batch(
-    robot: RobotModel,
-    environment_name: str,
-    count: int,
-    base_seed: int,
-    *,
-    table_obstacles: int = 100,
-) -> list[GeneratedProblem]:
-    """Independent instances with seeds base_seed, base_seed + 1, ..."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    return [
-        generate(robot, environment_name, base_seed + i, table_obstacles=table_obstacles)
-        for i in range(count)
-    ]

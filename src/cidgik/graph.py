@@ -57,11 +57,6 @@ class DistanceGraph:
     def num_anchors(self) -> int:
         return self.anchors.shape[1]
 
-    def vertex_position(self, v: int, X: np.ndarray) -> np.ndarray:
-        if v < self.num_variables:
-            return X[:, v]
-        return self.anchors[:, v - self.num_variables]
-
 
 @dataclass(eq=False)
 class QcqpInstance:
@@ -258,24 +253,6 @@ def _check_graph(graph: DistanceGraph) -> None:
     missing = [graph.variable_labels[v] for v in range(nv) if v not in seen]
     if missing:
         raise GraphError(f"variable vertices not connected to any anchor: {missing}")
-
-
-def incidence_matrix(graph: DistanceGraph) -> np.ndarray:
-    """|V| x |E| incidence matrix: +1 at the head, -1 at the tail of each edge.
-
-    For any point matrix P realizing the graph (variables then anchors as
-    columns), diag(B^T P^T P B) equals the squared-distance vector.
-    """
-    n = graph.num_variables + graph.num_anchors
-    B = np.zeros((n, len(graph.edges)))
-    for e_idx, e in enumerate(graph.edges):
-        B[e.tail, e_idx] = -1.0
-        B[e.head, e_idx] = 1.0
-    return B
-
-
-def squared_distance_vector(graph: DistanceGraph) -> np.ndarray:
-    return np.array([e.weight for e in graph.edges])
 
 
 def assemble_qcqp(

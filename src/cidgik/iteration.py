@@ -27,7 +27,7 @@ from .kinematics import (
     reconstruct_angles,
 )
 from .lifting import extract_points, lift
-from .solver import InfeasibilityCertificate, SolverSettings, solve
+from .solver import InfeasibilityCertificate, SolverSettings, _constraint_tolerance, solve
 
 logger = logging.getLogger("cidgik.iteration")
 
@@ -303,8 +303,7 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     dim = instance.dim
     side = instance.side
 
-    rhs_scale = float(np.max(np.abs(instance.eq_rhs))) if instance.eq_rhs.size else 0.0
-    tol_con = options.solver.eps_abs + options.solver.eps_rel * rhs_scale
+    tol_con = _constraint_tolerance(instance, options.solver)
 
     trace = IterationTrace()
     C = np.eye(side)

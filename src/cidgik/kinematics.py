@@ -458,27 +458,6 @@ def nominal_distances(robot: RobotModel) -> dict[tuple[tuple, tuple], float]:
     return out
 
 
-def degenerate_pairs(robot: RobotModel) -> list[tuple[int, int]]:
-    """Consecutive joint pairs whose child points all lie on the parent axis.
-
-    Happens for collinear consecutive axes; the cross distances then pin the
-    child points to the axis line and the pair carries no angular information.
-    """
-    frames = _frames(robot, np.zeros(len(robot.joints)))
-    out = []
-    for i, j in enumerate(robot.joints):
-        if j.parent < 0:
-            continue
-        p = j.parent
-        o, a = frames.origins[p], frames.axes[p]
-        child_pts = [frames.origins[i]]
-        if robot.dimension == 3:
-            child_pts.append(frames.origins[i] + frames.axes[i])
-        if all(np.linalg.norm(np.cross(pt - o, a)) <= ON_AXIS_TOL for pt in child_pts):
-            out.append((p, i))
-    return out
-
-
 @dataclass(frozen=True)
 class ReconstructionResult:
     theta: np.ndarray

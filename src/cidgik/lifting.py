@@ -26,15 +26,23 @@ class SdpInstance:
     Equalities: tr(A_k Z) = a_k.  Inequalities: tr(B_k Z) <= b_k (keep-out
     spheres are stored negated, so ||x - c||^2 >= l^2 becomes tr(B Z) <= -l^2).
     dim is the target rank of the lift (d for point problems).
+
+    Constraints are stacked float arrays: eq_mats has shape (n_eq, side, side)
+    and ineq_mats (n_ineq, side, side), one symmetric matrix per row, with the
+    right-hand sides in eq_rhs and ineq_rhs.  A list of matrices is stacked on
+    construction, and an empty one becomes (0, side, side).
     """
 
     side: int
     dim: int
-    eq_mats: list[np.ndarray]
+    eq_mats: np.ndarray
     eq_rhs: np.ndarray
-    ineq_mats: list[np.ndarray] = field(default_factory=list)
+    ineq_mats: np.ndarray = field(default_factory=list)
     ineq_rhs: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    objective: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.eq_mats, self.eq_rhs = _stacked("eq", self.side, self.eq_mats, self.eq_rhs)
+        self.ineq_mats, self.ineq_rhs = _stacked("ineq", self.side, self.ineq_mats, self.ineq_rhs)
 
     @property
     def num_equalities(self) -> int:
@@ -47,6 +55,19 @@ class SdpInstance:
     @property
     def num_variables(self) -> int:
         return self.side - self.dim
+
+
+def _stacked(kind: str, side: int, mats, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint matrices as a (k, side, side) float array with k right-hand sides."""
+    mats = np.asarray(mats, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if mats.shape == (0,):
+        mats = np.zeros((0, side, side))
+    if mats.ndim != 3 or mats.shape[1:] != (side, side):
+        raise ValueError(f"{kind}_mats has shape {mats.shape}, expected (k, {side}, {side})")
+    if rhs.shape != (len(mats),):
+        raise ValueError(f"{kind}_rhs has shape {rhs.shape}, expected ({len(mats)},)")
+    return mats, rhs
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,11 +241,8 @@ def evaluate(instance: SdpInstance, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
         raise ValueError(
             f"Z has shape {Z.shape}, expected {(instance.side, instance.side)}"
         )
-    eq = np.array([float(np.tensordot(A, Z)) for A in instance.eq_mats])
-    eq -= instance.eq_rhs
-    slack = instance.ineq_rhs - np.array(
-        [float(np.tensordot(B, Z)) for B in instance.ineq_mats]
-    )
+    eq = np.tensordot(instance.eq_mats, Z) - instance.eq_rhs
+    slack = instance.ineq_rhs - np.tensordot(instance.ineq_mats, Z)
     return eq, slack
 
 

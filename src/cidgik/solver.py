@@ -115,8 +115,11 @@ class _ConicData:
         self.n_ineq = instance.num_inequalities
         m = self.n_eq + self.n_ineq
 
-        mats = list(instance.eq_mats) + list(instance.ineq_mats)
-        rows = np.array([self.space.vec(A) for A in mats]) if m else np.zeros((0, D))
+        mats = np.concatenate([instance.eq_mats, instance.ineq_mats])
+        # The fancy-indexed view is strided; without a contiguous copy the row
+        # norms sum in another order and G changes in its last bits.
+        rows = np.ascontiguousarray(mats[:, self.space.rows, self.space.cols])
+        rows *= self.space.weights
         rhs = np.concatenate([instance.eq_rhs, instance.ineq_rhs])
         norms = np.linalg.norm(rows, axis=1)
         if np.any(norms == 0.0):
@@ -126,12 +129,11 @@ class _ConicData:
 
         G = np.zeros((m, D + self.n_ineq))
         G[:, :D] = rows * self.scale[:, None]
-        for j in range(self.n_ineq):
-            G[self.n_eq + j, D + j] = self.scale[self.n_eq + j]
+        slack_rows = np.arange(self.n_eq, m)
+        G[slack_rows, D + slack_rows - self.n_eq] = self.scale[self.n_eq :]
         self.G = G
         self.GT = G.T
         self.h = rhs * self.scale
-        self.rhs = rhs
         self.D = D
 
         K = G @ G.T
@@ -195,6 +197,17 @@ class _ConicData:
         return y_orig[: self.n_eq], y_orig[self.n_eq :]
 
 
+def _constraint_tolerance(instance: SdpInstance, settings: SolverSettings) -> float:
+    """Residual tolerance on every constraint row: eps_abs + eps_rel * max |rhs|.
+
+    The solver's stopping tests and the refinement gate of cidgik_solve both
+    accept a point against this one number.
+    """
+    rhs = np.concatenate([instance.eq_rhs, instance.ineq_rhs])
+    rhs_scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
+    return settings.eps_abs + settings.eps_rel * rhs_scale
+
+
 def _verify_certificate(
     instance: SdpInstance, y: np.ndarray, mu: np.ndarray
 ) -> InfeasibilityCertificate | None:
@@ -205,13 +218,7 @@ def _verify_certificate(
         return None
     y = y / scale
     mu = mu / scale
-    S = np.zeros((instance.side, instance.side))
-    for yk, A in zip(y, instance.eq_mats):
-        if yk != 0.0:
-            S += yk * A
-    for mj, B in zip(mu, instance.ineq_mats):
-        if mj != 0.0:
-            S += mj * B
+    S = np.tensordot(y, instance.eq_mats, 1) + np.tensordot(mu, instance.ineq_mats, 1)
     value = float(instance.eq_rhs @ y) + float(instance.ineq_rhs @ mu)
     min_eig = float(np.linalg.eigvalsh(S)[0]) if instance.side else 0.0
     if value <= -CERT_TOL and min_eig >= -CERT_TOL:
@@ -379,7 +386,7 @@ def solve(
     if method not in ("dual", "primal"):
         raise ValueError(f"unknown method {method!r}")
     if C is None:
-        C = instance.objective if instance.objective is not None else np.eye(instance.side)
+        C = np.eye(instance.side)
     C = np.asarray(C, dtype=float)
     if C.shape != (instance.side, instance.side):
         raise ValueError("objective matrix side does not match the instance")
@@ -423,8 +430,7 @@ def solve(
         ev = data.unscaled_evaluation(x0[:D])
         x0[D:] = np.maximum(instance.ineq_rhs - ev[data.n_eq :], 0.0)
 
-    rhs_scale = float(np.max(np.abs(data.rhs))) if data.rhs.size else 0.0
-    tol_con = settings.eps_abs + settings.eps_rel * rhs_scale
+    tol_con = _constraint_tolerance(instance, settings)
     make_steps = _dual_steps if method == "dual" else _primal_steps
     steps = make_steps(data, c_vec, settings, tol_con, x0)
     status = "max_iters"
@@ -516,35 +522,26 @@ def export_sdpa(instance: SdpInstance, C: np.ndarray | None = None) -> str:
     target rank, which the standard format cannot carry.
     """
     if C is None:
-        C = instance.objective if instance.objective is not None else np.eye(instance.side)
+        C = np.eye(instance.side)
     n = instance.side
+    n_eq = instance.num_equalities
     n_ineq = instance.num_inequalities
-    m = instance.num_equalities + n_ineq
-    lines = [f"* rank target = {instance.dim}", f"{m}"]
+    lines = [f"* rank target = {instance.dim}", f"{n_eq + n_ineq}"]
     if n_ineq:
         lines.append("2")
         lines.append(f"{n} -{n_ineq}")
     else:
         lines.append("1")
         lines.append(f"{n}")
-    rhs = list(instance.eq_rhs) + list(instance.ineq_rhs)
+    rhs = np.concatenate([instance.eq_rhs, instance.ineq_rhs])
     lines.append(" ".join(_fmt(v) for v in rhs))
 
-    def emit(matno: int, blkno: int, M: np.ndarray):
-        for i in range(M.shape[0]):
-            for j in range(i, M.shape[1]):
-                if M[i, j] != 0.0:
-                    lines.append(f"{matno} {blkno} {i + 1} {j + 1} {_fmt(M[i, j])}")
-
-    emit(0, 1, -np.asarray(C, dtype=float))
-    matno = 1
-    for A in instance.eq_mats:
-        emit(matno, 1, A)
-        matno += 1
-    for j, B in enumerate(instance.ineq_mats):
-        emit(matno, 1, B)
-        lines.append(f"{matno} 2 {j + 1} {j + 1} {_fmt(1.0)}")
-        matno += 1
+    mats = np.concatenate([-np.asarray(C, dtype=float)[None], instance.eq_mats, instance.ineq_mats])
+    for matno, M in enumerate(mats):
+        for i, j in zip(*np.nonzero(np.triu(M))):  # upper triangle, row-major
+            lines.append(f"{matno} 1 {i + 1} {j + 1} {_fmt(M[i, j])}")
+        if matno > n_eq:
+            lines.append(f"{matno} 2 {matno - n_eq} {matno - n_eq} {_fmt(1.0)}")
     return "\n".join(lines) + "\n"
 
 
@@ -572,6 +569,8 @@ def parse_sdpa(text: str, dim: int | None = None) -> tuple[SdpInstance, np.ndarr
 
     def take() -> str:
         nonlocal pos
+        if pos == len(tokens):
+            raise ValueError("SDPA header ends early")
         tok = tokens[pos]
         pos += 1
         return tok
@@ -588,26 +587,30 @@ def parse_sdpa(text: str, dim: int | None = None) -> tuple[SdpInstance, np.ndarr
     rhs = np.array([float(take()) for _ in range(m)])
     n_eq = m - n_ineq
 
+    entries = tokens[pos:]
+    if len(entries) % 5:
+        raise ValueError("SDPA entries must come in fives: matno blkno i j value")
     C = np.zeros((side, side))
-    eq_mats = [np.zeros((side, side)) for _ in range(n_eq)]
-    ineq_mats = [np.zeros((side, side)) for _ in range(n_ineq)]
-    while pos < len(tokens):
-        matno = int(float(take()))
-        blkno = int(float(take()))
-        i = int(float(take())) - 1
-        j = int(float(take())) - 1
-        v = float(take())
+    eq_mats = np.zeros((n_eq, side, side))
+    ineq_mats = np.zeros((n_ineq, side, side))
+    for k in range(0, len(entries), 5):
+        matno, blkno, i, j = (int(float(t)) for t in entries[k : k + 4])
+        v = float(entries[k + 4])
+        if not 0 <= matno <= m:
+            raise ValueError(f"matrix number {matno} outside 0..{m}")
         if blkno == 1:
+            if not (1 <= i <= side and 1 <= j <= side):
+                raise ValueError(f"entry ({i}, {j}) outside the {side} x {side} block")
             if matno == 0:
                 target = C
             elif matno <= n_eq:
                 target = eq_mats[matno - 1]
             else:
                 target = ineq_mats[matno - 1 - n_eq]
-            target[i, j] = v
-            target[j, i] = v
+            target[i - 1, j - 1] = v
+            target[j - 1, i - 1] = v
         elif blkno == 2:
-            if matno <= n_eq or i != j or i != matno - 1 - n_eq or v != 1.0:
+            if matno <= n_eq or i != j or i != matno - n_eq or v != 1.0:
                 raise ValueError("unexpected slack-block entry")
         else:
             raise ValueError(f"unknown block {blkno}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cidgik import GenerationError, batch, config_in_collision, generate, residuals
+from cidgik import GenerationError, config_in_collision, generate, residuals
 from cidgik.graph import feasible_points
 from cidgik.problemio import dumps_problem
 from cidgik.workspace import Sphere, WorkspaceSpec
@@ -51,24 +51,14 @@ def test_engulfing_sphere_hits_rejection_cap(chain_6dof, monkeypatch):
         generate(chain_6dof, "octahedron", seed=0)
 
 
-def test_batch_counts_and_seeds(chain_6dof):
-    problems = batch(chain_6dof, "free", count=5, base_seed=100)
-    assert len(problems) == 5
-    assert [p.seed for p in problems] == [100, 101, 102, 103, 104]
-    goals = [tuple(p.qcqp.goals[0].position) for p in problems]
-    assert len(set(goals)) == 5  # distinct instances
-    with pytest.raises(ValueError):
-        batch(chain_6dof, "free", count=0, base_seed=0)
-
-
-def test_batch_octahedron_ground_truths_collision_free(chain_6dof):
-    problems = batch(chain_6dof, "octahedron", count=10, base_seed=7)
-    for p in problems:
+def test_octahedron_ground_truths_collision_free(chain_6dof):
+    for seed in range(7, 17):
+        p = generate(chain_6dof, "octahedron", seed)
         assert not config_in_collision(chain_6dof, p.ground_truth, p.qcqp.spheres)
 
 
 def test_angles_in_half_open_interval(chain_6dof):
-    problems = batch(chain_6dof, "free", count=20, base_seed=0)
-    for p in problems:
+    for seed in range(20):
+        p = generate(chain_6dof, "free", seed)
         assert np.all(p.ground_truth > -np.pi)
         assert np.all(p.ground_truth <= np.pi)

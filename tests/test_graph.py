@@ -9,13 +9,12 @@ from cidgik import (
     assemble_qcqp,
     build_graph,
     forward_kinematics,
-    incidence_matrix,
     joint_points,
     residuals,
 )
-from cidgik.graph import feasible_points, squared_distance_vector
+from cidgik.graph import feasible_points
 from cidgik.kinematics import load_robot
-from cidgik.robots import planar_chain_document, random_coplanar_chain
+from cidgik.robots import planar_chain_document
 from conftest import sample_angles
 
 
@@ -77,29 +76,6 @@ def test_goal_validation(planar_2r):
                 )
             ],
         )
-
-
-def test_incidence_single_edge_and_column_sums(planar_2r):
-    graph = build_graph(planar_2r, [Goal(end_effector=0, position=np.array([1.0, 1.0]))])
-    B = incidence_matrix(graph)
-    assert B.shape == (3, 2)
-    for e_idx, e in enumerate(graph.edges):
-        col = B[:, e_idx]
-        assert col[e.tail] == -1.0 and col[e.head] == 1.0
-        assert col.sum() == 0.0
-
-
-def test_incidence_distance_identity():
-    robot = random_coplanar_chain(5, seed=4)
-    rng = np.random.Generator(np.random.Philox(key=17))
-    theta = sample_angles(rng, 5)
-    goals = pose_goals(robot, theta)
-    graph = build_graph(robot, goals)
-    X = feasible_points(assemble_qcqp(robot, goals), theta)
-    P = np.hstack([X, graph.anchors])
-    B = incidence_matrix(graph)
-    measured = np.diag(B.T @ P.T @ P @ B)
-    np.testing.assert_allclose(measured, squared_distance_vector(graph), atol=1e-10)
 
 
 def test_graph_is_acyclic_by_orientation(chain_6dof):

@@ -3,6 +3,7 @@ import pytest
 
 from cidgik import (
     Goal,
+    SdpInstance,
     Sphere,
     WorkspaceSpec,
     assemble_qcqp,
@@ -10,6 +11,7 @@ from cidgik import (
     evaluate,
     extract_points,
     forward_kinematics,
+    generate,
     lift,
     lift_points,
 )
@@ -81,7 +83,7 @@ def test_lift_no_obstacles_no_inequalities(planar_2r):
 def test_lift_constraint_matrix_structure(toy_qcqp):
     instance = lift(toy_qcqp)
     nv = instance.num_variables
-    for A in instance.eq_mats + instance.ineq_mats:
+    for A in np.concatenate([instance.eq_mats, instance.ineq_mats]):
         np.testing.assert_allclose(A, A.T, atol=1e-14)
     # distance-edge rows touch only their vertices and the anchor block
     graph = toy_qcqp.graph
@@ -141,3 +143,60 @@ def test_lift_points_rank_bound():
         lam = np.linalg.eigvalsh(Z)
         assert np.sum(lam > 1e-9 * lam[-1]) <= d
         assert np.min(lam) > -1e-12
+
+
+@pytest.fixture(scope="module")
+def table_instance(chain_6dof):
+    return lift(generate(chain_6dof, "table", 0, table_obstacles=25).qcqp)
+
+
+def test_lift_stacks_constraints(table_instance):
+    inst = table_instance
+    n_eq, n_ineq = inst.num_equalities, inst.num_inequalities
+    assert n_eq > 0 and n_ineq > 0
+    for mats, rows in ((inst.eq_mats, n_eq), (inst.ineq_mats, n_ineq)):
+        assert isinstance(mats, np.ndarray) and mats.dtype == np.float64
+        assert mats.shape == (rows, inst.side, inst.side)
+    assert inst.eq_rhs.shape == (n_eq,) and inst.ineq_rhs.shape == (n_ineq,)
+
+
+def test_evaluate_matches_per_row_trace(table_instance):
+    inst = table_instance
+    rng = np.random.Generator(np.random.Philox(key=57))
+    M = rng.normal(size=(inst.side, inst.side))
+    Z = M @ M.T
+    eq, slack = evaluate(inst, Z)
+    np.testing.assert_allclose(
+        eq, [np.tensordot(A, Z) - a for A, a in zip(inst.eq_mats, inst.eq_rhs)],
+        rtol=0.0, atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        slack, [b - np.tensordot(B, Z) for B, b in zip(inst.ineq_mats, inst.ineq_rhs)],
+        rtol=0.0, atol=1e-12,
+    )
+
+
+def test_sdp_instance_accepts_lists_and_no_inequalities():
+    inst = SdpInstance(side=2, dim=1, eq_mats=[np.eye(2), np.ones((2, 2))], eq_rhs=[1.0, 2.0])
+    assert inst.eq_mats.shape == (2, 2, 2) and inst.eq_mats.dtype == np.float64
+    assert inst.eq_rhs.dtype == np.float64
+    assert inst.ineq_mats.shape == (0, 2, 2) and inst.ineq_rhs.shape == (0,)
+    assert inst.num_equalities == 2 and inst.num_inequalities == 0
+
+
+@pytest.mark.parametrize(
+    "eq_mats,eq_rhs,ineq_mats,ineq_rhs,match",
+    [
+        ([np.eye(3)], [1.0], [], [], "eq_mats has shape"),
+        ([np.eye(2)], [1.0], [np.eye(3)], [0.0], "ineq_mats has shape"),
+        (np.eye(2), [1.0, 1.0], [], [], "eq_mats has shape"),
+        ([np.eye(2)], [1.0, 2.0], [], [], "eq_rhs has shape"),
+        ([np.eye(2)], [1.0], [np.eye(2)], [], "ineq_rhs has shape"),
+    ],
+    ids=["eq-side", "ineq-side", "eq-2d", "eq-rhs-length", "ineq-rhs-length"],
+)
+def test_sdp_instance_rejects_misshaped_constraints(eq_mats, eq_rhs, ineq_mats, ineq_rhs, match):
+    with pytest.raises(ValueError, match=match):
+        SdpInstance(
+            side=2, dim=1, eq_mats=eq_mats, eq_rhs=eq_rhs, ineq_mats=ineq_mats, ineq_rhs=ineq_rhs
+        )

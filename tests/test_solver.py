@@ -211,6 +211,25 @@ def test_sdpa_round_trip_exact():
     assert export_sdpa(parsed, C) == text
 
 
+@pytest.mark.parametrize(
+    "tail,match",
+    [
+        ("1 1 0 1 1.0\n", "outside the 3 x 3 block"),
+        ("9 1 1 1 1.0\n", "matrix number 9 outside 0..4"),
+        ("-1 1 1 1 1.0\n", "matrix number -1 outside 0..4"),
+        ("1 1 1 14 1.0\n", "outside the 3 x 3 block"),
+        ("1 1 1 1\n", "come in fives"),
+        (None, "header ends early"),
+    ],
+    ids=["row-0", "matno-above-m", "matno-negative", "col-above-side", "truncated", "header"],
+)
+def test_sdpa_rejects_malformed_text(tail, match):
+    golden = GOLDEN.read_text()
+    text = golden + tail if tail is not None else "\n".join(golden.splitlines()[:4])
+    with pytest.raises(ValueError, match=match):
+        parse_sdpa(text)
+
+
 def test_sdpa_no_slack_block_without_inequalities():
     instance = SdpInstance(
         side=2, dim=1, eq_mats=[np.eye(2)], eq_rhs=np.array([1.0])

@@ -84,8 +84,8 @@ def test_aux_point_midpoint():
     assert updated.num_variables == qcqp.num_variables + 1
     X = feasible_points(updated, theta)
     y = X[:, -1]
-    a = updated.graph.vertex_position(edge.tail, X[:, : updated.graph.num_variables])
-    b = updated.graph.vertex_position(edge.head, X[:, : updated.graph.num_variables])
+    a = X[:, edge.tail]  # the elbow, a variable
+    b = updated.graph.anchors[:, edge.head - updated.graph.num_variables]
     assert np.linalg.norm(y - a) == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(y - b) == pytest.approx(1.0, abs=1e-9)
     assert residuals(updated, X).equality < 1e-9
