@@ -53,7 +53,6 @@ from .solver import (
     InfeasibilityCertificate,
     SolverSettings,
     SolveResult,
-    certify,
     export_sdpa,
     parse_sdpa,
     solve,
@@ -100,7 +99,6 @@ __all__ = [
     "assemble_qcqp",
     "build_graph",
     "build_toy_instance",
-    "certify",
     "cidgik_solve",
     "config_in_collision",
     "direction_matrix",

@@ -59,13 +59,6 @@ def cmd_solve(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
 
-    if args.solver == "export-only":
-        text = export_sdpa(lift(qcqp))
-        out = Path(args.out) if args.out else Path(args.problem).with_suffix(".dat-s")
-        out.write_text(text)
-        print(f"wrote {out}")
-        return 0
-
     result = cidgik_solve(qcqp, options)
     text = json.dumps(result.to_json_dict(), sort_keys=True, indent=2)
     if args.out:
@@ -153,12 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("problem", help="problem JSON path")
     _add_solver_flags(p_solve)
     p_solve.add_argument("--out", help="write the solution JSON here")
-    p_solve.add_argument(
-        "--solver",
-        choices=["builtin", "export-only"],
-        default="builtin",
-        help="solve with the built-in method or just export SDPA data",
-    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run a seeded benchmark campaign")

@@ -15,7 +15,6 @@ import numpy as np
 
 from .kinematics import (
     RobotModel,
-    Pose,
     joint_points,
     structural_pairs,
 )

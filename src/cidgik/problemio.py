@@ -106,6 +106,30 @@ def save_generated(path, problem: GeneratedProblem) -> Path:
     return sidecar
 
 
+def _entries(doc: dict, key: str) -> list[dict]:
+    entries = doc.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ProblemFormatError(f"'{key}' must be a list of objects")
+    return entries
+
+
+def _finite(value, what: str, scalar: bool = False):
+    """value as a float array, or a float if scalar; it must be numeric and finite."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ProblemFormatError(f"{what} must be numeric") from e
+    if not np.all(np.isfinite(arr)) or (scalar and arr.ndim):
+        raise ProblemFormatError(f"{what} must be finite{' and a single number' if scalar else ''}")
+    return float(arr) if scalar else arr
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProblemFormatError(f"{what} must be an integer")
+    return value
+
+
 def parse_problem(text: str, *, base_dir: Path | None = None) -> QcqpInstance:
     """Parse problem JSON into an assembled feasibility instance."""
     try:
@@ -126,39 +150,43 @@ def parse_problem(text: str, *, base_dir: Path | None = None) -> QcqpInstance:
     else:
         raise ProblemFormatError("'robot' must be a document object or a path string")
 
-    goals = []
-    for g in doc.get("goals", []):
-        direction = g.get("direction")
-        goals.append(
+    try:
+        goals = [
             Goal(
-                end_effector=int(g["ee"]),
-                position=np.asarray(g["position"], dtype=float),
-                direction=None if direction is None else np.asarray(direction, dtype=float),
+                end_effector=_integer(g["ee"], "goal 'ee'"),
+                position=_finite(g["position"], "goal position"),
+                direction=None
+                if g.get("direction") is None
+                else _finite(g["direction"], "goal direction"),
             )
-        )
-    spheres = [
-        Sphere(
-            center=np.asarray(s["center"], dtype=float),
-            radius=float(s["radius"]),
-            sense=s.get("sense", "keep_out"),
-        )
-        for s in doc.get("obstacles", [])
-    ]
-    planes = [
-        (
-            p.get("vertex"),
-            Plane(
-                normal=np.asarray(p["normal"], dtype=float),
-                offset=float(p["offset"]),
-                relation=p.get("relation", "above"),
-            ),
-        )
-        for p in doc.get("planes", [])
-    ]
+            for g in _entries(doc, "goals")
+        ]
+        spheres = [
+            Sphere(
+                center=_finite(s["center"], "obstacle center"),
+                radius=_finite(s["radius"], "obstacle radius", scalar=True),
+                sense=s.get("sense", "keep_out"),
+            )
+            for s in _entries(doc, "obstacles")
+        ]
+        planes = [
+            (
+                None if p.get("vertex") is None else _integer(p["vertex"], "plane vertex"),
+                Plane(
+                    normal=_finite(p["normal"], "plane normal"),
+                    offset=_finite(p["offset"], "plane offset", scalar=True),
+                    relation=p.get("relation", "above"),
+                ),
+            )
+            for p in _entries(doc, "planes")
+        ]
+    except KeyError as e:
+        raise ProblemFormatError(f"goal, obstacle or plane without the key {e}") from None
+    eps = doc.get("self_collision_eps")
     workspace = WorkspaceSpec(
         spheres=spheres,
         planes=planes,
-        self_collision_eps=doc.get("self_collision_eps"),
+        self_collision_eps=None if eps is None else _finite(eps, "self_collision_eps", True),
     )
     return assemble_qcqp(robot, goals, workspace)
 

@@ -8,10 +8,11 @@ with inequality slacks appended.  The constraint normal system is factored
 once and cached; one ADMM step pairs a projection onto the affine constraint
 set with a projection onto the PSD x nonnegative cone, with over-relaxation
 and scaled dual updates.  One loop in `solve` owns the iteration cap, the
-best iterate, the stall check and the Farkas certificate hunt; the two
-splittings (`_dual_steps`, `_primal_steps`) differ only in their update,
-their stopping test and their step-size rule.  Everything is dense and
-deterministic: the same instance and settings reproduce the same iterates.
+best iterate and a Farkas certificate probe of the live iterate every
+CERT_PROBE_EVERY iterations; the two splittings (`_dual_steps`,
+`_primal_steps`) differ only in their update, their stopping test and their
+step-size rule.  Everything is dense and deterministic: the same instance
+and settings reproduce the same iterates.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ logger = logging.getLogger("cidgik.solver")
 OVER_RELAXATION = 1.5
 RHO_ADAPT_EVERY = 100
 RHO_MIN, RHO_MAX = 1e-4, 1e4
-STALL_WINDOW = 2000  # iterations without progress before hunting a certificate
-CERT_PROJECTION_ITERS = 2000
+CERT_PROBE_EVERY = 100  # iterations between Farkas probes of the iterate
 CERT_TOL = 1e-6
 
 
@@ -80,7 +80,6 @@ class SolveResult:
     eq_residual: float
     ineq_violation: float
     dual_residual: float
-    instance: SdpInstance
     certificate: InfeasibilityCertificate | None = None
 
 
@@ -190,12 +189,6 @@ class _ConicData:
         """tr(A_k Z) for every constraint row, in original units."""
         return (self.G[:, : self.D] @ z_mat_part) * self.row_norms
 
-    def multipliers_from_gap(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Least-squares multipliers y with G^T y ~ v, mapped to original units."""
-        y = self.solve_normal(self.G @ v)
-        y_orig = y * self.scale
-        return y_orig[: self.n_eq], y_orig[self.n_eq :]
-
 
 def _constraint_tolerance(instance: SdpInstance, settings: SolverSettings) -> float:
     """Residual tolerance on every constraint row: eps_abs + eps_rel * max |rhs|.
@@ -228,23 +221,21 @@ def _verify_certificate(
     return None
 
 
-def _certificate_from_projections(
-    data: _ConicData, start: np.ndarray
+def _certificate_from_iterate(
+    data: _ConicData, w: np.ndarray
 ) -> InfeasibilityCertificate | None:
-    """Hunt a separating direction by pure alternating projections.
+    """Farkas test on a cone point w through its gap to the affine set.
 
-    When the affine set and the cone are disjoint, alternating projections
-    converge to the closest pair; the gap vector lies in the row space of the
-    constraints and in the dual cone, which is exactly the Farkas witness.
+    w - proj_affine(w) = G^T y with y = (G G^T)^-1 (G w - h).  When the
+    affine set and the cone are disjoint, the gap of the ADMM iterate tends
+    to the closest-pair direction, which lies in the dual cone and makes
+    y (in original units) a Farkas witness (Banjac, Goulart, Stellato and
+    Boyd, JOTA 2019).
     """
-    w = start.copy()
-    for _ in range(CERT_PROJECTION_ITERS):
-        w = data.project_cone(data.project_affine(w))
-    v = w - data.project_affine(w)
-    if float(np.linalg.norm(v)) < 1e-10:
-        return None
-    y, mu = data.multipliers_from_gap(v)
-    return _verify_certificate(data.instance, y, mu)
+    r = data.G @ w
+    r -= data.h
+    y = data.solve_normal(r) * data.scale
+    return _verify_certificate(data.instance, y[: data.n_eq], y[data.n_eq :])
 
 
 def _affine_infeasibility_certificate(
@@ -374,6 +365,12 @@ def solve(
     with a verified certificate attached, or max_iters with the best iterate
     found.  warm_start, when given, seeds the iteration with a previous Z.
 
+    Every CERT_PROBE_EVERY iterations, while the combined residual is still
+    above 50x the constraint tolerance, the current iterate's gap to the
+    affine set is mapped to multipliers and checked as a Farkas certificate;
+    the first one that verifies ends the pass infeasible.  The probe only
+    reads the iterate, so a pass it never stops runs exactly as without it.
+
     Two variants of the same splitting are available.  "dual" (the default)
     runs the ADMM on the dual pair, keeping the primal iterate exactly PSD
     and complementary to the dual slack, which identifies low-rank faces
@@ -414,7 +411,6 @@ def solve(
             eq_residual=resid_inf,
             ineq_violation=0.0,
             dual_residual=float("inf"),
-            instance=instance,
             certificate=cert,
         )
 
@@ -436,7 +432,6 @@ def solve(
     status = "max_iters"
     certificate = None
     best = None
-    last_progress_iter = 0
     # A step yields (iterate, eq_res, ineq_viol, dual_res, combined, converged)
     # and adapts its step size only when resumed.  Its iterate is a fresh array
     # that later steps never mutate, so it can be kept as the best one.  zip
@@ -449,16 +444,15 @@ def solve(
             )
         if best is None or combined < 0.999 * best[4]:
             best = step
-            last_progress_iter = it
         if converged:
             status = "optimal"
             break
-        if it - last_progress_iter >= STALL_WINDOW and combined > 50 * tol_con:
-            certificate = _certificate_from_projections(data, x_vec)
+        # Both splittings yield a cone point, so its affine gap is the probe.
+        if it % CERT_PROBE_EVERY == 0 and combined > 50 * tol_con:
+            certificate = _certificate_from_iterate(data, x_vec)
             if certificate is not None:
                 status = "infeasible"
                 break
-            last_progress_iter = it  # do not retry immediately
     else:
         x_vec, eq_res, ineq_viol, dual_res = best[:4]
 
@@ -484,22 +478,8 @@ def solve(
         eq_residual=eq_res,
         ineq_violation=ineq_viol,
         dual_residual=dual_res,
-        instance=instance,
         certificate=certificate,
     )
-
-
-def certify(result: SolveResult) -> InfeasibilityCertificate:
-    """Re-verify and return the infeasibility certificate of a solve result."""
-    if result.status != "infeasible":
-        raise ValueError("certify requires a result with status 'infeasible'")
-    cert = result.certificate
-    if cert is None:
-        raise ValueError("infeasible result carries no certificate")
-    checked = _verify_certificate(result.instance, cert.y, cert.mu)
-    if checked is None:
-        raise ValueError("certificate failed numerical verification")
-    return checked
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ class Sphere:
     sense: str = "keep_out"
 
     def __post_init__(self):
-        if self.radius <= 0.0:
+        if not self.radius > 0.0:  # NaN fails too
             raise ValueError("sphere radius must be strictly positive")
         if self.sense not in ("keep_out", "keep_in"):
             raise ValueError(f"unknown sphere sense {self.sense!r}")

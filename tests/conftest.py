@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cidgik import Goal, Sphere, WorkspaceSpec, assemble_qcqp
-from cidgik.robots import arm_6dof, planar_chain_document, planar_two_link
+from cidgik.robots import arm_6dof, planar_two_link
 from cidgik.kinematics import load_robot
 
 

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cidgik.cli import main
 from cidgik.generator import generate
@@ -90,15 +92,95 @@ def test_bench_bad_numeric_flag(flags, monkeypatch, capsys):
     assert captured.out == ""
 
 
-def test_solve_export_only(toy_problem_file, tmp_path):
-    out = tmp_path / "toy.dat-s"
-    code = main(
-        ["solve", str(toy_problem_file), "--solver", "export-only", "--out", str(out)]
-    )
-    assert code == 0
-    instance, _ = parse_sdpa(out.read_text())
-    assert instance.side == 3
-    assert instance.num_inequalities == 1
+ARM_JSON = Path(__file__).parent.parent / "robots" / "arm_6dof.json"
+
+
+def _arm_problem() -> dict:
+    """A valid problem document: one pose goal at ee 0, a sphere, a plane, an eps."""
+    return {
+        "robot": str(ARM_JSON),
+        "goals": [{"ee": 0, "position": [0.3, 0.2, 0.4], "direction": [0.0, 0.0, 1.0]}],
+        "obstacles": [{"center": [2.0, 2.0, 2.0], "radius": 0.3, "sense": "keep_out"}],
+        "planes": [{"vertex": 0, "normal": [0.0, 0.0, 1.0], "offset": -5.0, "relation": "above"}],
+        "self_collision_eps": 0.01,
+    }
+
+
+def _without_position(doc):
+    del doc["goals"][0]["position"]
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _without_position,
+        _set("goals", [3]),
+        _set("goals", 0, "position", [float("nan"), 0.2, 0.4]),
+        _set("obstacles", 0, "center", [float("inf"), 2.0, 2.0]),
+        _set("obstacles", 0, "radius", float("nan")),
+    ],
+    ids=["goal-without-position", "goal-not-object", "nan-goal", "inf-obstacle", "nan-radius"],
+)
+def test_solve_bad_problem_exits_3(mutate, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("cidgik.cli.cidgik_solve", None)  # must not be reached
+    doc = _arm_problem()
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+    assert main(["solve", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([float("nan"), "x"])), max_size=4),
+    st.just({}),
+)
+_FIELDS = [
+    ("goals",), ("goals", 0), ("goals", 0, "ee"), ("goals", 0, "position"),
+    ("goals", 0, "position", 1), ("goals", 0, "direction"), ("obstacles",),
+    ("obstacles", 0), ("obstacles", 0, "center"), ("obstacles", 0, "center", 0),
+    ("obstacles", 0, "radius"), ("obstacles", 0, "sense"), ("planes", 0, "vertex"),
+    ("planes", 0, "normal"), ("planes", 0, "offset"), ("planes", 0, "relation"),
+    ("self_collision_eps",),
+]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(field=st.sampled_from(_FIELDS), value=st.one_of(st.just(...), _JSON_VALUES))
+def test_solve_mutated_problem_never_raises(tmp_path_factory, field, value):
+    """Any one field replaced (or deleted, for ...) gives an exit code, not a traceback."""
+    doc = _arm_problem()
+    target = doc
+    for step in field[:-1]:
+        target = target[step]
+    if value is ...:
+        del target[field[-1]]
+    else:
+        target[field[-1]] = value
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = directory / "p.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", str(path), "--max-iter", "1", "--solver-iters", "1", "--out", str(directory / "s.json")]
+    assert main(argv) in (0, 1, 2, 3)
 
 
 def test_gen_and_solve_round_trip(tmp_path):
@@ -132,6 +214,9 @@ def test_export_sdpa_command(toy_problem_file, tmp_path):
     code = main(["export-sdpa", str(toy_problem_file), "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("* rank target = 2")
+    instance, _ = parse_sdpa(out.read_text())
+    assert instance.side == 3
+    assert instance.num_inequalities == 1
 
 
 def test_bench_command(tmp_path, capsys):

@@ -9,12 +9,10 @@ from cidgik import (
     assemble_qcqp,
     build_graph,
     forward_kinematics,
-    joint_points,
     residuals,
 )
 from cidgik.graph import feasible_points
 from cidgik.kinematics import load_robot
-from cidgik.robots import planar_chain_document
 from conftest import sample_angles
 
 

@@ -17,8 +17,6 @@ from cidgik import (
 )
 from cidgik.iteration import CidgikOptions, refine_configuration
 from cidgik.solver import SolverSettings
-from cidgik.robots import planar_chain_document
-from cidgik.kinematics import load_robot
 
 FAST = CidgikOptions(solver=SolverSettings(max_iters=6000))
 

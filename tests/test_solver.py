@@ -12,16 +12,16 @@ from cidgik import (
     WorkspaceSpec,
     build_toy_instance,
     assemble_qcqp,
-    certify,
     cidgik_solve,
     direction_matrix,
     excess_rank,
     export_sdpa,
+    generate,
     lift,
     parse_sdpa,
     solve,
 )
-from cidgik.solver import STALL_WINDOW, NumericalBreakdownError, SolverSettings
+from cidgik.solver import NumericalBreakdownError, SolverSettings, _verify_certificate
 
 GOLDEN = Path(__file__).parent / "data" / "toy_identity.dat-s"
 
@@ -79,7 +79,7 @@ def test_contradictory_equalities_infeasible():
     )
     result = solve(instance)
     assert result.status == "infeasible"
-    cert = certify(result)
+    cert = _verify_certificate(instance, result.certificate.y, result.certificate.mu)
     assert cert.value < 0.0
     assert cert.min_eigenvalue > -1e-6
 
@@ -90,76 +90,85 @@ def test_unreachable_goal_certified(chain_6dof):
         position=np.array([1.5 * chain_6dof.reach, 0.0, 0.0]),
         direction=np.array([1.0, 0.0, 0.0]),
     )
-    qcqp = assemble_qcqp(chain_6dof, [goal])
-    result = solve(lift(qcqp), settings=SolverSettings(max_iters=8000))
+    instance = lift(assemble_qcqp(chain_6dof, [goal]))
+    result = solve(instance, settings=SolverSettings(max_iters=8000))
     assert result.status in ("infeasible", "max_iters")
     if result.status == "infeasible":
-        cert = certify(result)
+        cert = _verify_certificate(instance, result.certificate.y, result.certificate.mu)
         assert cert.value < -1e-6
         assert cert.min_eigenvalue >= -1e-6
         assert cert.mu.size == 0 or np.min(cert.mu) >= 0.0
 
 
-@pytest.mark.parametrize(
-    "key, methods, statuses",
-    [
-        (0, ["primal"], ["infeasible"]),
-        (22, ["primal", "dual"], ["max_iters", "infeasible"]),
-    ],
-)
-def test_stall_path_certifies_unreachable_goal(
-    chain_6dof, monkeypatch, key, methods, statuses
-):
-    """Each splitting, stalled on a goal at 1.5x reach, hunts down a certificate.
-
-    The goal is built as the benchmark's arm-unreachable workload builds it.
-    Key 0 stalls in the primal nuclear-norm pass (4000-iteration budget);
-    key 22 reaches that budget and stalls in the dual pass that follows.
-    """
+def _unreachable_qcqp(robot, key):
+    """A goal at 1.5x reach, built as the benchmark's arm-unreachable workload builds it."""
     direction = np.random.Generator(np.random.Philox(key=key)).standard_normal(3)
     direction /= np.linalg.norm(direction)
-    goal = Goal(
-        end_effector=0,
-        position=1.5 * chain_6dof.reach * direction,
-        direction=direction,
-    )
-    qcqp = assemble_qcqp(chain_6dof, [goal], WorkspaceSpec())
-    passes = []  # (method, result, certificate hunts in the pass)
-    hunts = []
-    inner_solve = cidgik.iteration.solve
-    inner_hunt = cidgik.solver._certificate_from_projections
+    goal = Goal(end_effector=0, position=1.5 * robot.reach * direction, direction=direction)
+    return assemble_qcqp(robot, [goal], WorkspaceSpec())
+
+
+def _record_passes(monkeypatch):
+    """Collect (method, SolveResult) for every SDP pass cidgik_solve runs."""
+    passes = []
+    inner = cidgik.iteration.solve
 
     def recording_solve(*args, **kwargs):
-        hunts.clear()
-        result = inner_solve(*args, **kwargs)
-        passes.append((kwargs["method"], result, len(hunts)))
-        return result
-
-    def recording_hunt(*args):
-        hunts.append(args)
-        return inner_hunt(*args)
+        passes.append((kwargs["method"], inner(*args, **kwargs)))
+        return passes[-1][1]
 
     monkeypatch.setattr(cidgik.iteration, "solve", recording_solve)
-    monkeypatch.setattr(cidgik.solver, "_certificate_from_projections", recording_hunt)
-    result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
+    return passes
+
+
+@pytest.mark.parametrize("method", ["primal", "dual"])
+@pytest.mark.parametrize("key", [0, 22])
+def test_probe_certifies_unreachable_goal(chain_6dof, key, method):
+    """Each splitting's iterate yields a verified certificate within 4000 iterations.
+
+    Before the probe, a certificate came only from a hunt after a
+    2000-iteration stall: 3150/5505 (primal) and 2995/5076 (dual) iterations.
+    """
+    instance = lift(_unreachable_qcqp(chain_6dof, key))
+    result = solve(instance, None, SolverSettings(max_iters=8000), method=method)
     assert result.status == "infeasible"
-    assert [p[0] for p in passes] == methods
-    assert [p[1].status for p in passes] == statuses
-    # A failed hunt waits another stall window before the next one.
-    for _, r, count in passes:
-        assert 1 <= count <= r.iterations // STALL_WINDOW
-    last = passes[-1][1]
-    assert last.iterations >= STALL_WINDOW
-    cert = certify(last)
+    assert result.iterations <= 4000
+    cert = _verify_certificate(instance, result.certificate.y, result.certificate.mu)
+    assert cert is not None
     assert cert.value < 0.0
     assert cert.min_eigenvalue >= -1e-6
 
 
-def test_certify_requires_infeasible_status():
-    toy = build_toy_instance()
-    result = solve(toy)
-    with pytest.raises(ValueError, match="infeasible"):
-        certify(result)
+def test_unreachable_goal_certified_in_first_pass(chain_6dof, monkeypatch):
+    passes = _record_passes(monkeypatch)
+    qcqp = _unreachable_qcqp(chain_6dof, 22)
+    result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
+    assert result.status == "infeasible"
+    assert [(m, r.status) for m, r in passes] == [("primal", "infeasible")]
+
+
+def test_probe_leaves_feasible_passes_unchanged(chain_6dof, monkeypatch):
+    """On feasible instances the probe finds nothing and changes no pass."""
+    probes = []
+    inner_probe = cidgik.solver._certificate_from_iterate
+
+    def recording_probe(*args):
+        probes.append(inner_probe(*args))
+        return probes[-1]
+
+    def run():
+        passes = _record_passes(monkeypatch)
+        qcqp = generate(chain_6dof, "octahedron", 0).qcqp
+        cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
+        toy = build_toy_instance()
+        passes += [(m, solve(toy, np.eye(3), method=m)) for m in ("primal", "dual")]
+        return [(m, r.status, r.iterations, r.Z.Z.tobytes()) for m, r in passes]
+
+    monkeypatch.setattr(cidgik.solver, "_certificate_from_iterate", recording_probe)
+    probed = run()
+    assert probes and all(p is None for p in probes)  # the probe ran and found nothing
+    monkeypatch.setattr(cidgik.solver, "CERT_PROBE_EVERY", 10**9)
+    assert probed == run()
 
 
 def test_solver_determinism(toy_qcqp):

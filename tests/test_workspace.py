@@ -20,7 +20,7 @@ from cidgik import (
 )
 from cidgik.graph import feasible_points
 from cidgik.solver import SolverSettings
-from cidgik.workspace import AuxPoint, Plane, environment
+from cidgik.workspace import AuxPoint, environment
 from cidgik.robots import planar_chain_document
 from cidgik.kinematics import load_robot
 
@@ -38,6 +38,8 @@ def test_sphere_violation_cases():
 def test_sphere_validation():
     with pytest.raises(ValueError):
         Sphere(center=np.zeros(3), radius=0.0)
+    with pytest.raises(ValueError):
+        Sphere(center=np.zeros(3), radius=float("nan"))
     with pytest.raises(ValueError):
         Sphere(center=np.zeros(3), radius=1.0, sense="sideways")
 
