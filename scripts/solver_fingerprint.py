@@ -1,4 +1,4 @@
-"""Print one JSON line per SDP pass on fixed seeded instances.
+"""Print one JSON line per SDP pass and per solve on fixed seeded instances.
 
     PYTHONPATH=src python3 scripts/solver_fingerprint.py > fingerprint.txt
 
@@ -6,8 +6,12 @@ Each instance first gets a line with the SHA-1 of its lifted constraint data
 (eq_mats, eq_rhs, ineq_mats, ineq_rhs) and of its export_sdpa text, so a change
 to the lift or the operator shows up before any solve runs.  Each pass line
 holds the pass's status, ADMM iterations, the SHA-1 of Z and the SHA-1 of the
-certificate's y and mu.  Run it at two commits and diff the output: a refactor
-of the solve path must leave it byte-identical.
+certificate's y and mu.  The instance's result line holds the cidgik_solve
+status, its pass count and the SHA-1 of theta (null without one).  The
+instances are the arm_6dof benchmark keys below, the planar two-link toy with
+its keep-out disc and the fully stretched planar two-link.  Run it at two
+commits and diff the output: a refactor of the solve path must leave it
+byte-identical.
 """
 
 import hashlib
@@ -17,7 +21,7 @@ import numpy as np
 
 import cidgik as ck
 import cidgik.iteration
-from cidgik.robots import arm_6dof
+from cidgik.robots import arm_6dof, planar_two_link
 
 # Benchmark workloads (ikbench/run.py) and keys; table uses 25 obstacles.
 KEYS = {"octahedron": (0, 1, 2, 13, 20), "table": (0, 1, 11, 22), "unreachable": (0, 22)}
@@ -30,6 +34,20 @@ def _qcqp(robot, environment: str, key: int):
     direction /= np.linalg.norm(direction)
     goal = ck.Goal(end_effector=0, position=1.5 * robot.reach * direction, direction=direction)
     return ck.assemble_qcqp(robot, [goal], ck.WorkspaceSpec())
+
+
+def _instances():
+    """(name, qcqp) for every arm_6dof key, then the two planar two-link cases."""
+    robot = arm_6dof()
+    for environment, keys in KEYS.items():
+        for key in keys:
+            yield f"{environment}-{key}", _qcqp(robot, environment, key)
+    planar = planar_two_link()
+    disc = ck.WorkspaceSpec(spheres=[ck.Sphere(center=np.array([1.0, 0.0]), radius=0.5)])
+    reach = ck.Goal(end_effector=0, position=np.array([1.0, 1.0]))
+    stretched = ck.Goal(end_effector=0, position=np.array([2.0, 0.0]))
+    yield "toy-qcqp", ck.assemble_qcqp(planar, [reach], disc)
+    yield "stretched-2r", ck.assemble_qcqp(planar, [stretched])
 
 
 def _sha1(*arrays) -> str:
@@ -45,12 +63,18 @@ def _print_lift(name: str, qcqp) -> None:
 
 def _print_pass(name: str, k: int, r) -> None:
     cert = r.certificate and _sha1(r.certificate.y, r.certificate.mu)
+    Z = getattr(r.Z, "Z", r.Z)  # older trees wrap Z in a LiftedSolution
     print(json.dumps({"instance": name, "pass": k, "status": r.status,
-                      "iterations": r.iterations, "Z": _sha1(r.Z.Z), "certificate": cert}))
+                      "iterations": r.iterations, "Z": _sha1(Z), "certificate": cert}))
+
+
+def _print_result(name: str, result) -> None:
+    theta = None if result.theta is None else _sha1(result.theta)
+    print(json.dumps({"instance": name, "status": result.status,
+                      "passes": result.iterations, "theta": theta}))
 
 
 def main():
-    robot = arm_6dof()
     passes, solve = [], cidgik.iteration.solve
 
     def recording_solve(*args, **kwargs):
@@ -59,14 +83,13 @@ def main():
 
     cidgik.iteration.solve = recording_solve
     options = ck.CidgikOptions(solver=ck.SolverSettings(max_iters=8000))
-    for environment, keys in KEYS.items():
-        for key in keys:
-            passes.clear()
-            qcqp = _qcqp(robot, environment, key)
-            _print_lift(f"{environment}-{key}", qcqp)
-            ck.cidgik_solve(qcqp, options)
-            for k, r in enumerate(passes):
-                _print_pass(f"{environment}-{key}", k, r)
+    for name, qcqp in _instances():
+        passes.clear()
+        _print_lift(name, qcqp)
+        result = ck.cidgik_solve(qcqp, options)
+        for k, r in enumerate(passes):
+            _print_pass(name, k, r)
+        _print_result(name, result)
     for method in ("primal", "dual"):
         _print_pass(f"toy-{method}", 0, ck.solve(ck.build_toy_instance(), np.eye(3), method=method))
 

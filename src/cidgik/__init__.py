@@ -40,7 +40,6 @@ from .kinematics import (
     reconstruct_angles,
 )
 from .lifting import (
-    LiftedSolution,
     SdpInstance,
     build_toy_instance,
     evaluate,
@@ -82,7 +81,6 @@ __all__ = [
     "InfeasibilityCertificate",
     "IterationTrace",
     "Joint",
-    "LiftedSolution",
     "Plane",
     "Pose",
     "QcqpInstance",

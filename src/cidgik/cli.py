@@ -1,8 +1,9 @@
 """Command-line interface: solve single problems, run campaigns, generate, export.
 
-Exit codes for `solve`: 0 verified success, 1 verified failure, 2 infeasible,
-3 input error (a bad file or an out-of-range flag).  Set CIDGIK_LOG to error,
-info, or debug to control logging verbosity.
+Exit codes for `solve`: 0 verified success, 1 no verified configuration (the
+pass cap was reached, or the refined configuration failed verify_solution),
+2 infeasible, 3 input error (a bad file or an out-of-range flag).  Set
+CIDGIK_LOG to error, info, or debug to control logging verbosity.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ def _options(args) -> CidgikOptions:
     return CidgikOptions(
         max_iterations=args.max_iter,
         h_tol=args.h_tol,
-        solver=SolverSettings(
-            eps_abs=args.eps, eps_rel=args.eps, max_iters=args.solver_iters
-        ),
+        solver=SolverSettings(eps=args.eps, max_iters=args.solver_iters),
     )
 
 

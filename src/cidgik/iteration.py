@@ -64,8 +64,8 @@ def direction_matrix(Z: np.ndarray, dim: int) -> RankDirection:
 
     U collects the eigenvectors of the side - dim smallest eigenvalues, so C*
     is an orthogonal projector with trace side - dim and tr(C* Z) = h(Z).
-    Eigenvector signs are normalized (first nonzero component positive) so the
-    factorization itself is reproducible; C* does not depend on the signs.
+    C* does not depend on the eigenvectors' signs, since flipping a column
+    of U leaves U U^T unchanged.
     """
     Z = np.asarray(Z, dtype=float)
     scale = max(1.0, float(np.max(np.abs(Z))))
@@ -74,10 +74,6 @@ def direction_matrix(Z: np.ndarray, dim: int) -> RankDirection:
     side = Z.shape[0]
     _, V = np.linalg.eigh(0.5 * (Z + Z.T))  # ascending eigenvalues
     U = V[:, : side - dim]
-    for col in range(U.shape[1]):
-        nz = np.nonzero(np.abs(U[:, col]) > 1e-12)[0]
-        if nz.size and U[nz[0], col] < 0:
-            U[:, col] = -U[:, col]
     return RankDirection(C=U @ U.T)
 
 
@@ -93,7 +89,6 @@ class IterationRecord:
 @dataclass(eq=False)
 class IterationTrace:
     records: list[IterationRecord] = field(default_factory=list)
-    final_status: str = "max_iterations"  # converged | max_iterations | infeasible
 
     @property
     def h_values(self) -> list[float]:
@@ -254,14 +249,13 @@ class CidgikResult:
     X: np.ndarray | None = None
     theta: np.ndarray | None = None
     gram_gap: float | None = None
-    reconstruction_residual: float | None = None
     position_error: float | None = None
     direction_error: float | None = None
     max_penetration: float | None = None
     # verify_solution's verdict on theta; the CLI and the bench report it as is
     verified: bool = False
     certificate: InfeasibilityCertificate | None = None
-    solve_time: float = 0.0  # SDP + direction-update time, setup excluded
+    solve_time: float = 0.0  # the pass loop's wall time; lift and verification excluded
     h: float | None = None
 
     @property
@@ -288,33 +282,26 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     The nuclear-norm pass (C = I) runs the solver's primal variant so that
     objective ties resolve to centered points the way interior-point solvers
     do; subsequent passes use the rank-seeking dual variant, warm-started
-    from the previous iterate.  Iteration stops on SDP infeasibility, at the
-    cap (returning the best-h iterate), or once a trustworthy rank-d point
-    exists: either the solve was optimal with h below threshold, or the
-    extracted points were refined to an exactly rank-d matrix whose lifted
-    residuals pass the solver tolerance.  h is measured on the solver's
-    cone-projected iterate, and the trace records it before any refinement.
-    The returned configuration is checked once, by verify_solution, and
-    `verified` holds its verdict; an infeasible result carries only its
-    certificate and the h-trace.
+    from the previous iterate.  Every feasible pass hands its iterate to the
+    refinement gate, and only the gate closes an instance: the first
+    refined configuration whose exact lift has h below h_tol and lifted
+    residuals within the solver tolerance ends the iteration `converged`,
+    with X, gram_gap and h read off that lift.  That configuration is
+    checked once, by verify_solution, and `verified` holds its verdict.
+    An SDP infeasibility ends the iteration with only the certificate and
+    the h-trace; reaching the pass cap gives `max_iterations` with only the
+    h-trace.  h is measured on the solver's cone-projected iterate, and the
+    trace records it before any refinement.
     """
     options = options or CidgikOptions()
     instance = lift(qcqp)
     dim = instance.dim
-    side = instance.side
-
     tol_con = _constraint_tolerance(instance, options.solver)
 
-    trace = IterationTrace()
-    C = np.eye(side)
+    out = CidgikResult(status="max_iterations", trace=IterationTrace())
+    C = np.eye(instance.side)
     warm = None
-    best: tuple[float, np.ndarray] | None = None
-    final: tuple[float, np.ndarray] | None = None
-    final_theta = None
-    solve_time = 0.0
-    status = "max_iterations"
-    certificate = None
-
+    t0 = time.perf_counter()
     for k in range(options.max_iterations):
         if k == 0:
             settings = dataclasses.replace(
@@ -324,12 +311,9 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
             result = solve(instance, C, settings, method="primal")
         else:
             result = solve(instance, C, options.solver, warm_start=warm, method="dual")
-        solve_time += result.wall_time
         infeasible = result.status == "infeasible"
-        Z = result.Z.Z
-        t_post = time.perf_counter()
-        h = float("nan") if infeasible else excess_rank(Z, dim)
-        trace.records.append(
+        h = float("nan") if infeasible else excess_rank(result.Z, dim)
+        out.trace.records.append(
             IterationRecord(
                 h=h,
                 solver_status=result.status,
@@ -339,60 +323,26 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
             )
         )
         if infeasible:
-            status = "infeasible"
-            certificate = result.certificate
+            out.status = "infeasible"
+            out.certificate = result.certificate
             break
         logger.info("iteration %d: h=%.3e solver=%s", k + 1, h, result.status)
-        if best is None or h < best[0]:
-            best = (h, Z)
-        if h < options.h_tol and result.status == "optimal":
-            status = "converged"
-            final = (h, Z)
-            solve_time += time.perf_counter() - t_post
+        accepted = _attempt_refinement(qcqp, instance, result.Z, tol_con, options.h_tol)
+        if accepted is not None:
+            out.status = "converged"
+            out.h, Zr, out.theta = accepted
+            out.X, out.gram_gap = extract_points(Zr, dim=dim)
             break
-        refined = _attempt_refinement(qcqp, instance, Z, tol_con, options.h_tol)
-        if refined is not None:
-            status = "converged"
-            final = refined[:2]
-            final_theta = refined[2]
-            solve_time += time.perf_counter() - t_post
-            break
-        C = direction_matrix(Z, dim).C
-        warm = Z
-        solve_time += time.perf_counter() - t_post
+        C = direction_matrix(result.Z, dim).C
+        warm = result.Z
+    out.solve_time = time.perf_counter() - t0
 
-    trace.final_status = status
-    out = CidgikResult(
-        status=status,
-        trace=trace,
-        certificate=certificate,
-        solve_time=solve_time,
-    )
-    # An infeasible result is its certificate; an earlier pass's best iterate
-    # is no solution of anything, so nothing is reconstructed or verified.
-    if status == "infeasible":
-        return out
-    if final is None:
-        final = best
-    if final is None:
-        return out
-
-    out.h = final[0]
-    X, gap = extract_points(final[1], dim=dim)
-    out.X = X
-    out.gram_gap = gap
-    if final_theta is not None:
-        out.theta = final_theta
-        out.reconstruction_residual = 0.0
-    else:
-        rec = reconstruct_angles(qcqp.robot, _full_point_matrix(qcqp, X))
-        out.theta = rec.theta
-        out.reconstruction_residual = rec.residual
-    report = verify_solution(qcqp, out.theta)
-    out.position_error = report.position_error
-    out.direction_error = report.direction_error
-    out.max_penetration = report.max_penetration
-    out.verified = report.success
+    if out.theta is not None:
+        report = verify_solution(qcqp, out.theta)
+        out.position_error = report.position_error
+        out.direction_error = report.direction_error
+        out.max_penetration = report.max_penetration
+        out.verified = report.success
     return out
 
 

@@ -258,7 +258,7 @@ def load_robot(document: str | dict) -> RobotModel:
         raise RobotError("robot document must be a JSON object")
 
     dim = doc.get("dimension")
-    if dim not in (2, 3):
+    if type(dim) is not int or dim not in (2, 3):
         raise RobotError(f"dimension must be 2 or 3, got {dim!r}")
     raw_joints = doc.get("joints")
     if not isinstance(raw_joints, list) or not raw_joints:
@@ -267,12 +267,16 @@ def load_robot(document: str | dict) -> RobotModel:
     name_to_index: dict[str, int] = {}
     joints = []
     for entry in raw_joints:
+        if not isinstance(entry, dict):
+            raise RobotError(f"every joint must be a JSON object, got {entry!r}")
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise RobotError("every joint needs a non-empty string name")
         if name in name_to_index:
             raise RobotError(f"duplicate joint name {name!r}")
         parent_name = entry.get("parent")
+        if not isinstance(parent_name, str):
+            raise RobotError(f"joint {name!r}: parent must be a joint name or 'base'")
         if parent_name == name:
             raise RobotError(f"non-tree topology: joint {name!r} is its own parent")
         if parent_name == "base":
@@ -317,8 +321,10 @@ def load_robot(document: str | dict) -> RobotModel:
         raise RobotError("robot must declare at least one end effector")
     ees = []
     for entry in raw_ees:
+        if not isinstance(entry, dict):
+            raise RobotError(f"every end effector must be a JSON object, got {entry!r}")
         parent_name = entry.get("parent")
-        if parent_name not in name_to_index:
+        if not isinstance(parent_name, str) or parent_name not in name_to_index:
             raise RobotError(f"end effector parent {parent_name!r} is not a joint")
         tip = _vector3(entry.get("tip"), "end effector tip")
         if dim == 2 and abs(tip[2]) > 1e-12:

@@ -70,14 +70,6 @@ def _stacked(kind: str, side: int, mats, rhs) -> tuple[np.ndarray, np.ndarray]:
     return mats, rhs
 
 
-@dataclass(frozen=True, eq=False)
-class LiftedSolution:
-    """A PSD iterate returned by the solver, with its spectrum attached."""
-
-    Z: np.ndarray
-    eigenvalues: np.ndarray  # descending
-
-
 def _sym_from_coeffs(side: int, coeffs: dict[tuple[int, int], float]) -> np.ndarray:
     """Symmetric A with tr(A Z) = sum coeffs[(i, j)] * Z_ij for symmetric Z."""
     A = np.zeros((side, side))
@@ -246,19 +238,14 @@ def evaluate(instance: SdpInstance, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return eq, slack
 
 
-def extract_points(Z: np.ndarray | LiftedSolution, dim: int | None = None) -> tuple[np.ndarray, float]:
+def extract_points(Z: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
     """Read the point matrix off the lifted variable's X block.
 
     Returns (X, gram_gap) where gram_gap = ||Z_gram - X^T X||_F vanishes
     exactly when Z is a rank-d lift with the identity corner.
     """
-    if isinstance(Z, LiftedSolution):
-        Z = Z.Z
     Z = np.asarray(Z, dtype=float)
-    side = Z.shape[0]
-    if dim is None:
-        raise ValueError("dim is required to split the lifted variable")
-    nv = side - dim
+    nv = Z.shape[0] - dim
     X = Z[nv:, :nv].copy()
     gap = float(np.linalg.norm(Z[:nv, :nv] - X.T @ X))
     return X, gap

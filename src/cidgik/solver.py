@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .lifting import LiftedSolution, SdpInstance
+from .lifting import SdpInstance
 
 logger = logging.getLogger("cidgik.solver")
 
@@ -43,13 +43,14 @@ class NumericalBreakdownError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    eps_abs: float = 1e-7
-    eps_rel: float = 1e-7
+    # Every stopping test accepts a residual below eps + eps * scale, with
+    # scale the size of the quantities it compares.
+    eps: float = 1e-7
     max_iters: int = 50000
 
     def __post_init__(self):
-        if not (self.eps_abs > 0 and self.eps_rel > 0):  # NaN fails too
-            raise ValueError("tolerances must be positive")
+        if not self.eps > 0:  # NaN fails too
+            raise ValueError("eps must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -73,7 +74,7 @@ class InfeasibilityCertificate:
 @dataclass(eq=False)
 class SolveResult:
     status: str  # optimal | infeasible | max_iters
-    Z: LiftedSolution
+    Z: np.ndarray
     objective: float
     iterations: int
     wall_time: float
@@ -191,14 +192,14 @@ class _ConicData:
 
 
 def _constraint_tolerance(instance: SdpInstance, settings: SolverSettings) -> float:
-    """Residual tolerance on every constraint row: eps_abs + eps_rel * max |rhs|.
+    """Residual tolerance on every constraint row: eps + eps * max |rhs|.
 
     The solver's stopping tests and the refinement gate of cidgik_solve both
     accept a point against this one number.
     """
     rhs = np.concatenate([instance.eq_rhs, instance.ineq_rhs])
     rhs_scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-    return settings.eps_abs + settings.eps_rel * rhs_scale
+    return settings.eps + settings.eps * rhs_scale
 
 
 def _verify_certificate(
@@ -270,7 +271,7 @@ def _dual_steps(data, c_vec, settings, tol_con, x0):
     x_vec = x0.copy()
     s_vec = np.zeros_like(x0)
     sigma = 1.0
-    dual_tol = settings.eps_abs + settings.eps_rel * max(1.0, float(np.max(np.abs(c_vec))))
+    dual_tol = settings.eps + settings.eps * max(1.0, float(np.max(np.abs(c_vec))))
     for it in itertools.count(1):
         rhs = data.h / sigma - data.G @ (x_vec / sigma + s_vec - c_vec)
         y = data.solve_normal(rhs)
@@ -291,7 +292,7 @@ def _dual_steps(data, c_vec, settings, tol_con, x0):
         eq_res, ineq_viol = _true_residuals(data, x_vec)
         pobj = float(c_vec @ x_vec)
         dobj = float(data.h @ y)
-        gap_tol = settings.eps_abs + settings.eps_rel * max(abs(pobj), abs(dobj))
+        gap_tol = settings.eps + settings.eps * max(abs(pobj), abs(dobj))
         converged = (
             prim_res <= tol_con
             and ineq_viol <= tol_con
@@ -331,14 +332,14 @@ def _primal_steps(data, c_vec, settings, tol_con, x0):
 
         eq_res, ineq_viol = _true_residuals(data, z)
         split = float(np.max(np.abs(x - z)))
-        split_tol = settings.eps_abs + settings.eps_rel * max(
+        split_tol = settings.eps + settings.eps * max(
             float(np.max(np.abs(x))), float(np.max(np.abs(z)))
         )
         converged = (
             eq_res <= tol_con
             and ineq_viol <= tol_con
             and split <= split_tol
-            and dual_res <= settings.eps_abs + settings.eps_rel
+            and dual_res <= settings.eps + settings.eps
         )
         yield z, eq_res, ineq_viol, dual_res, max(eq_res, ineq_viol, split), converged
 
@@ -399,12 +400,10 @@ def solve(
     resid, resid_inf = data.affine_least_squares_residual()
     if resid_inf > 1e-9 * (1.0 + float(np.max(np.abs(data.h)))):
         cert = _affine_infeasibility_certificate(data, resid)
-        Z = np.zeros((instance.side, instance.side))
-        lifted = LiftedSolution(Z=Z, eigenvalues=np.zeros(instance.side))
         status = "infeasible" if cert is not None else "max_iters"
         return SolveResult(
             status=status,
-            Z=lifted,
+            Z=np.zeros((instance.side, instance.side)),
             objective=0.0,
             iterations=0,
             wall_time=time.perf_counter() - t0,
@@ -457,8 +456,6 @@ def solve(
         x_vec, eq_res, ineq_viol, dual_res = best[:4]
 
     Zm = space.mat(x_vec[:D])
-    eigenvalues = np.linalg.eigvalsh(Zm)[::-1]
-    lifted = LiftedSolution(Z=Zm, eigenvalues=eigenvalues)
     objective = float(np.tensordot(C, Zm))
     wall = time.perf_counter() - t0
     logger.debug(
@@ -471,7 +468,7 @@ def solve(
     )
     return SolveResult(
         status=status,
-        Z=lifted,
+        Z=Zm,
         objective=objective,
         iterations=it,
         wall_time=wall,

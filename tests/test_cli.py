@@ -121,6 +121,19 @@ def _set(*path_and_value):
     return mutate
 
 
+def _inline_robot(doc):
+    """Replace the robot path by its document, so robot fields can be mutated."""
+    doc["robot"] = json.loads(ARM_JSON.read_text())
+
+
+def _robot_set(*path_and_value):
+    def mutate(doc):
+        _inline_robot(doc)
+        _set("robot", *path_and_value)(doc)
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -129,8 +142,17 @@ def _set(*path_and_value):
         _set("goals", 0, "position", [float("nan"), 0.2, 0.4]),
         _set("obstacles", 0, "center", [float("inf"), 2.0, 2.0]),
         _set("obstacles", 0, "radius", float("nan")),
+        _robot_set("joints", [3]),
+        _robot_set("end_effectors", [3]),
+        _robot_set("joints", 1, "parent", ["j1"]),
+        _robot_set("end_effectors", 0, "parent", ["j6"]),
+        _robot_set("dimension", 3.0),
     ],
-    ids=["goal-without-position", "goal-not-object", "nan-goal", "inf-obstacle", "nan-radius"],
+    ids=[
+        "goal-without-position", "goal-not-object", "nan-goal", "inf-obstacle", "nan-radius",
+        "joint-not-object", "ee-not-object", "joint-parent-list", "ee-parent-list",
+        "float-dimension",
+    ],
 )
 def test_solve_bad_problem_exits_3(mutate, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("cidgik.cli.cidgik_solve", None)  # must not be reached
@@ -161,14 +183,23 @@ _FIELDS = [
     ("obstacles", 0, "radius"), ("obstacles", 0, "sense"), ("planes", 0, "vertex"),
     ("planes", 0, "normal"), ("planes", 0, "offset"), ("planes", 0, "relation"),
     ("self_collision_eps",),
+    # fields of the inline robot document
+    ("robot", "dimension"), ("robot", "joints"), ("robot", "joints", 0),
+    ("robot", "joints", 1, "name"), ("robot", "joints", 1, "parent"),
+    ("robot", "joints", 1, "translation"), ("robot", "joints", 1, "translation", 2),
+    ("robot", "joints", 1, "rotation_rpy"), ("robot", "joints", 1, "axis"),
+    ("robot", "end_effectors"), ("robot", "end_effectors", 0),
+    ("robot", "end_effectors", 0, "parent"), ("robot", "end_effectors", 0, "tip"),
 ]
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(field=st.sampled_from(_FIELDS), value=st.one_of(st.just(...), _JSON_VALUES))
 def test_solve_mutated_problem_never_raises(tmp_path_factory, field, value):
     """Any one field replaced (or deleted, for ...) gives an exit code, not a traceback."""
     doc = _arm_problem()
+    if field[0] == "robot":
+        _inline_robot(doc)
     target = doc
     for step in field[:-1]:
         target = target[step]

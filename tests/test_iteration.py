@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cidgik.iteration
 from cidgik import (
     Goal,
     Sphere,
@@ -105,6 +106,40 @@ def test_cidgik_trace_length_one_on_determined_instance(planar_2r):
     result = cidgik_solve(qcqp, FAST)
     assert result.status == "converged"
     assert len(result.trace) == 1
+
+
+def test_stretched_2r_closes_through_refinement(planar_2r, monkeypatch):
+    """Only the refinement gate closes, even after an SDP pass that ends at h = 0."""
+    calls = []
+    inner = cidgik.iteration.refine_configuration
+
+    def counting_refine(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cidgik.iteration, "refine_configuration", counting_refine)
+    qcqp = assemble_qcqp(planar_2r, [Goal(end_effector=0, position=np.array([2.0, 0.0]))])
+    result = cidgik_solve(qcqp, FAST)
+    assert result.status == "converged"
+    assert calls
+    assert result.verified
+    assert verify_solution(qcqp, result.theta).success
+
+
+def test_no_gate_acceptance_leaves_no_configuration(toy_qcqp, monkeypatch):
+    """Without an accepted refinement a solve ends max_iterations with its h-trace only."""
+
+    def no_verification(*args):
+        raise AssertionError("verify_solution must not run without a configuration")
+
+    monkeypatch.setattr(cidgik.iteration, "_attempt_refinement", lambda *args: None)
+    monkeypatch.setattr(cidgik.iteration, "verify_solution", no_verification)
+    result = cidgik_solve(toy_qcqp, CidgikOptions(max_iterations=2))
+    assert result.status == "max_iterations"
+    assert result.theta is None and result.X is None and result.h is None
+    assert result.position_error is None and not result.verified
+    assert len(result.trace) == 2
+    assert all(np.isfinite(h) for h in result.trace.h_values)
 
 
 def test_cidgik_unreachable_never_converges(planar_2r):
