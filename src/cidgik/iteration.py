@@ -21,6 +21,7 @@ from .graph import QcqpInstance
 from .kinematics import (
     Pose,
     RobotModel,
+    _frames,
     forward_kinematics,
     joint_points,
     pose_error,
@@ -37,6 +38,11 @@ SYMMETRY_TOL = 1e-9
 POSITION_TOL = 0.01
 DIRECTION_TOL = 0.01
 PENETRATION_TOL = 0.01
+
+# Levenberg-Marquardt gives up after LM_SLOW_STEPS accepted steps in a row
+# that each cut the residual norm by less than the fraction LM_SLOW_CUT.
+LM_SLOW_STEPS = 3
+LM_SLOW_CUT = 1e-3
 
 
 def excess_rank(Z: np.ndarray, dim: int) -> float:
@@ -147,26 +153,19 @@ def _pose_jacobian(robot: RobotModel, goals, theta, clearances=()) -> np.ndarray
     point p moves as a x (p - o) and an attached unit direction u as a x u.
     Clearance rows are zero while the point is outside its sphere.
     """
-    from .kinematics import _frames
-
     theta = np.asarray(theta, dtype=float)
     frames = _frames(robot, theta)
     d = robot.dimension
     n = len(robot.joints)
+    # Joints are listed parents-first, so each chain extends its parent's.
     ancestors = []
-    for i in range(n):
-        chain = set()
-        k = i
-        while k >= 0:
-            chain.add(k)
-            k = robot.joints[k].parent
-        ancestors.append(chain)
+    for i, joint in enumerate(robot.joints):
+        ancestors.append((ancestors[joint.parent] if joint.parent >= 0 else []) + [i])
 
     def point_jacobian(point, owner):
+        chain = ancestors[owner]
         J = np.zeros((3, n))
-        for i in ancestors[owner]:
-            a = frames.axes[i]
-            J[:, i] = np.cross(a, point - frames.origins[i])
+        J[:, chain] = np.cross(frames.axes[chain], point - frames.origins[chain]).T
         return J
 
     rows = []
@@ -177,9 +176,9 @@ def _pose_jacobian(robot: RobotModel, goals, theta, clearances=()) -> np.ndarray
         rows.append(point_jacobian(pos, ee.parent)[:d])
         if g.direction is not None:
             direction = R @ (ee.tip / np.linalg.norm(ee.tip))
+            chain = ancestors[ee.parent]
             Jd = np.zeros((3, n))
-            for i in ancestors[ee.parent]:
-                Jd[:, i] = np.cross(frames.axes[i], direction)
+            Jd[:, chain] = np.cross(frames.axes[chain], direction).T
             rows.append(Jd[:d])
     if clearances:
         P3 = np.zeros((3, len(robot.layout.columns)))
@@ -213,24 +212,32 @@ def refine_configuration(
     set; callers still gate the result against obstacles.  Clearance terms
     (point label, keep-out sphere) enter as hinge residuals for retries whose
     plain solution collided.  Returns None when the iteration stalls above
-    the tolerance.
+    the tolerance: no damped step lowers the residual, or LM_SLOW_STEPS
+    accepted steps in a row each cut its norm by less than LM_SLOW_CUT, as
+    they do in the residual valley of an unreachable goal.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     r = _pose_residual(robot, goals, theta, clearances)
     if r.size == 0:
         return theta
     damping = 1e-8
+    slow = 0
     for _ in range(max_steps):
         if float(np.max(np.abs(r))) < tol:
             return theta
+        if slow == LM_SLOW_STEPS:
+            return None
         J = _pose_jacobian(robot, goals, theta, clearances)
         JtJ = J.T @ J
         g = J.T @ r
+        norm = float(np.linalg.norm(r))
         accepted = False
         for _ in range(15):
             step = np.linalg.solve(JtJ + damping * np.eye(len(theta)), -g)
             r_new = _pose_residual(robot, goals, theta + step, clearances)
-            if float(np.linalg.norm(r_new)) < float(np.linalg.norm(r)):
+            norm_new = float(np.linalg.norm(r_new))
+            if norm_new < norm:
+                slow = slow + 1 if norm_new > (1.0 - LM_SLOW_CUT) * norm else 0
                 theta = theta + step
                 r = r_new
                 damping = max(damping / 3.0, 1e-12)
@@ -282,16 +289,19 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     The nuclear-norm pass (C = I) runs the solver's primal variant so that
     objective ties resolve to centered points the way interior-point solvers
     do; subsequent passes use the rank-seeking dual variant, warm-started
-    from the previous iterate.  Every feasible pass hands its iterate to the
-    refinement gate, and only the gate closes an instance: the first
-    refined configuration whose exact lift has h below h_tol and lifted
-    residuals within the solver tolerance ends the iteration `converged`,
-    with X, gram_gap and h read off that lift.  That configuration is
-    checked once, by verify_solution, and `verified` holds its verdict.
-    An SDP infeasibility ends the iteration with only the certificate and
-    the h-trace; reaching the pass cap gives `max_iterations` with only the
-    h-trace.  h is measured on the solver's cone-projected iterate, and the
-    trace records it before any refinement.
+    from the previous iterate.  Only the refinement gate closes an instance.
+    Each pass offers the gate its live iterate at ADMM iterations 10, 20,
+    40, ... (see _PassGate), and a pass that ends otherwise than infeasible
+    or accepted hands it its final iterate once more.  The first refined
+    configuration whose exact lift has h below h_tol and lifted residuals
+    within the solver tolerance ends the iteration `converged`, with X,
+    gram_gap and h read off that lift.  That configuration is checked once,
+    by verify_solution, and `verified` holds its verdict.  An SDP
+    infeasibility ends the iteration with only the certificate and the
+    h-trace; reaching the pass cap gives `max_iterations` with only the
+    h-trace.  h is measured on the solver's cone-projected iterate (the
+    accepted one, for an accepted pass), and the trace records it before
+    any refinement.
     """
     options = options or CidgikOptions()
     instance = lift(qcqp)
@@ -303,14 +313,17 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     warm = None
     t0 = time.perf_counter()
     for k in range(options.max_iterations):
+        gate = _PassGate(qcqp, instance, tol_con, options.h_tol)
         if k == 0:
             settings = dataclasses.replace(
                 options.solver,
                 max_iters=min(options.solver.max_iters, options.first_solve_budget),
             )
-            result = solve(instance, C, settings, method="primal")
+            result = solve(instance, C, settings, method="primal", accept=gate)
         else:
-            result = solve(instance, C, options.solver, warm_start=warm, method="dual")
+            result = solve(
+                instance, C, options.solver, warm_start=warm, method="dual", accept=gate
+            )
         infeasible = result.status == "infeasible"
         h = float("nan") if infeasible else excess_rank(result.Z, dim)
         out.trace.records.append(
@@ -327,7 +340,10 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
             out.certificate = result.certificate
             break
         logger.info("iteration %d: h=%.3e solver=%s", k + 1, h, result.status)
-        accepted = _attempt_refinement(qcqp, instance, result.Z, tol_con, options.h_tol)
+        if result.status == "accepted":
+            accepted = result.accepted
+        else:
+            accepted = _attempt_refinement(qcqp, instance, result.Z, tol_con, options.h_tol)
         if accepted is not None:
             out.status = "converged"
             out.h, Zr, out.theta = accepted
@@ -346,7 +362,33 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     return out
 
 
-def _attempt_refinement(qcqp: QcqpInstance, instance, Z, tol_con: float, h_tol: float):
+class _PassGate:
+    """The refinement gate as one SDP pass's acceptance callback.
+
+    An instance that never closes, such as an unreachable goal, would pay
+    one Levenberg-Marquardt run for every offer, so the first offer whose
+    plain LM stalls ends the gate's offers for the pass: later ones are
+    declined unseen.  A converged LM that the gate rejects (a collision, or
+    h above h_tol) does not count as a stall, since a later iterate can
+    reconstruct to a configuration that passes.
+    """
+
+    def __init__(self, qcqp: QcqpInstance, instance, tol_con: float, h_tol: float):
+        self.qcqp = qcqp
+        self.instance = instance
+        self.tol_con = tol_con
+        self.h_tol = h_tol
+        self.stalled = False
+
+    def __call__(self, Z):
+        if self.stalled:
+            return None
+        return _attempt_refinement(self.qcqp, self.instance, Z, self.tol_con, self.h_tol, self)
+
+
+def _attempt_refinement(
+    qcqp: QcqpInstance, instance, Z, tol_con: float, h_tol: float, pass_gate=None
+):
     """Try to turn a low-h iterate into a verified, exactly rank-d solution.
 
     The reconstructed angles seed a local refinement of the goal residuals;
@@ -354,7 +396,8 @@ def _attempt_refinement(qcqp: QcqpInstance, instance, Z, tol_con: float, h_tol: 
     the goal edges need closing.  The candidate only counts if the exact
     lifted residuals pass the solver tolerance and no inequality is violated,
     so an accepted refinement is a certified feasible rank-d point, not a
-    guess.
+    guess.  When that refinement stalls, pass_gate (the caller's _PassGate,
+    if any) is marked stalled.
     """
     from .graph import feasible_points
     from .lifting import evaluate, lift_points
@@ -377,6 +420,8 @@ def _attempt_refinement(qcqp: QcqpInstance, instance, Z, tol_con: float, h_tol: 
     rec = reconstruct_angles(robot, _full_point_matrix(qcqp, X0))
     theta = refine_configuration(robot, qcqp.goals, rec.theta)
     if theta is None:
+        if pass_gate is not None:
+            pass_gate.stalled = True
         return None
     accepted = gate(feasible_points(qcqp, theta), theta)
     if accepted is not None:

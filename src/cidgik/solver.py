@@ -8,8 +8,9 @@ with inequality slacks appended.  The constraint normal system is factored
 once and cached; one ADMM step pairs a projection onto the affine constraint
 set with a projection onto the PSD x nonnegative cone, with over-relaxation
 and scaled dual updates.  One loop in `solve` owns the iteration cap, the
-best iterate and a Farkas certificate probe of the live iterate every
-CERT_PROBE_EVERY iterations; the two splittings (`_dual_steps`,
+best iterate, a Farkas certificate probe of the live iterate every
+CERT_PROBE_EVERY iterations and the offers of the iterate to a caller's
+acceptance callback; the two splittings (`_dual_steps`,
 `_primal_steps`) differ only in their update, their stopping test and their
 step-size rule.  Everything is dense and deterministic: the same instance
 and settings reproduce the same iterates.
@@ -20,7 +21,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +35,7 @@ RHO_ADAPT_EVERY = 100
 RHO_MIN, RHO_MAX = 1e-4, 1e4
 CERT_PROBE_EVERY = 100  # iterations between Farkas probes of the iterate
 CERT_TOL = 1e-6
+FIRST_OFFER = 10  # offers to the acceptance callback at FIRST_OFFER * 2^k
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -73,15 +74,14 @@ class InfeasibilityCertificate:
 
 @dataclass(eq=False)
 class SolveResult:
-    status: str  # optimal | infeasible | max_iters
+    status: str  # optimal | infeasible | accepted | max_iters
     Z: np.ndarray
     objective: float
     iterations: int
-    wall_time: float
     eq_residual: float
     ineq_violation: float
-    dual_residual: float
     certificate: InfeasibilityCertificate | None = None
+    accepted: object = None  # the acceptance callback's value that ended the pass
 
 
 class _SvecSpace:
@@ -150,7 +150,8 @@ class _ConicData:
 
     def solve_normal(self, r: np.ndarray) -> np.ndarray:
         if self._cho is not None:
-            return scipy.linalg.cho_solve(self._cho, r)
+            # solve() rejects non-finite input and checks every iterate.
+            return scipy.linalg.cho_solve(self._cho, r, check_finite=False)
         V, inv = self._pinv
         return V @ (inv * (V.T @ r))
 
@@ -299,7 +300,7 @@ def _dual_steps(data, c_vec, settings, tol_con, x0):
             and dual_res <= dual_tol
             and abs(pobj - dobj) <= max(gap_tol, 10.0 * tol_con)
         )
-        yield x_vec, eq_res, ineq_viol, dual_res, max(prim_res, eq_res, ineq_viol), converged
+        yield x_vec, eq_res, ineq_viol, max(prim_res, eq_res, ineq_viol), converged
 
         if it % RHO_ADAPT_EVERY == 0:
             rp = float(np.linalg.norm(full_res))
@@ -341,7 +342,7 @@ def _primal_steps(data, c_vec, settings, tol_con, x0):
             and split <= split_tol
             and dual_res <= settings.eps + settings.eps
         )
-        yield z, eq_res, ineq_viol, dual_res, max(eq_res, ineq_viol, split), converged
+        yield z, eq_res, ineq_viol, max(eq_res, ineq_viol, split), converged
 
         if it % RHO_ADAPT_EVERY == 0:
             rp = float(np.linalg.norm(x - z))
@@ -359,18 +360,27 @@ def solve(
     settings: SolverSettings | None = None,
     warm_start: np.ndarray | None = None,
     method: str = "dual",
+    accept=None,
 ) -> SolveResult:
     """Minimize tr(C Z) over the instance's constraints and the PSD cone.
 
     Returns optimal with residuals below the requested tolerances, infeasible
-    with a verified certificate attached, or max_iters with the best iterate
-    found.  warm_start, when given, seeds the iteration with a previous Z.
+    with a verified certificate attached, accepted when the acceptance
+    callback took an iterate, or max_iters with the best iterate found.
+    warm_start, when given, seeds the iteration with a previous Z.
 
     Every CERT_PROBE_EVERY iterations, while the combined residual is still
     above 50x the constraint tolerance, the current iterate's gap to the
     affine set is mapped to multipliers and checked as a Farkas certificate;
     the first one that verifies ends the pass infeasible.  The probe only
     reads the iterate, so a pass it never stops runs exactly as without it.
+
+    accept, when given, is offered the current cone point Z at iterations
+    FIRST_OFFER * 2^k (10, 20, 40, ...).  It returns None to decline; any
+    other value ends the pass accepted, with that value in
+    SolveResult.accepted and Z the offered iterate.  Offers only read the
+    iterate too, so a pass that declines every offer runs exactly as
+    without them.
 
     Two variants of the same splitting are available.  "dual" (the default)
     runs the ADMM on the dual pair, keeping the primal iterate exactly PSD
@@ -388,10 +398,17 @@ def solve(
     C = np.asarray(C, dtype=float)
     if C.shape != (instance.side, instance.side):
         raise ValueError("objective matrix side does not match the instance")
+    # The normal solves skip scipy's finiteness scan; finite input plus the
+    # per-iteration check on the residual keep NaN from going unnoticed.
+    if not np.all(np.isfinite(C)):
+        raise ValueError("objective matrix must be finite")
     if np.max(np.abs(C - C.T)) > 1e-12 * max(1.0, float(np.max(np.abs(C)))):
         raise ValueError("objective matrix must be symmetric")
+    if warm_start is not None:
+        warm_start = np.asarray(warm_start, dtype=float)
+        if not np.all(np.isfinite(warm_start)):
+            raise ValueError("warm start must be finite")
 
-    t0 = time.perf_counter()
     data = _ConicData(instance)
     space = data.space
     D = data.D
@@ -406,10 +423,8 @@ def solve(
             Z=np.zeros((instance.side, instance.side)),
             objective=0.0,
             iterations=0,
-            wall_time=time.perf_counter() - t0,
             eq_residual=resid_inf,
             ineq_violation=0.0,
-            dual_residual=float("inf"),
             certificate=cert,
         )
 
@@ -418,7 +433,7 @@ def solve(
 
     x0 = np.zeros(total)
     if warm_start is not None:
-        x0[:D] = space.vec(np.asarray(warm_start, dtype=float))
+        x0[:D] = space.vec(warm_start)
     else:
         x0[:D] = space.vec(np.eye(instance.side))
     if data.n_ineq:
@@ -430,22 +445,30 @@ def solve(
     steps = make_steps(data, c_vec, settings, tol_con, x0)
     status = "max_iters"
     certificate = None
+    accepted = None
+    next_offer = FIRST_OFFER
     best = None
-    # A step yields (iterate, eq_res, ineq_viol, dual_res, combined, converged)
-    # and adapts its step size only when resumed.  Its iterate is a fresh array
+    # A step yields (iterate, eq_res, ineq_viol, combined, converged) and
+    # adapts its step size only when resumed.  Its iterate is a fresh array
     # that later steps never mutate, so it can be kept as the best one.  zip
     # takes the cap first, so the steps never run past max_iters.
     for it, step in zip(range(1, settings.max_iters + 1), steps):
-        x_vec, eq_res, ineq_viol, dual_res, combined, converged = step
+        x_vec, eq_res, ineq_viol, combined, converged = step
         if not np.isfinite(combined):
             raise NumericalBreakdownError(
                 f"solver iterates became non-finite at iteration {it}"
             )
-        if best is None or combined < 0.999 * best[4]:
+        if best is None or combined < 0.999 * best[3]:
             best = step
         if converged:
             status = "optimal"
             break
+        if accept is not None and it == next_offer:
+            next_offer *= 2
+            accepted = accept(space.mat(x_vec[:D]))
+            if accepted is not None:
+                status = "accepted"
+                break
         # Both splittings yield a cone point, so its affine gap is the probe.
         if it % CERT_PROBE_EVERY == 0 and combined > 50 * tol_con:
             certificate = _certificate_from_iterate(data, x_vec)
@@ -453,11 +476,10 @@ def solve(
                 status = "infeasible"
                 break
     else:
-        x_vec, eq_res, ineq_viol, dual_res = best[:4]
+        x_vec, eq_res, ineq_viol = best[:3]
 
     Zm = space.mat(x_vec[:D])
     objective = float(np.tensordot(C, Zm))
-    wall = time.perf_counter() - t0
     logger.debug(
         "solve finished: status=%s iters=%d eq_res=%.3e ineq=%.3e obj=%.6g",
         status,
@@ -471,11 +493,10 @@ def solve(
         Z=Zm,
         objective=objective,
         iterations=it,
-        wall_time=wall,
         eq_residual=eq_res,
         ineq_violation=ineq_viol,
-        dual_residual=dual_res,
         certificate=certificate,
+        accepted=accepted,
     )
 
 

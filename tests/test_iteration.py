@@ -13,6 +13,7 @@ from cidgik import (
     direction_matrix,
     excess_rank,
     forward_kinematics,
+    generate,
     residuals,
     verify_solution,
 )
@@ -162,7 +163,7 @@ def test_cidgik_reports_trace_records(toy_qcqp):
     result = cidgik_solve(toy_qcqp)
     assert len(result.trace) == result.iterations
     for record in result.trace.records:
-        assert record.solver_status in ("optimal", "max_iters")
+        assert record.solver_status in ("optimal", "accepted", "max_iters")
     payload = result.to_json_dict()
     assert set(payload) == {
         "status",
@@ -226,6 +227,32 @@ def test_refine_configuration_closes_goals(chain_6dof):
     assert report.position_error < 1e-9
     # acos of a clamped dot product floors at sqrt(machine eps) ~ 1.5e-8
     assert report.direction_error < 1e-6
+
+
+def test_refine_configuration_gives_up_on_unreachable_goal(chain_6dof, monkeypatch):
+    """LM creeping along the residual valley of a far goal stops before max_steps."""
+    jacobians = []
+    inner = cidgik.iteration._pose_jacobian
+
+    def counting_jacobian(*args):
+        jacobians.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(cidgik.iteration, "_pose_jacobian", counting_jacobian)
+    direction = np.random.Generator(np.random.Philox(key=0)).standard_normal(3)
+    direction /= np.linalg.norm(direction)
+    goal = Goal(end_effector=0, position=1.5 * chain_6dof.reach * direction, direction=direction)
+    assert refine_configuration(chain_6dof, [goal], np.zeros(6)) is None
+    assert len(jacobians) < 40  # max_steps, where a creeping LM would otherwise stop
+
+
+@pytest.mark.parametrize("environment, key", [("octahedron", 56), ("table", 29)])
+def test_gate_closes_keys_a_whole_pass_left_open(chain_6dof, environment, key):
+    """Keys that ended max_iterations while the gate saw only each pass's last iterate."""
+    qcqp = generate(chain_6dof, environment, key, table_obstacles=25).qcqp
+    result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
+    assert result.status == "converged"
+    assert result.verified
 
 
 def test_cidgik_planar_without_obstacle_picks_some_root(planar_2r):

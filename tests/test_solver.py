@@ -149,6 +149,52 @@ def test_unreachable_goal_certified_in_first_pass(chain_6dof, monkeypatch):
     assert [(m, r.status) for m, r in passes] == [("primal", "infeasible")]
 
 
+def test_unreachable_goal_stops_probing_after_one_stall(chain_6dof, monkeypatch):
+    """The gate's first LM stall ends its offers for the pass; the Farkas probe still certifies."""
+    calls = []
+    inner = cidgik.iteration.refine_configuration
+
+    def counting_refine(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cidgik.iteration, "refine_configuration", counting_refine)
+    qcqp = _unreachable_qcqp(chain_6dof, 0)
+    result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
+    assert result.status == "infeasible"
+    assert 0 < len(calls) <= len(result.trace)
+    cert = result.certificate
+    assert _verify_certificate(lift(qcqp), cert.y, cert.mu) is not None
+
+
+def test_declined_offers_leave_the_pass_unchanged(chain_6dof):
+    """An acceptance callback sees iterations 10, 20, 40, ... and, declining, changes nothing."""
+    instance = lift(generate(chain_6dof, "octahedron", 0).qcqp)
+    settings = SolverSettings(max_iters=700)
+    offered = []
+
+    def decline(Z):
+        offered.append(Z)
+        return None
+
+    plain = solve(instance, None, settings, method="primal")
+    probed = solve(instance, None, settings, method="primal", accept=decline)
+    assert len(offered) == 7  # iterations 10, 20, ..., 640
+    assert (plain.status, plain.iterations) == ("max_iters", 700)
+    assert (probed.status, probed.iterations) == (plain.status, plain.iterations)
+    assert probed.Z.tobytes() == plain.Z.tobytes()
+    taken = solve(instance, None, settings, method="primal", accept=lambda Z: "closed")
+    assert (taken.status, taken.iterations, taken.accepted) == ("accepted", 10, "closed")
+    assert taken.Z.tobytes() == offered[0].tobytes()
+
+
+def test_nonfinite_warm_start_rejected(toy_qcqp):
+    instance = lift(toy_qcqp)
+    warm = np.full((instance.side, instance.side), np.inf)
+    with pytest.raises(ValueError):
+        solve(instance, warm_start=warm)
+
+
 def test_probe_leaves_feasible_passes_unchanged(chain_6dof, monkeypatch):
     """On feasible instances the probe finds nothing and changes no pass."""
     probes = []
@@ -159,9 +205,11 @@ def test_probe_leaves_feasible_passes_unchanged(chain_6dof, monkeypatch):
         return probes[-1]
 
     def run():
-        passes = _record_passes(monkeypatch)
-        qcqp = generate(chain_6dof, "octahedron", 0).qcqp
-        cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
+        # The nuclear-norm pass of octahedron key 0 at its 4000-iteration
+        # budget, without the refinement gate that would end it at iteration 10.
+        instance = lift(generate(chain_6dof, "octahedron", 0).qcqp)
+        first = solve(instance, None, SolverSettings(max_iters=4000), method="primal")
+        passes = [("primal", first)]
         toy = build_toy_instance()
         passes += [(m, solve(toy, np.eye(3), method=m)) for m in ("primal", "dual")]
         return [(m, r.status, r.iterations, r.Z.tobytes()) for m, r in passes]
