@@ -29,6 +29,7 @@ from .kinematics import (
 )
 from .lifting import extract_points, lift
 from .solver import InfeasibilityCertificate, SolverSettings, _constraint_tolerance, solve
+from .workspace import Plane
 
 logger = logging.getLogger("cidgik.iteration")
 
@@ -122,36 +123,88 @@ class CidgikOptions:
             raise ValueError("first_solve_budget must be at least 1")
 
 
-def _pose_residual(robot: RobotModel, goals, theta, clearances=()) -> np.ndarray:
-    """Goal residuals plus hinge terms for requested obstacle clearances.
+class _Clearances:
+    """Hinge terms that hold joint points clear of keep-out spheres and planes.
 
-    A clearance is (point label, Sphere); its residual is the amount by which
-    the squared distance falls short of the squared radius, zero when clear.
+    Pair i, (point label, obstacle), asks gap_i = w |x|^2 + n . x + k >= 0 of
+    the joint point x it names: a keep-out sphere with center c and radius r
+    has w = 1, n = -2c and k = |c|^2 - r^2, so the gap is the squared distance
+    to c less r^2; an "above" plane x.n >= c has w = 0 and k = -c.  Labels are
+    p (a joint origin) or q (one unit along the joint's world axis).
     """
-    poses, _ = forward_kinematics(robot, theta)
+
+    def __init__(self, pairs, dim: int):
+        self.owner = np.array([label[1] for label, _ in pairs], dtype=int)
+        self.on_axis = np.array([[label[0] == "q"] for label, _ in pairs], dtype=float)
+        w, lin, k = [], [], []
+        for _, obstacle in pairs:
+            if isinstance(obstacle, Plane):
+                w.append(0.0)
+                lin.append(obstacle.normal)
+                k.append(-obstacle.offset)
+            else:
+                c = np.asarray(obstacle.center, dtype=float)
+                w.append(1.0)
+                lin.append(-2.0 * c)
+                k.append(float(c @ c) - obstacle.radius**2)
+        self.dim = dim
+        self.w = np.array(w)
+        self.lin = np.array(lin, dtype=float).reshape(len(pairs), dim)
+        self.k = np.array(k)
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def points(self, frames) -> np.ndarray:
+        """(pairs, 3) world positions of the named joint points."""
+        return frames.origins[self.owner] + self.on_axis * frames.axes[self.owner]
+
+    def gaps(self, points: np.ndarray) -> np.ndarray:
+        x = points[:, : self.dim]
+        return self.w * np.einsum("ij,ij->i", x, x) + np.einsum("ij,ij->i", self.lin, x) + self.k
+
+
+def _obstacle_pairs(qcqp: QcqpInstance) -> list:
+    """Every (joint point label, obstacle) pair the instance constrains.
+
+    Obstacles are keep-out spheres, on every joint point, and "above" planes,
+    on the points they are attached to.
+    """
+    graph = qcqp.graph
+    labels = [label for label in graph.variable_labels if label[0] in ("p", "q")]
+    pairs = [(label, s) for s in qcqp.spheres if s.sense == "keep_out" for label in labels]
+    pairs += [
+        (graph.variable_labels[v], plane)
+        for v, plane in qcqp.planes
+        if plane.relation == "above" and graph.variable_labels[v][0] in ("p", "q")
+    ]
+    return pairs
+
+
+def _pose_residual(robot: RobotModel, goals, theta, clearances=None) -> np.ndarray:
+    """Goal residuals plus the hinge terms of a _Clearances, if given.
+
+    A clearance residual is its pair's gap while that is negative, zero when
+    the point is clear.
+    """
+    poses, frames = forward_kinematics(robot, theta)
     parts = []
     for g in goals:
         p = poses[g.end_effector]
         parts.append(p.position - np.asarray(g.position, dtype=float))
         if g.direction is not None:
             parts.append(p.direction - np.asarray(g.direction, dtype=float))
-    if clearances:
-        P = joint_points(robot, theta)
-        index = robot.layout.index
-        for label, sphere in clearances:
-            diff = P[:, index[label]] - sphere.center
-            parts.append(
-                np.array([min(0.0, float(diff @ diff) - sphere.radius**2)])
-            )
+    if clearances is not None:
+        parts.append(np.minimum(clearances.gaps(clearances.points(frames)), 0.0))
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def _pose_jacobian(robot: RobotModel, goals, theta, clearances=()) -> np.ndarray:
+def _pose_jacobian(robot: RobotModel, goals, theta, clearances=None) -> np.ndarray:
     """Geometric Jacobian of the stacked goal (and clearance) residuals.
 
     For a revolute joint with world axis a through origin o, an attached
     point p moves as a x (p - o) and an attached unit direction u as a x u.
-    Clearance rows are zero while the point is outside its sphere.
+    Clearance rows are zero while the point is clear of its obstacle.
     """
     theta = np.asarray(theta, dtype=float)
     frames = _frames(robot, theta)
@@ -180,19 +233,13 @@ def _pose_jacobian(robot: RobotModel, goals, theta, clearances=()) -> np.ndarray
             Jd = np.zeros((3, n))
             Jd[:, chain] = np.cross(frames.axes[chain], direction).T
             rows.append(Jd[:d])
-    if clearances:
-        P3 = np.zeros((3, len(robot.layout.columns)))
-        P3[:d] = joint_points(robot, theta)
-        index = robot.layout.index
-        for label, sphere in clearances:
-            point = P3[:, index[label]]
-            center = np.zeros(3)
-            center[: sphere.center.shape[0]] = sphere.center
-            diff = point - center
-            if float(diff @ diff) - sphere.radius**2 >= 0.0:
-                rows.append(np.zeros((1, n)))
-            else:
-                rows.append((2.0 * diff @ point_jacobian(point, label[1]))[None, :])
+    if clearances is not None:
+        points = clearances.points(frames)
+        Jc = np.zeros((len(clearances), n))
+        for i in np.flatnonzero(clearances.gaps(points) < 0.0):
+            grad = 2.0 * clearances.w[i] * points[i, :d] + clearances.lin[i]
+            Jc[i] = grad @ point_jacobian(points[i], clearances.owner[i])[:d]
+        rows.append(Jc)
     return np.vstack(rows) if rows else np.zeros((0, n))
 
 
@@ -209,14 +256,15 @@ def refine_configuration(
 
     Configurations satisfy every structural distance constraint identically,
     so driving the goal residuals to zero lands exactly on the feasibility
-    set; callers still gate the result against obstacles.  Clearance terms
-    (point label, keep-out sphere) enter as hinge residuals for retries whose
-    plain solution collided.  Returns None when the iteration stalls above
+    set; callers still gate the result against obstacles.  Clearance pairs
+    (joint point label, keep-out sphere or "above" plane) enter as hinge
+    residuals (see _Clearances).  Returns None when the iteration stalls above
     the tolerance: no damped step lowers the residual, or LM_SLOW_STEPS
     accepted steps in a row each cut its norm by less than LM_SLOW_CUT, as
     they do in the residual valley of an unreachable goal.
     """
     theta = np.asarray(theta0, dtype=float).copy()
+    clearances = _Clearances(clearances, robot.dimension) if clearances else None
     r = _pose_residual(robot, goals, theta, clearances)
     if r.size == 0:
         return theta
@@ -393,11 +441,14 @@ def _attempt_refinement(
 
     The reconstructed angles seed a local refinement of the goal residuals;
     a configuration satisfies every structural distance identically, so only
-    the goal edges need closing.  The candidate only counts if the exact
-    lifted residuals pass the solver tolerance and no inequality is violated,
-    so an accepted refinement is a certified feasible rank-d point, not a
-    guess.  When that refinement stalls, pass_gate (the caller's _PassGate,
-    if any) is marked stalled.
+    the goal edges need closing.  With obstacles, the first refinement holds
+    every joint point clear of each of them; should that one fail, a plain
+    refinement follows, and if its configuration collides, one retry from
+    there holds the violated pairs clear.  A candidate only counts if the
+    exact lifted residuals pass the solver tolerance and no inequality is
+    violated, so an accepted refinement is a certified feasible rank-d
+    point, not a guess.  When the plain refinement stalls, pass_gate (the
+    caller's _PassGate, if any) is marked stalled.
     """
     from .graph import feasible_points
     from .lifting import evaluate, lift_points
@@ -418,42 +469,35 @@ def _attempt_refinement(
         return None
 
     rec = reconstruct_angles(robot, _full_point_matrix(qcqp, X0))
+    pairs = _obstacle_pairs(qcqp)
+    if pairs:
+        # Close the goals with every joint point held clear of every
+        # obstacle, so that LM does not settle inside one.
+        theta = refine_configuration(robot, qcqp.goals, rec.theta, clearances=pairs)
+        if theta is not None:
+            accepted = gate(feasible_points(qcqp, theta), theta)
+            if accepted is not None:
+                return accepted
     theta = refine_configuration(robot, qcqp.goals, rec.theta)
     if theta is None:
         if pass_gate is not None:
             pass_gate.stalled = True
         return None
     accepted = gate(feasible_points(qcqp, theta), theta)
-    if accepted is not None:
+    if accepted is not None or not pairs:
         return accepted
-    # Goals closed but a variable point landed inside a keep-out sphere:
-    # retry with hinge clearance terms for the violated pairs.
-    clearances = _violated_clearances(qcqp, theta)
-    if not clearances:
+    # Goals closed but a joint point landed inside a keep-out sphere or below
+    # a plane: retry from there with hinge terms for the violated pairs.
+    clearances = _Clearances(pairs, robot.dimension)
+    violated = clearances.gaps(clearances.points(_frames(robot, theta))) < 0.0
+    if not violated.any():
         return None
-    theta2 = refine_configuration(robot, qcqp.goals, theta, clearances=clearances)
-    if theta2 is None:
+    theta = refine_configuration(
+        robot, qcqp.goals, theta, clearances=[c for c, v in zip(pairs, violated) if v]
+    )
+    if theta is None:
         return None
-    return gate(feasible_points(qcqp, theta2), theta2)
-
-
-def _violated_clearances(qcqp: QcqpInstance, theta):
-    """Variable-point / keep-out-sphere pairs a configuration violates."""
-    robot = qcqp.robot
-    graph = qcqp.graph
-    P = joint_points(robot, theta)
-    index = robot.layout.index
-    out = []
-    for sphere in qcqp.spheres:
-        if sphere.sense != "keep_out":
-            continue
-        for label in graph.variable_labels:
-            if label[0] not in ("p", "q"):
-                continue
-            diff = P[:, index[label]] - sphere.center
-            if float(diff @ diff) < sphere.radius**2:
-                out.append((label, sphere))
-    return out
+    return gate(feasible_points(qcqp, theta), theta)
 
 
 def _full_point_matrix(qcqp: QcqpInstance, X: np.ndarray) -> np.ndarray:

@@ -255,6 +255,86 @@ def test_gate_closes_keys_a_whole_pass_left_open(chain_6dof, environment, key):
     assert result.verified
 
 
+@pytest.mark.parametrize(
+    "environment, key",
+    [("octahedron", 112), ("table", 11), ("table", 20)],
+)
+def test_clearance_refinement_closes_at_the_first_offer(chain_6dof, environment, key, monkeypatch):
+    """Held clear of every sphere and table plane, LM closes these keys on the iteration-10 iterate.
+
+    Plain LM from the early iterates of these keys lands inside a keep-out
+    sphere (octahedron 112) or below a table-top plane (table 11 and 20).
+    """
+    passes = []
+    inner = cidgik.iteration.solve
+
+    def recording_solve(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        passes.append((result.status, result.iterations))
+        return result
+
+    monkeypatch.setattr(cidgik.iteration, "solve", recording_solve)
+    qcqp = generate(chain_6dof, environment, key, table_obstacles=25).qcqp
+    result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
+    assert result.status == "converged"
+    assert result.verified
+    assert passes == [("accepted", 10)]
+
+
+def test_clearance_rows_match_finite_differences(chain_6dof):
+    """Each active hinge row of the Jacobian is the derivative of its residual."""
+    qcqp = generate(chain_6dof, "table", 3, table_obstacles=25).qcqp
+    pairs = cidgik.iteration._obstacle_pairs(qcqp)
+    clearances = cidgik.iteration._Clearances(pairs, chain_6dof.dimension)
+    goals = qcqp.goals
+    rng = np.random.Generator(np.random.Philox(key=7))
+    active = 0
+    for _ in range(5):
+        theta = rng.uniform(-np.pi, np.pi, size=6)
+        r = cidgik.iteration._pose_residual(chain_6dof, goals, theta, clearances)
+        J = cidgik.iteration._pose_jacobian(chain_6dof, goals, theta, clearances)
+        step = 1e-6
+        numeric = np.stack(
+            [
+                (
+                    cidgik.iteration._pose_residual(chain_6dof, goals, theta + step * e, clearances)
+                    - cidgik.iteration._pose_residual(chain_6dof, goals, theta - step * e, clearances)
+                )
+                / (2 * step)
+                for e in np.eye(6)
+            ],
+            axis=1,
+        )
+        goal_rows = len(r) - len(pairs)
+        deep = goal_rows + np.flatnonzero(r[goal_rows:] < -1e-3)
+        active += len(deep)
+        np.testing.assert_allclose(J[deep], numeric[deep], atol=1e-6)
+        np.testing.assert_array_equal(J[goal_rows:][r[goal_rows:] == 0.0], 0.0)
+    assert active > 0
+
+
+def test_clearance_gaps_match_obstacle_distances(chain_6dof):
+    """A sphere's gap is squared distance less squared radius; a plane's is x.n - c."""
+    qcqp = generate(chain_6dof, "table", 3, table_obstacles=25).qcqp
+    pairs = cidgik.iteration._obstacle_pairs(qcqp)
+    assert {type(obstacle).__name__ for _, obstacle in pairs} == {"Sphere", "Plane"}
+    clearances = cidgik.iteration._Clearances(pairs, chain_6dof.dimension)
+    theta = np.random.Generator(np.random.Philox(key=8)).uniform(-np.pi, np.pi, size=6)
+    from cidgik.kinematics import _frames, joint_points
+
+    P = joint_points(chain_6dof, theta)
+    index = chain_6dof.layout.index
+    expected = []
+    for label, obstacle in pairs:
+        x = P[:, index[label]]
+        if isinstance(obstacle, Sphere):
+            expected.append(float((x - obstacle.center) @ (x - obstacle.center)) - obstacle.radius**2)
+        else:
+            expected.append(float(x @ obstacle.normal) - obstacle.offset)
+    gaps = clearances.gaps(clearances.points(_frames(chain_6dof, theta)))
+    np.testing.assert_allclose(gaps, expected, atol=1e-12)
+
+
 def test_cidgik_planar_without_obstacle_picks_some_root(planar_2r):
     qcqp = assemble_qcqp(planar_2r, [Goal(end_effector=0, position=np.array([1.0, 1.0]))])
     result = cidgik_solve(qcqp, FAST)
