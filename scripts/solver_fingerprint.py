@@ -8,10 +8,11 @@ to the lift or the operator shows up before any solve runs.  Each pass line
 holds the pass's status, ADMM iterations, the SHA-1 of Z and the SHA-1 of the
 certificate's y and mu.  The instance's result line holds the cidgik_solve
 status, its pass count and the SHA-1 of theta (null without one).  The
-instances are the arm_6dof benchmark keys below, the planar two-link toy with
-its keep-out disc and the fully stretched planar two-link.  Run it at two
-commits and diff the output: a refactor of the solve path must leave it
-byte-identical.
+instances are the arm_6dof benchmark keys below, an unreachable goal among the
+25 table obstacles (whose certificate carries inequality multipliers mu), the
+planar two-link toy with its keep-out disc and the fully stretched planar
+two-link.  Run it at two commits and diff the output: a refactor of the solve
+path must leave it byte-identical.
 """
 
 import hashlib
@@ -24,16 +25,26 @@ import cidgik.iteration
 from cidgik.robots import arm_6dof, planar_two_link
 
 # Benchmark workloads (ikbench/run.py) and keys; table uses 25 obstacles.
-KEYS = {"octahedron": (0, 1, 2, 13, 20), "table": (0, 1, 11, 22), "unreachable": (0, 22)}
+# "unreachable-table" puts the arm-unreachable goal among the table obstacles.
+KEYS = {
+    "octahedron": (0, 1, 2, 13, 20),
+    "table": (0, 1, 11, 22),
+    "unreachable": (0, 22),
+    "unreachable-table": (0,),
+}
 
 
 def _qcqp(robot, environment: str, key: int):
-    if environment != "unreachable":
+    if not environment.startswith("unreachable"):
         return ck.generate(robot, environment, key, table_obstacles=25).qcqp
     direction = np.random.Generator(np.random.Philox(key=key)).standard_normal(3)
     direction /= np.linalg.norm(direction)
     goal = ck.Goal(end_effector=0, position=1.5 * robot.reach * direction, direction=direction)
-    return ck.assemble_qcqp(robot, [goal], ck.WorkspaceSpec())
+    if environment == "unreachable-table":
+        workspace = ck.environment("table", robot, table_obstacles=25)
+    else:
+        workspace = ck.WorkspaceSpec()
+    return ck.assemble_qcqp(robot, [goal], workspace)
 
 
 def _instances():

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import QcqpInstance
+from .graph import QcqpInstance, feasible_points
 from .kinematics import (
     Pose,
     RobotModel,
@@ -27,7 +27,7 @@ from .kinematics import (
     pose_error,
     reconstruct_angles,
 )
-from .lifting import extract_points, lift
+from .lifting import evaluate, extract_points, lift, lift_points
 from .solver import InfeasibilityCertificate, SolverSettings, _constraint_tolerance, solve
 from .workspace import Plane
 
@@ -181,11 +181,13 @@ def _obstacle_pairs(qcqp: QcqpInstance) -> list:
     return pairs
 
 
-def _pose_residual(robot: RobotModel, goals, theta, clearances=None) -> np.ndarray:
-    """Goal residuals plus the hinge terms of a _Clearances, if given.
+def _pose_residual(robot: RobotModel, goals, theta, clearances=None):
+    """(residuals, joint frames) at theta: goal residuals plus hinge terms.
 
-    A clearance residual is its pair's gap while that is negative, zero when
-    the point is clear.
+    The hinge terms are those of a _Clearances, if given: a clearance
+    residual is its pair's gap while that is negative, zero when the point is
+    clear.  The frames are returned so that _pose_jacobian at the same theta
+    need not rebuild them.
     """
     poses, frames = forward_kinematics(robot, theta)
     parts = []
@@ -196,18 +198,18 @@ def _pose_residual(robot: RobotModel, goals, theta, clearances=None) -> np.ndarr
             parts.append(p.direction - np.asarray(g.direction, dtype=float))
     if clearances is not None:
         parts.append(np.minimum(clearances.gaps(clearances.points(frames)), 0.0))
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return (np.concatenate(parts) if parts else np.zeros(0)), frames
 
 
-def _pose_jacobian(robot: RobotModel, goals, theta, clearances=None) -> np.ndarray:
+def _pose_jacobian(robot: RobotModel, goals, frames, clearances=None) -> np.ndarray:
     """Geometric Jacobian of the stacked goal (and clearance) residuals.
 
-    For a revolute joint with world axis a through origin o, an attached
-    point p moves as a x (p - o) and an attached unit direction u as a x u.
-    Clearance rows are zero while the point is clear of its obstacle.
+    frames are the joint frames at the configuration, as _pose_residual
+    returns them.  For a revolute joint with world axis a through origin o,
+    an attached point p moves as a x (p - o) and an attached unit direction u
+    as a x u.  Clearance rows are zero while the point is clear of its
+    obstacle.
     """
-    theta = np.asarray(theta, dtype=float)
-    frames = _frames(robot, theta)
     d = robot.dimension
     n = len(robot.joints)
     # Joints are listed parents-first, so each chain extends its parent's.
@@ -265,7 +267,7 @@ def refine_configuration(
     """
     theta = np.asarray(theta0, dtype=float).copy()
     clearances = _Clearances(clearances, robot.dimension) if clearances else None
-    r = _pose_residual(robot, goals, theta, clearances)
+    r, frames = _pose_residual(robot, goals, theta, clearances)
     if r.size == 0:
         return theta
     damping = 1e-8
@@ -275,19 +277,19 @@ def refine_configuration(
             return theta
         if slow == LM_SLOW_STEPS:
             return None
-        J = _pose_jacobian(robot, goals, theta, clearances)
+        J = _pose_jacobian(robot, goals, frames, clearances)
         JtJ = J.T @ J
         g = J.T @ r
         norm = float(np.linalg.norm(r))
         accepted = False
         for _ in range(15):
             step = np.linalg.solve(JtJ + damping * np.eye(len(theta)), -g)
-            r_new = _pose_residual(robot, goals, theta + step, clearances)
+            r_new, frames_new = _pose_residual(robot, goals, theta + step, clearances)
             norm_new = float(np.linalg.norm(r_new))
             if norm_new < norm:
                 slow = slow + 1 if norm_new > (1.0 - LM_SLOW_CUT) * norm else 0
                 theta = theta + step
-                r = r_new
+                r, frames = r_new, frames_new
                 damping = max(damping / 3.0, 1e-12)
                 accepted = True
                 break
@@ -450,9 +452,6 @@ def _attempt_refinement(
     point, not a guess.  When the plain refinement stalls, pass_gate (the
     caller's _PassGate, if any) is marked stalled.
     """
-    from .graph import feasible_points
-    from .lifting import evaluate, lift_points
-
     dim = instance.dim
     robot = qcqp.robot
     X0, _ = extract_points(Z, dim=dim)

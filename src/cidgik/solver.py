@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .lifting import SdpInstance
 
@@ -35,6 +36,7 @@ RHO_ADAPT_EVERY = 100
 RHO_MIN, RHO_MAX = 1e-4, 1e4
 CERT_PROBE_EVERY = 100  # iterations between Farkas probes of the iterate
 CERT_TOL = 1e-6
+CERT_POLISH_ROUNDS = 20  # alternating projections on a failed probe's multipliers
 FIRST_OFFER = 10  # offers to the acceptance callback at FIRST_OFFER * 2^k
 
 
@@ -150,8 +152,13 @@ class _ConicData:
 
     def solve_normal(self, r: np.ndarray) -> np.ndarray:
         if self._cho is not None:
-            # solve() rejects non-finite input and checks every iterate.
-            return scipy.linalg.cho_solve(self._cho, r, check_finite=False)
+            # LAPACK on the cached factor, without cho_solve's checks: solve()
+            # rejects non-finite input and checks every iterate.
+            c, lower = self._cho
+            x, info = dpotrs(c, r, lower=lower)
+            if info:
+                raise NumericalBreakdownError(f"dpotrs failed with info={info}")
+            return x
         V, inv = self._pinv
         return V @ (inv * (V.T @ r))
 
@@ -161,13 +168,18 @@ class _ConicData:
         return w - self.GT @ self.solve_normal(r)
 
     def project_cone(self, w: np.ndarray) -> np.ndarray:
+        return self.project_cone_min_eig(w)[0]
+
+    def project_cone_min_eig(self, w: np.ndarray) -> tuple[np.ndarray, float]:
+        """proj_K(w), plus the least eigenvalue of mat(w[:D]) that it costs anyway."""
         M = self.space.mat(w[: self.D])
         lam, V = np.linalg.eigh(M)
+        lam_min = float(lam[0])
         np.maximum(lam, 0.0, out=lam)
         out = np.empty_like(w)
         out[: self.D] = self.space.vec((V * lam) @ V.T)
         np.maximum(w[self.D :], 0.0, out=out[self.D :])
-        return out
+        return out, lam_min
 
     def split_cone(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One eigendecomposition gives both parts of w = proj_K(w) - proj_K(-w)."""
@@ -233,19 +245,48 @@ def _certificate_from_iterate(
     to the closest-pair direction, which lies in the dual cone and makes
     y (in original units) a Farkas witness (Banjac, Goulart, Stellato and
     Boyd, JOTA 2019).
+
+    Long before the gap itself is PSD enough to verify, its a.y is already
+    well below zero, so multipliers that fail the check are polished by
+    CERT_POLISH_ROUNDS alternating projections between the cone and
+    range(G^T): v = proj_K(G^T y), then y = (G G^T)^-1 G v on the cached
+    factor.  The slack columns of G are diag(scale) > 0, so G^T y lies in
+    the cone exactly when S(y) is PSD and mu >= 0: the rounds walk toward
+    the set of certificates.  Each round's eigendecomposition also gives
+    lambda_min(S), which with a.y screens the round's multipliers; only
+    those that pass the screen get the full check, _verify_certificate,
+    which alone decides.
     """
     r = data.G @ w
     r -= data.h
-    y = data.solve_normal(r) * data.scale
-    return _verify_certificate(data.instance, y[: data.n_eq], y[data.n_eq :])
+    y = data.solve_normal(r)
+    certificate = _verify_certificate(data.instance, *_multipliers(data, y))
+    if certificate is not None:
+        return certificate
+    v = data.project_cone(data.GT @ y)
+    for _ in range(CERT_POLISH_ROUNDS):
+        y = data.solve_normal(data.G @ v)
+        v, lam_min = data.project_cone_min_eig(data.GT @ y)
+        # Both tests of _verify_certificate, up to its normalization.
+        tol = CERT_TOL * float(np.linalg.norm(y * data.scale))
+        if lam_min >= -tol and float(data.h @ y) <= -tol:
+            certificate = _verify_certificate(data.instance, *_multipliers(data, y))
+            if certificate is not None:
+                return certificate
+    return None
+
+
+def _multipliers(data: _ConicData, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y, mu) in original units from the multipliers of the scaled rows."""
+    y = y * data.scale
+    return y[: data.n_eq], y[data.n_eq :]
 
 
 def _affine_infeasibility_certificate(
     data: _ConicData, resid: np.ndarray
 ) -> InfeasibilityCertificate | None:
     """Certificate when the equality system alone is contradictory."""
-    y, mu = (-resid * data.scale)[: data.n_eq], (-resid * data.scale)[data.n_eq :]
-    return _verify_certificate(data.instance, y, mu)
+    return _verify_certificate(data.instance, *_multipliers(data, -resid))
 
 
 def _true_residuals(data: _ConicData, x_vec):
@@ -372,8 +413,11 @@ def solve(
     Every CERT_PROBE_EVERY iterations, while the combined residual is still
     above 50x the constraint tolerance, the current iterate's gap to the
     affine set is mapped to multipliers and checked as a Farkas certificate;
-    the first one that verifies ends the pass infeasible.  The probe only
-    reads the iterate, so a pass it never stops runs exactly as without it.
+    multipliers that fail get CERT_POLISH_ROUNDS alternating projections
+    toward the certificate set, each screened and checked again (see
+    _certificate_from_iterate).  The first certificate that verifies ends
+    the pass infeasible.  The probe only reads the iterate, so a pass it
+    never stops runs exactly as without it.
 
     accept, when given, is offered the current cone point Z at iterations
     FIRST_OFFER * 2^k (10, 20, 40, ...).  It returns None to decline; any

@@ -291,14 +291,14 @@ def test_clearance_rows_match_finite_differences(chain_6dof):
     active = 0
     for _ in range(5):
         theta = rng.uniform(-np.pi, np.pi, size=6)
-        r = cidgik.iteration._pose_residual(chain_6dof, goals, theta, clearances)
-        J = cidgik.iteration._pose_jacobian(chain_6dof, goals, theta, clearances)
+        r, frames = cidgik.iteration._pose_residual(chain_6dof, goals, theta, clearances)
+        J = cidgik.iteration._pose_jacobian(chain_6dof, goals, frames, clearances)
         step = 1e-6
         numeric = np.stack(
             [
                 (
-                    cidgik.iteration._pose_residual(chain_6dof, goals, theta + step * e, clearances)
-                    - cidgik.iteration._pose_residual(chain_6dof, goals, theta - step * e, clearances)
+                    cidgik.iteration._pose_residual(chain_6dof, goals, theta + step * e, clearances)[0]
+                    - cidgik.iteration._pose_residual(chain_6dof, goals, theta - step * e, clearances)[0]
                 )
                 / (2 * step)
                 for e in np.eye(6)

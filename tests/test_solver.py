@@ -14,6 +14,7 @@ from cidgik import (
     assemble_qcqp,
     cidgik_solve,
     direction_matrix,
+    environment,
     excess_rank,
     export_sdpa,
     generate,
@@ -102,12 +103,12 @@ def test_unreachable_goal_certified(chain_6dof):
         assert cert.mu.size == 0 or np.min(cert.mu) >= 0.0
 
 
-def _unreachable_qcqp(robot, key):
+def _unreachable_qcqp(robot, key, workspace=None):
     """A goal at 1.5x reach, built as the benchmark's arm-unreachable workload builds it."""
     direction = np.random.Generator(np.random.Philox(key=key)).standard_normal(3)
     direction /= np.linalg.norm(direction)
     goal = Goal(end_effector=0, position=1.5 * robot.reach * direction, direction=direction)
-    return assemble_qcqp(robot, [goal], WorkspaceSpec())
+    return assemble_qcqp(robot, [goal], workspace or WorkspaceSpec())
 
 
 def _record_passes(monkeypatch):
@@ -126,19 +127,38 @@ def _record_passes(monkeypatch):
 @pytest.mark.parametrize("method", ["primal", "dual"])
 @pytest.mark.parametrize("key", [0, 22])
 def test_probe_certifies_unreachable_goal(chain_6dof, key, method):
-    """Each splitting's iterate yields a verified certificate within 4000 iterations.
+    """Each splitting's iterate yields a verified certificate within 1000 iterations.
 
-    Before the probe, a certificate came only from a hunt after a
-    2000-iteration stall: 3150/5505 (primal) and 2995/5076 (dual) iterations.
+    The probe polishes the multipliers of each iterate's affine gap before
+    it gives up on them; key 22 certifies at iteration 600 (primal) and 500
+    (dual).  The raw multipliers alone first verified at 3300 and 2600, and
+    the stall-window hunt before the probe needed 3150/5505 and 2995/5076.
     """
     instance = lift(_unreachable_qcqp(chain_6dof, key))
     result = solve(instance, None, SolverSettings(max_iters=8000), method=method)
     assert result.status == "infeasible"
-    assert result.iterations <= 4000
+    assert result.iterations <= 1000
     cert = _verify_certificate(instance, result.certificate.y, result.certificate.mu)
     assert cert is not None
     assert cert.value < 0.0
     assert cert.min_eigenvalue >= -1e-6
+
+
+def test_unreachable_goal_among_obstacles_certified(chain_6dof):
+    """Inequality rows give the certificate multipliers mu >= 0 that must hold too.
+
+    Key 0 among the 25 table obstacles (260 inequality rows) certifies at
+    iteration 1400; the raw probe multipliers first verified at 2600.
+    """
+    table = environment("table", chain_6dof, table_obstacles=25)
+    instance = lift(_unreachable_qcqp(chain_6dof, 0, table))
+    assert instance.num_inequalities == 260
+    result = solve(instance, None, SolverSettings(max_iters=8000), method="primal")
+    assert result.status == "infeasible"
+    assert result.iterations <= 2000
+    cert = result.certificate
+    assert cert.mu.size == 260 and cert.mu.min() >= 0.0
+    assert _verify_certificate(instance, cert.y, cert.mu) is not None
 
 
 def test_unreachable_goal_certified_in_first_pass(chain_6dof, monkeypatch):
@@ -206,10 +226,15 @@ def test_probe_leaves_feasible_passes_unchanged(chain_6dof, monkeypatch):
 
     def run():
         # The nuclear-norm pass of octahedron key 0 at its 4000-iteration
-        # budget, without the refinement gate that would end it at iteration 10.
-        instance = lift(generate(chain_6dof, "octahedron", 0).qcqp)
-        first = solve(instance, None, SolverSettings(max_iters=4000), method="primal")
-        passes = [("primal", first)]
+        # budget, without the refinement gate that would end it at iteration 10,
+        # and 2000 iterations of table-25 key 0, whose 260 inequality rows
+        # send the polished multipliers through the mu >= 0 cone too.
+        octahedron = lift(generate(chain_6dof, "octahedron", 0).qcqp)
+        table = lift(generate(chain_6dof, "table", 0, table_obstacles=25).qcqp)
+        passes = [
+            ("primal", solve(octahedron, None, SolverSettings(max_iters=4000), method="primal")),
+            ("primal", solve(table, None, SolverSettings(max_iters=2000), method="primal")),
+        ]
         toy = build_toy_instance()
         passes += [(m, solve(toy, np.eye(3), method=m)) for m in ("primal", "dual")]
         return [(m, r.status, r.iterations, r.Z.tobytes()) for m, r in passes]
