@@ -11,8 +11,12 @@ status, its pass count and the SHA-1 of theta (null without one).  The
 instances are the arm_6dof benchmark keys below, an unreachable goal among the
 25 table obstacles (whose certificate carries inequality multipliers mu), the
 planar two-link toy with its keep-out disc and the fully stretched planar
-two-link.  Run it at two commits and diff the output: a refactor of the solve
-path must leave it byte-identical.
+two-link.  Two more pass lines follow: the 3x3 toy SDP ("toy") and a
+warm-started rank-direction pass ("warm-octahedron-0": octahedron key 0, a
+4000-iteration C = I pass, then one 4000-iteration pass with that iterate's
+direction_matrix as the cost and the iterate as the warm start), since every
+benchmark key closes in its first pass.  Run it at two commits and diff the
+output: a refactor of the solve path must leave it byte-identical.
 """
 
 import hashlib
@@ -101,8 +105,12 @@ def main():
         for k, r in enumerate(passes):
             _print_pass(name, k, r)
         _print_result(name, result)
-    for method in ("primal", "dual"):
-        _print_pass(f"toy-{method}", 0, ck.solve(ck.build_toy_instance(), np.eye(3), method=method))
+    _print_pass("toy", 0, ck.solve(ck.build_toy_instance(), np.eye(3)))
+    sdp = ck.lift(_qcqp(arm_6dof(), "octahedron", 0))
+    settings = ck.SolverSettings(max_iters=4000)
+    first = ck.solve(sdp, None, settings)
+    C = ck.direction_matrix(first.Z, sdp.dim)
+    _print_pass("warm-octahedron-0", 1, ck.solve(sdp, C, settings, warm_start=first.Z))
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from .iteration import (
     CidgikOptions,
     CidgikResult,
     IterationTrace,
-    RankDirection,
     cidgik_solve,
     direction_matrix,
     excess_rank,
@@ -84,7 +83,6 @@ __all__ = [
     "Plane",
     "Pose",
     "QcqpInstance",
-    "RankDirection",
     "RobotError",
     "RobotModel",
     "SdpInstance",

@@ -59,14 +59,7 @@ def excess_rank(Z: np.ndarray, dim: int) -> float:
     return max(tail, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class RankDirection:
-    """Projector onto the trailing eigenspace; tr(C Z) equals h(Z) at its source Z."""
-
-    C: np.ndarray
-
-
-def direction_matrix(Z: np.ndarray, dim: int) -> RankDirection:
+def direction_matrix(Z: np.ndarray, dim: int) -> np.ndarray:
     """Closed-form optimal direction: C* = U U^T from the smallest eigenvectors.
 
     U collects the eigenvectors of the side - dim smallest eigenvalues, so C*
@@ -81,7 +74,7 @@ def direction_matrix(Z: np.ndarray, dim: int) -> RankDirection:
     side = Z.shape[0]
     _, V = np.linalg.eigh(0.5 * (Z + Z.T))  # ascending eigenvalues
     U = V[:, : side - dim]
-    return RankDirection(C=U @ U.T)
+    return U @ U.T
 
 
 @dataclass(frozen=True)
@@ -336,16 +329,17 @@ class CidgikResult:
 def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> CidgikResult:
     """Alternate the linear-cost SDP with the rank-direction update.
 
-    The nuclear-norm pass (C = I) runs the solver's primal variant so that
-    objective ties resolve to centered points the way interior-point solvers
-    do; subsequent passes use the rank-seeking dual variant, warm-started
-    from the previous iterate.  Only the refinement gate closes an instance.
-    Each pass offers the gate its live iterate at ADMM iterations 10, 20,
-    40, ... (see _PassGate), and a pass that ends otherwise than infeasible
-    or accepted hands it its final iterate once more.  The first refined
-    configuration whose exact lift has h below h_tol and lifted residuals
-    within the solver tolerance ends the iteration `converged`, with X,
-    gram_gap and h read off that lift.  That configuration is checked once,
+    Every pass makes one solve call with the solver's single splitting.  The
+    nuclear-norm pass (C = I) starts cold and stops at first_solve_budget
+    iterations; each later pass minimizes tr(C Z) with C the direction
+    matrix of the previous pass's iterate, warm-started from that iterate,
+    under the full iteration cap.  Only the refinement gate closes an
+    instance.  Each pass offers the gate its live iterate at ADMM
+    iterations 10, 20, 40, ... (see _PassGate), and a pass that ends
+    otherwise than infeasible or accepted hands it its final iterate once
+    more.  The first refined configuration whose exact lift has h below
+    h_tol and lifted residuals within the solver tolerance ends the
+    iteration `converged`, with X, gram_gap and h read off that lift.  That configuration is checked once,
     by verify_solution, and `verified` holds its verdict.  An SDP
     infeasibility ends the iteration with only the certificate and the
     h-trace; reaching the pass cap gives `max_iterations` with only the
@@ -361,19 +355,14 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     out = CidgikResult(status="max_iterations", trace=IterationTrace())
     C = np.eye(instance.side)
     warm = None
+    settings = dataclasses.replace(
+        options.solver,
+        max_iters=min(options.solver.max_iters, options.first_solve_budget),
+    )
     t0 = time.perf_counter()
     for k in range(options.max_iterations):
         gate = _PassGate(qcqp, instance, tol_con, options.h_tol)
-        if k == 0:
-            settings = dataclasses.replace(
-                options.solver,
-                max_iters=min(options.solver.max_iters, options.first_solve_budget),
-            )
-            result = solve(instance, C, settings, method="primal", accept=gate)
-        else:
-            result = solve(
-                instance, C, options.solver, warm_start=warm, method="dual", accept=gate
-            )
+        result = solve(instance, C, settings, warm_start=warm, accept=gate)
         infeasible = result.status == "infeasible"
         h = float("nan") if infeasible else excess_rank(result.Z, dim)
         out.trace.records.append(
@@ -399,8 +388,9 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
             out.h, Zr, out.theta = accepted
             out.X, out.gram_gap = extract_points(Zr, dim=dim)
             break
-        C = direction_matrix(result.Z, dim).C
+        C = direction_matrix(result.Z, dim)
         warm = result.Z
+        settings = options.solver
     out.solve_time = time.perf_counter() - t0
 
     if out.theta is not None:

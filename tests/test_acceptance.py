@@ -90,10 +90,10 @@ def test_criterion_2_direction_matrix_identity():
         rank = int(rng.integers(1, side + 1))
         A = rng.normal(size=(side, rank))
         Z = A @ A.T
-        direction = ck.direction_matrix(Z, d)
+        C = ck.direction_matrix(Z, d)
         h = ck.excess_rank(Z, d)
-        worst_gap = max(worst_gap, abs(float(np.tensordot(direction.C, Z)) - h))
-        worst_trace = max(worst_trace, abs(float(np.trace(direction.C)) - (side - d)))
+        worst_gap = max(worst_gap, abs(float(np.tensordot(C, Z)) - h))
+        worst_trace = max(worst_trace, abs(float(np.trace(C)) - (side - d)))
     elapsed = time.perf_counter() - start
     ok = worst_gap < 1e-9 and worst_trace < 1e-9 and elapsed < 10.0
     report(

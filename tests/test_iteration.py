@@ -72,7 +72,7 @@ def test_excess_rank_rejects_asymmetric():
 
 def test_direction_matrix_diagonal():
     Z = np.diag([5.0, 4.0, 3.0, 2.0, 1.0, 0.0])
-    C = direction_matrix(Z, 2).C
+    C = direction_matrix(Z, 2)
     np.testing.assert_allclose(C, np.diag([0.0, 0.0, 1.0, 1.0, 1.0, 1.0]), atol=1e-12)
     assert np.tensordot(C, Z) == pytest.approx(excess_rank(Z, 2))
 
@@ -82,7 +82,7 @@ def test_direction_matrix_diagonal():
 def test_direction_matrix_projector_properties(seed, n, d):
     rng = np.random.Generator(np.random.Philox(key=seed))
     Z = random_psd(rng, n)
-    C = direction_matrix(Z, d).C
+    C = direction_matrix(Z, d)
     np.testing.assert_allclose(C, C.T, atol=1e-10)
     np.testing.assert_allclose(C @ C, C, atol=1e-9)
     assert np.trace(C) == pytest.approx(n - d, abs=1e-9)
@@ -279,6 +279,47 @@ def test_clearance_refinement_closes_at_the_first_offer(chain_6dof, environment,
     assert result.status == "converged"
     assert result.verified
     assert passes == [("accepted", 10)]
+
+
+@pytest.mark.parametrize("environment", ["octahedron", "table"])
+def test_warm_started_second_pass_closes(chain_6dof, environment, monkeypatch):
+    """With pass 1's offers and final refinement declined, pass 2 closes from its warm start.
+
+    Every benchmark key closes in pass 1, so this is the path a key takes
+    when it does not: the direction matrix of pass 1's iterate as the cost,
+    that iterate as the warm start and the full iteration cap.  Pass 2
+    closes at its first offer, iteration 10.
+    """
+    passes = []
+    inner_solve = cidgik.iteration.solve
+    inner_refinement = cidgik.iteration._attempt_refinement
+
+    def recording_solve(instance, C, settings, **kwargs):
+        passes.append({"warm": kwargs["warm_start"], "max_iters": settings.max_iters})
+        passes[-1]["result"] = inner_solve(instance, C, settings, **kwargs)
+        return passes[-1]["result"]
+
+    def refinement_after_pass_1(*args):
+        return inner_refinement(*args) if len(passes) > 1 else None
+
+    monkeypatch.setattr(cidgik.iteration, "solve", recording_solve)
+    monkeypatch.setattr(cidgik.iteration, "_attempt_refinement", refinement_after_pass_1)
+    qcqp = generate(chain_6dof, environment, 0, table_obstacles=25).qcqp
+    options = CidgikOptions(solver=SolverSettings(max_iters=8000))
+    result = cidgik_solve(qcqp, options)
+    assert result.status == "converged"
+    assert result.verified
+    assert len(passes) == 2
+    first, second = passes
+    assert first["warm"] is None and first["max_iters"] == options.first_solve_budget
+    assert first["result"].status in ("optimal", "max_iters")
+    assert second["warm"] is first["result"].Z
+    assert second["max_iters"] == options.solver.max_iters
+    assert (second["result"].status, second["result"].iterations) == ("accepted", 10)
+    assert [r.solver_status for r in result.trace.records] == [
+        first["result"].status,
+        "accepted",
+    ]
 
 
 def test_clearance_rows_match_finite_differences(chain_6dof):

@@ -51,15 +51,15 @@ def test_toy_solve_feasible():
 
 def test_toy_convex_iteration_concentrates_rank_one():
     toy = build_toy_instance()
-    result = solve(toy, np.eye(3), method="primal")
-    C = direction_matrix(result.Z, 1).C
+    result = solve(toy, np.eye(3))
+    C = direction_matrix(result.Z, 1)
     warm = result.Z
     for _ in range(8):
         result = solve(toy, C, warm_start=warm)
         h = excess_rank(result.Z, 1)
         if h < 1e-6:
             break
-        C = direction_matrix(result.Z, 1).C
+        C = direction_matrix(result.Z, 1)
         warm = result.Z
     assert h < 1e-6
     z = result.Z[:, 2]  # last column of the rank-1 solution zz^T with s=1
@@ -112,30 +112,29 @@ def _unreachable_qcqp(robot, key, workspace=None):
 
 
 def _record_passes(monkeypatch):
-    """Collect (method, SolveResult) for every SDP pass cidgik_solve runs."""
+    """Collect (warm start, SolveResult) for every SDP pass cidgik_solve runs."""
     passes = []
     inner = cidgik.iteration.solve
 
     def recording_solve(*args, **kwargs):
-        passes.append((kwargs["method"], inner(*args, **kwargs)))
+        passes.append((kwargs["warm_start"], inner(*args, **kwargs)))
         return passes[-1][1]
 
     monkeypatch.setattr(cidgik.iteration, "solve", recording_solve)
     return passes
 
 
-@pytest.mark.parametrize("method", ["primal", "dual"])
 @pytest.mark.parametrize("key", [0, 22])
-def test_probe_certifies_unreachable_goal(chain_6dof, key, method):
-    """Each splitting's iterate yields a verified certificate within 1000 iterations.
+def test_probe_certifies_unreachable_goal(chain_6dof, key):
+    """The iterate yields a verified certificate within 1000 iterations.
 
     The probe polishes the multipliers of each iterate's affine gap before
-    it gives up on them; key 22 certifies at iteration 600 (primal) and 500
-    (dual).  The raw multipliers alone first verified at 3300 and 2600, and
-    the stall-window hunt before the probe needed 3150/5505 and 2995/5076.
+    it gives up on them; key 22 certifies at iteration 600.  The raw
+    multipliers alone first verified at 3300, and the stall-window hunt
+    before the probe needed 3150/5505.
     """
     instance = lift(_unreachable_qcqp(chain_6dof, key))
-    result = solve(instance, None, SolverSettings(max_iters=8000), method=method)
+    result = solve(instance, None, SolverSettings(max_iters=8000))
     assert result.status == "infeasible"
     assert result.iterations <= 1000
     cert = _verify_certificate(instance, result.certificate.y, result.certificate.mu)
@@ -153,7 +152,7 @@ def test_unreachable_goal_among_obstacles_certified(chain_6dof):
     table = environment("table", chain_6dof, table_obstacles=25)
     instance = lift(_unreachable_qcqp(chain_6dof, 0, table))
     assert instance.num_inequalities == 260
-    result = solve(instance, None, SolverSettings(max_iters=8000), method="primal")
+    result = solve(instance, None, SolverSettings(max_iters=8000))
     assert result.status == "infeasible"
     assert result.iterations <= 2000
     cert = result.certificate
@@ -166,7 +165,7 @@ def test_unreachable_goal_certified_in_first_pass(chain_6dof, monkeypatch):
     qcqp = _unreachable_qcqp(chain_6dof, 22)
     result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
     assert result.status == "infeasible"
-    assert [(m, r.status) for m, r in passes] == [("primal", "infeasible")]
+    assert [(warm is None, r.status) for warm, r in passes] == [(True, "infeasible")]
 
 
 def test_unreachable_goal_stops_probing_after_one_stall(chain_6dof, monkeypatch):
@@ -197,13 +196,13 @@ def test_declined_offers_leave_the_pass_unchanged(chain_6dof):
         offered.append(Z)
         return None
 
-    plain = solve(instance, None, settings, method="primal")
-    probed = solve(instance, None, settings, method="primal", accept=decline)
+    plain = solve(instance, None, settings)
+    probed = solve(instance, None, settings, accept=decline)
     assert len(offered) == 7  # iterations 10, 20, ..., 640
     assert (plain.status, plain.iterations) == ("max_iters", 700)
     assert (probed.status, probed.iterations) == (plain.status, plain.iterations)
     assert probed.Z.tobytes() == plain.Z.tobytes()
-    taken = solve(instance, None, settings, method="primal", accept=lambda Z: "closed")
+    taken = solve(instance, None, settings, accept=lambda Z: "closed")
     assert (taken.status, taken.iterations, taken.accepted) == ("accepted", 10, "closed")
     assert taken.Z.tobytes() == offered[0].tobytes()
 
@@ -232,12 +231,11 @@ def test_probe_leaves_feasible_passes_unchanged(chain_6dof, monkeypatch):
         octahedron = lift(generate(chain_6dof, "octahedron", 0).qcqp)
         table = lift(generate(chain_6dof, "table", 0, table_obstacles=25).qcqp)
         passes = [
-            ("primal", solve(octahedron, None, SolverSettings(max_iters=4000), method="primal")),
-            ("primal", solve(table, None, SolverSettings(max_iters=2000), method="primal")),
+            solve(octahedron, None, SolverSettings(max_iters=4000)),
+            solve(table, None, SolverSettings(max_iters=2000)),
+            solve(build_toy_instance(), np.eye(3)),
         ]
-        toy = build_toy_instance()
-        passes += [(m, solve(toy, np.eye(3), method=m)) for m in ("primal", "dual")]
-        return [(m, r.status, r.iterations, r.Z.tobytes()) for m, r in passes]
+        return [(r.status, r.iterations, r.Z.tobytes()) for r in passes]
 
     monkeypatch.setattr(cidgik.solver, "_certificate_from_iterate", recording_probe)
     probed = run()
