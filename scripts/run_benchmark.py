@@ -36,10 +36,12 @@ def main():
         )
         agg = report.aggregate()
         low, high = agg["jeffreys_95"]
+        mean = agg["mean_solve_time_s"]
         print(
             f"{env:<12} {agg['successes']}/{agg['trials']:<9} "
             f"[{100 * low:5.1f}, {100 * high:5.1f}]%        "
-            f"{agg['mean_solve_time_s']:<14.3f} (wall {time.perf_counter() - t0:.0f}s)"
+            f"{'n/a' if mean is None else f'{mean:.3f}':<14} "
+            f"(wall {time.perf_counter() - t0:.0f}s)"
         )
 
 

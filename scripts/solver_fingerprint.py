@@ -5,16 +5,17 @@
 Each instance first gets a line with the SHA-1 of its lifted constraint data
 (eq_mats, eq_rhs, ineq_mats, ineq_rhs) and of its export_sdpa text, so a change
 to the lift or the operator shows up before any solve runs.  Each pass line
-holds the pass's status, ADMM iterations, the SHA-1 of Z and the SHA-1 of the
-certificate's y and mu.  The instance's result line holds the cidgik_solve
-status, its pass count and the SHA-1 of theta (null without one).  The
-instances are the arm_6dof benchmark keys below, an unreachable goal among the
-25 table obstacles (whose certificate carries inequality multipliers mu), the
-planar two-link toy with its keep-out disc and the fully stretched planar
-two-link.  Two more pass lines follow: the 3x3 toy SDP ("toy") and a
-warm-started rank-direction pass ("warm-octahedron-0": octahedron key 0, a
-4000-iteration C = I pass, then one 4000-iteration pass with that iterate's
-direction_matrix as the cost and the iterate as the warm start), since every
+holds the pass's status, ADMM iterations, the SHA-1 of Z (the iterate the pass
+stopped on) and the SHA-1 of the certificate's y and mu.  The instance's result
+line holds the cidgik_solve status, its pass count and the SHA-1 of theta (null
+without one).  The instances are the arm_6dof benchmark keys below, an
+unreachable goal among the 25 table obstacles (whose certificate carries
+inequality multipliers mu), the planar two-link toy with its keep-out disc and
+the fully stretched planar two-link.  Two more pass lines follow: the 3x3 toy
+SDP ("toy") and a warm-started rank-direction pass ("warm-octahedron-0":
+octahedron key 0, a 4000-iteration C = I pass, then one 4000-iteration pass
+with that iterate's direction_matrix as the cost and the iterate as the warm
+start, which stops at its cap, so its Z is its last iterate), since every
 benchmark key closes in its first pass.  Run it at two commits and diff the
 output: a refactor of the solve path must leave it byte-identical.
 """

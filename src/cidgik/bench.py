@@ -85,7 +85,8 @@ class BenchmarkReport:
 
     def aggregate(self) -> dict:
         low, high = jeffreys_interval(self.successes, self.trials)
-        times = [r.solve_time_s for r in self.rows]
+        # Rows whose generation or solve raised carry no solve time.
+        times = [r.solve_time_s for r in self.rows if r.error is None]
         statuses = {}
         for r in self.rows:
             statuses[r.status] = statuses.get(r.status, 0) + 1
@@ -94,8 +95,8 @@ class BenchmarkReport:
             "successes": self.successes,
             "success_rate": self.success_rate,
             "jeffreys_95": [low, high],
-            "mean_solve_time_s": float(np.mean(times)),
-            "stddev_solve_time_s": float(np.std(times)),
+            "mean_solve_time_s": float(np.mean(times)) if times else None,
+            "stddev_solve_time_s": float(np.std(times)) if times else None,
             "statuses": statuses,
             "certified_infeasible": sum(r.certified_infeasible for r in self.rows),
         }

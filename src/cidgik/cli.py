@@ -95,10 +95,11 @@ def cmd_bench(args) -> int:
     )
     agg = report.aggregate()
     low, high = agg["jeffreys_95"]
+    mean = agg["mean_solve_time_s"]
     print(
         f"{args.env}: {agg['successes']}/{agg['trials']} solved "
         f"({100 * agg['success_rate']:.1f}%, 95% Jeffreys [{100 * low:.1f}, {100 * high:.1f}]%), "
-        f"mean solve {agg['mean_solve_time_s']:.2f}s"
+        f"mean solve {'n/a' if mean is None else f'{mean:.2f}s'}"
     )
     if args.out:
         text = report.to_csv() if args.csv else report.to_json()

@@ -21,7 +21,6 @@ from .graph import QcqpInstance, feasible_points
 from .kinematics import (
     Pose,
     RobotModel,
-    _frames,
     forward_kinematics,
     joint_points,
     pose_error,
@@ -334,18 +333,17 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     iterations; each later pass minimizes tr(C Z) with C the direction
     matrix of the previous pass's iterate, warm-started from that iterate,
     under the full iteration cap.  Only the refinement gate closes an
-    instance.  Each pass offers the gate its live iterate at ADMM
-    iterations 10, 20, 40, ... (see _PassGate), and a pass that ends
-    otherwise than infeasible or accepted hands it its final iterate once
-    more.  The first refined configuration whose exact lift has h below
-    h_tol and lifted residuals within the solver tolerance ends the
-    iteration `converged`, with X, gram_gap and h read off that lift.  That configuration is checked once,
-    by verify_solution, and `verified` holds its verdict.  An SDP
-    infeasibility ends the iteration with only the certificate and the
-    h-trace; reaching the pass cap gives `max_iterations` with only the
-    h-trace.  h is measured on the solver's cone-projected iterate (the
-    accepted one, for an accepted pass), and the trace records it before
-    any refinement.
+    instance, and only as a pass's acceptance callback (see _PassGate): each
+    pass offers it the live iterate at ADMM iterations 10, 20, 40, ... and
+    the iterate the pass stops on.  The first refined configuration whose
+    exact lift has h below h_tol and lifted residuals within the solver
+    tolerance ends the iteration `converged`, with X, gram_gap and h read
+    off that lift.  That configuration is checked once, by verify_solution,
+    and `verified` holds its verdict.  An SDP infeasibility ends the
+    iteration with only the certificate and the h-trace; reaching the pass
+    cap gives `max_iterations` with only the h-trace.  h is measured on the
+    iterate the solver's pass stopped on (the accepted one, for an accepted
+    pass), and the trace records it before any refinement.
     """
     options = options or CidgikOptions()
     instance = lift(qcqp)
@@ -380,12 +378,8 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
             break
         logger.info("iteration %d: h=%.3e solver=%s", k + 1, h, result.status)
         if result.status == "accepted":
-            accepted = result.accepted
-        else:
-            accepted = _attempt_refinement(qcqp, instance, result.Z, tol_con, options.h_tol)
-        if accepted is not None:
             out.status = "converged"
-            out.h, Zr, out.theta = accepted
+            out.h, Zr, out.theta = result.accepted
             out.X, out.gram_gap = extract_points(Zr, dim=dim)
             break
         C = direction_matrix(result.Z, dim)
@@ -403,7 +397,19 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
 
 
 class _PassGate:
-    """The refinement gate as one SDP pass's acceptance callback.
+    """The refinement gate, as one SDP pass's acceptance callback.
+
+    An offered iterate's reconstructed angles seed a local refinement of the
+    goal residuals; a configuration satisfies every structural distance
+    identically, so only the goal edges need closing.  With obstacles, the
+    refinement holds every joint point clear of each of them, so that LM
+    does not settle inside one; should that fail, a plain refinement
+    follows, and then the clearance refinement again from its
+    configuration, which returns at once when that configuration is clear.
+    The configuration only counts if its exact lifted residuals pass the
+    solver tolerance, no inequality is violated and its h is below h_tol,
+    so an accepted offer is a certified feasible rank-d point, not a guess;
+    the gate returns (h, lifted Z, theta) for it.
 
     An instance that never closes, such as an unreachable goal, would pay
     one Levenberg-Marquardt run for every offer, so the first offer whose
@@ -418,75 +424,33 @@ class _PassGate:
         self.instance = instance
         self.tol_con = tol_con
         self.h_tol = h_tol
+        self.pairs = _obstacle_pairs(qcqp)
         self.stalled = False
 
     def __call__(self, Z):
         if self.stalled:
             return None
-        return _attempt_refinement(self.qcqp, self.instance, Z, self.tol_con, self.h_tol, self)
-
-
-def _attempt_refinement(
-    qcqp: QcqpInstance, instance, Z, tol_con: float, h_tol: float, pass_gate=None
-):
-    """Try to turn a low-h iterate into a verified, exactly rank-d solution.
-
-    The reconstructed angles seed a local refinement of the goal residuals;
-    a configuration satisfies every structural distance identically, so only
-    the goal edges need closing.  With obstacles, the first refinement holds
-    every joint point clear of each of them; should that one fail, a plain
-    refinement follows, and if its configuration collides, one retry from
-    there holds the violated pairs clear.  A candidate only counts if the
-    exact lifted residuals pass the solver tolerance and no inequality is
-    violated, so an accepted refinement is a certified feasible rank-d
-    point, not a guess.  When the plain refinement stalls, pass_gate (the
-    caller's _PassGate, if any) is marked stalled.
-    """
-    dim = instance.dim
-    robot = qcqp.robot
-    X0, _ = extract_points(Z, dim=dim)
-
-    def gate(X, theta):
-        Zr = lift_points(X)
-        eq, slack = evaluate(instance, Zr)
-        ok = float(np.max(np.abs(eq))) <= tol_con and (
-            not slack.size or float(np.min(slack)) >= -tol_con
+        qcqp, pairs = self.qcqp, self.pairs
+        robot, goals, dim = qcqp.robot, qcqp.goals, self.instance.dim
+        X0, _ = extract_points(Z, dim=dim)
+        theta0 = reconstruct_angles(robot, _full_point_matrix(qcqp, X0)).theta
+        theta = refine_configuration(robot, goals, theta0, clearances=pairs) if pairs else None
+        if theta is None:
+            theta = refine_configuration(robot, goals, theta0)
+            if theta is None:
+                self.stalled = True
+                return None
+            if pairs:
+                theta = refine_configuration(robot, goals, theta, clearances=pairs)
+                if theta is None:
+                    return None
+        Zr = lift_points(feasible_points(qcqp, theta))
+        eq, slack = evaluate(self.instance, Zr)
+        ok = float(np.max(np.abs(eq))) <= self.tol_con and (
+            not slack.size or float(np.min(slack)) >= -self.tol_con
         )
         hr = excess_rank(Zr, dim)
-        if ok and hr < h_tol:
-            return hr, Zr, theta
-        return None
-
-    rec = reconstruct_angles(robot, _full_point_matrix(qcqp, X0))
-    pairs = _obstacle_pairs(qcqp)
-    if pairs:
-        # Close the goals with every joint point held clear of every
-        # obstacle, so that LM does not settle inside one.
-        theta = refine_configuration(robot, qcqp.goals, rec.theta, clearances=pairs)
-        if theta is not None:
-            accepted = gate(feasible_points(qcqp, theta), theta)
-            if accepted is not None:
-                return accepted
-    theta = refine_configuration(robot, qcqp.goals, rec.theta)
-    if theta is None:
-        if pass_gate is not None:
-            pass_gate.stalled = True
-        return None
-    accepted = gate(feasible_points(qcqp, theta), theta)
-    if accepted is not None or not pairs:
-        return accepted
-    # Goals closed but a joint point landed inside a keep-out sphere or below
-    # a plane: retry from there with hinge terms for the violated pairs.
-    clearances = _Clearances(pairs, robot.dimension)
-    violated = clearances.gaps(clearances.points(_frames(robot, theta))) < 0.0
-    if not violated.any():
-        return None
-    theta = refine_configuration(
-        robot, qcqp.goals, theta, clearances=[c for c, v in zip(pairs, violated) if v]
-    )
-    if theta is None:
-        return None
-    return gate(feasible_points(qcqp, theta), theta)
+        return (hr, Zr, theta) if ok and hr < self.h_tol else None
 
 
 def _full_point_matrix(qcqp: QcqpInstance, X: np.ndarray) -> np.ndarray:

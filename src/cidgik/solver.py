@@ -8,10 +8,11 @@ with inequality slacks appended.  The constraint normal system is factored
 once and cached; one ADMM step pairs a projection onto the affine constraint
 set with a projection onto the PSD x nonnegative cone, with over-relaxation
 and scaled dual updates (`_admm_steps`).  One loop in `solve` owns the
-iteration cap, the best iterate, a Farkas certificate probe of the live
-iterate every CERT_PROBE_EVERY iterations and the offers of the iterate to a
-caller's acceptance callback.  Everything is dense and deterministic: the
-same instance and settings reproduce the same iterates.
+iteration cap, a Farkas certificate probe of the live iterate every
+CERT_PROBE_EVERY iterations and the offers of the iterate to a caller's
+acceptance callback; a pass returns the iterate it stops on.  Everything is
+dense and deterministic: the same instance and settings reproduce the same
+iterates.
 
 There is one splitting on purpose.  ADMM on the dual pair A^T y + S = C is
 Douglas-Rachford on the primal (Gabay 1983; Eckstein and Bertsekas 1992), so
@@ -82,6 +83,13 @@ class InfeasibilityCertificate:
 
 @dataclass(eq=False)
 class SolveResult:
+    """One pass's outcome; Z is always the iterate the pass stopped on.
+
+    That is the converged iterate (optimal), the probed one (infeasible),
+    the one the acceptance callback took (accepted) or the last one under
+    the iteration cap (max_iters).
+    """
+
     status: str  # optimal | infeasible | accepted | max_iters
     Z: np.ndarray
     objective: float
@@ -247,9 +255,10 @@ def _certificate_from_iterate(
     factor.  The slack columns of G are diag(scale) > 0, so G^T y lies in
     the cone exactly when S(y) is PSD and mu >= 0: the rounds walk toward
     the set of certificates.  Each round's eigendecomposition also gives
-    lambda_min(S), which with a.y screens the round's multipliers; only
-    those that pass the screen get the full check, _verify_certificate,
-    which alone decides.
+    lambda_min(S), which with a.y and the sign of mu screens the round's
+    multipliers: the cone condition asks S PSD and mu >= 0.  Only those
+    that pass the screen get the full check, _verify_certificate, which
+    alone decides.
     """
     r = data.G @ w
     r -= data.h
@@ -260,10 +269,16 @@ def _certificate_from_iterate(
     v = data.project_cone(data.GT @ y)
     for _ in range(CERT_POLISH_ROUNDS):
         y = data.solve_normal(data.G @ v)
-        v, lam_min = data.project_cone_min_eig(data.GT @ y)
-        # Both tests of _verify_certificate, up to its normalization.
+        g = data.GT @ y
+        v, lam_min = data.project_cone_min_eig(g)
+        # Both tests of _verify_certificate, up to its normalization, and
+        # mu >= 0: the slack block of G^T y is mu in original units.
         tol = CERT_TOL * float(np.linalg.norm(y * data.scale))
-        if lam_min >= -tol and float(data.h @ y) <= -tol:
+        if (
+            lam_min >= -tol
+            and float(data.h @ y) <= -tol
+            and float(np.min(g[data.D :], initial=0.0)) >= -tol
+        ):
             certificate = _verify_certificate(data.instance, *_multipliers(data, y))
             if certificate is not None:
                 return certificate
@@ -352,7 +367,7 @@ def solve(
 
     Returns optimal with residuals below the requested tolerances, infeasible
     with a verified certificate attached, accepted when the acceptance
-    callback took an iterate, or max_iters with the best iterate found.
+    callback took an iterate, or max_iters with the last iterate.
     warm_start, when given, seeds the iteration with a previous Z.
 
     Every CERT_PROBE_EVERY iterations, while the combined residual is still
@@ -365,9 +380,11 @@ def solve(
     never stops runs exactly as without it.
 
     accept, when given, is offered the current cone point Z at iterations
-    FIRST_OFFER * 2^k (10, 20, 40, ...).  It returns None to decline; any
-    other value ends the pass accepted, with that value in
-    SolveResult.accepted and Z the offered iterate.  Offers only read the
+    FIRST_OFFER * 2^k (10, 20, 40, ...) and at the iteration the pass stops
+    on, an optimal stop or the max_iters cap.  It returns None to decline;
+    any other value ends the pass accepted, with that value in
+    SolveResult.accepted and Z the offered iterate, so a pass whose stop
+    the callback takes ends accepted, not optimal.  Offers only read the
     iterate too, so a pass that declines every offer runs exactly as
     without them.
 
@@ -429,36 +446,34 @@ def solve(
     certificate = None
     accepted = None
     next_offer = FIRST_OFFER
-    best = None
     # A step yields (iterate, eq_res, ineq_viol, combined, converged) and
-    # adapts its step size only when resumed.  Its iterate is a fresh array
-    # that later steps never mutate, so it can be kept as the best one.  zip
-    # takes the cap first, so the steps never run past max_iters.
+    # adapts its step size only when resumed.  zip takes the cap first, so
+    # the steps never run past max_iters.
     for it, step in zip(range(1, settings.max_iters + 1), steps):
         x_vec, eq_res, ineq_viol, combined, converged = step
         if not np.isfinite(combined):
             raise NumericalBreakdownError(
                 f"solver iterates became non-finite at iteration {it}"
             )
-        if best is None or combined < 0.999 * best[3]:
-            best = step
-        if converged:
-            status = "optimal"
-            break
-        if accept is not None and it == next_offer:
+        # The iterate a pass stops on is offered too; doubling next_offer
+        # off schedule is harmless, since the loop ends after it.
+        if accept is not None and (
+            it == next_offer or converged or it == settings.max_iters
+        ):
             next_offer *= 2
             accepted = accept(space.mat(x_vec[:D]))
             if accepted is not None:
                 status = "accepted"
                 break
+        if converged:
+            status = "optimal"
+            break
         # The step yields a cone point, so its affine gap is the probe.
         if it % CERT_PROBE_EVERY == 0 and combined > 50 * tol_con:
             certificate = _certificate_from_iterate(data, x_vec)
             if certificate is not None:
                 status = "infeasible"
                 break
-    else:
-        x_vec, eq_res, ineq_viol = best[:3]
 
     Zm = space.mat(x_vec[:D])
     objective = float(np.tensordot(C, Zm))

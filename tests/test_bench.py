@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from cidgik import jeffreys_interval, run_benchmark
-from cidgik.bench import solve_one
+from cidgik.bench import BenchmarkReport, InstanceRow, solve_one
 from cidgik.iteration import CidgikOptions
 from cidgik.solver import SolverSettings
 
@@ -122,6 +122,20 @@ def test_benchmark_row_failure_capture(chain_6dof, monkeypatch):
     assert row.status == "error"
     assert not row.success
     assert "synthetic failure" in row.error
+
+
+def test_aggregate_times_only_rows_that_ran_a_solve():
+    """Rows whose generation or solve raised do not enter the solve-time mean as 0 s."""
+    solved = InstanceRow(seed=0, status="converged", success=True, setup_time_s=0.1, solve_time_s=2.0)
+    broken = [
+        InstanceRow(seed=1, status="generation_error", success=False, setup_time_s=0.1, error="e"),
+        InstanceRow(seed=2, status="error", success=False, setup_time_s=0.1, error="e"),
+    ]
+    agg = BenchmarkReport("arm", "free", 0, [solved, *broken], 1e-6).aggregate()
+    assert (agg["mean_solve_time_s"], agg["stddev_solve_time_s"]) == (2.0, 0.0)
+    assert agg["trials"] == 3
+    agg = BenchmarkReport("arm", "free", 0, broken, 1e-6).aggregate()
+    assert (agg["mean_solve_time_s"], agg["stddev_solve_time_s"]) == (None, None)
 
 
 def test_benchmark_csv_shape(chain_6dof):

@@ -133,7 +133,7 @@ def test_no_gate_acceptance_leaves_no_configuration(toy_qcqp, monkeypatch):
     def no_verification(*args):
         raise AssertionError("verify_solution must not run without a configuration")
 
-    monkeypatch.setattr(cidgik.iteration, "_attempt_refinement", lambda *args: None)
+    monkeypatch.setattr(cidgik.iteration._PassGate, "__call__", lambda self, Z: None)
     monkeypatch.setattr(cidgik.iteration, "verify_solution", no_verification)
     result = cidgik_solve(toy_qcqp, CidgikOptions(max_iterations=2))
     assert result.status == "max_iterations"
@@ -281,9 +281,40 @@ def test_clearance_refinement_closes_at_the_first_offer(chain_6dof, environment,
     assert passes == [("accepted", 10)]
 
 
+def test_clearance_refinement_from_the_plain_configuration(chain_6dof, monkeypatch):
+    """Icosahedron key 60 closes on the iteration-10 iterate through the gate's third stage.
+
+    Clearance LM from the reconstructed angles fails there, and plain LM
+    closes the goals with joint points inside keep-out spheres; clearance LM
+    on every obstacle pair, from that configuration, then closes the key.
+    """
+    passes, stages = [], []
+    inner_solve = cidgik.iteration.solve
+    inner_refine = cidgik.iteration.refine_configuration
+
+    def recording_solve(*args, **kwargs):
+        result = inner_solve(*args, **kwargs)
+        passes.append((result.status, result.iterations))
+        return result
+
+    def recording_refine(robot, goals, theta0, **kwargs):
+        theta = inner_refine(robot, goals, theta0, **kwargs)
+        stages.append((bool(kwargs.get("clearances")), theta is not None))
+        return theta
+
+    monkeypatch.setattr(cidgik.iteration, "solve", recording_solve)
+    monkeypatch.setattr(cidgik.iteration, "refine_configuration", recording_refine)
+    qcqp = generate(chain_6dof, "icosahedron", 60).qcqp
+    result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
+    assert result.status == "converged"
+    assert result.verified
+    assert passes == [("accepted", 10)]
+    assert stages == [(True, False), (False, True), (True, True)]
+
+
 @pytest.mark.parametrize("environment", ["octahedron", "table"])
 def test_warm_started_second_pass_closes(chain_6dof, environment, monkeypatch):
-    """With pass 1's offers and final refinement declined, pass 2 closes from its warm start.
+    """With every offer of pass 1 declined, pass 2 closes from its warm start.
 
     Every benchmark key closes in pass 1, so this is the path a key takes
     when it does not: the direction matrix of pass 1's iterate as the cost,
@@ -292,18 +323,18 @@ def test_warm_started_second_pass_closes(chain_6dof, environment, monkeypatch):
     """
     passes = []
     inner_solve = cidgik.iteration.solve
-    inner_refinement = cidgik.iteration._attempt_refinement
+    inner_gate = cidgik.iteration._PassGate.__call__
 
     def recording_solve(instance, C, settings, **kwargs):
         passes.append({"warm": kwargs["warm_start"], "max_iters": settings.max_iters})
         passes[-1]["result"] = inner_solve(instance, C, settings, **kwargs)
         return passes[-1]["result"]
 
-    def refinement_after_pass_1(*args):
-        return inner_refinement(*args) if len(passes) > 1 else None
+    def gate_after_pass_1(self, Z):
+        return inner_gate(self, Z) if len(passes) > 1 else None
 
     monkeypatch.setattr(cidgik.iteration, "solve", recording_solve)
-    monkeypatch.setattr(cidgik.iteration, "_attempt_refinement", refinement_after_pass_1)
+    monkeypatch.setattr(cidgik.iteration._PassGate, "__call__", gate_after_pass_1)
     qcqp = generate(chain_6dof, environment, 0, table_obstacles=25).qcqp
     options = CidgikOptions(solver=SolverSettings(max_iters=8000))
     result = cidgik_solve(qcqp, options)

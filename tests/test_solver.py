@@ -187,7 +187,11 @@ def test_unreachable_goal_stops_probing_after_one_stall(chain_6dof, monkeypatch)
 
 
 def test_declined_offers_leave_the_pass_unchanged(chain_6dof):
-    """An acceptance callback sees iterations 10, 20, 40, ... and, declining, changes nothing."""
+    """An acceptance callback sees iterations 10, 20, 40, ... and the capped stop.
+
+    Declining them all changes nothing, and the capped pass returns the
+    iterate it stopped on, the last one offered.
+    """
     instance = lift(generate(chain_6dof, "octahedron", 0).qcqp)
     settings = SolverSettings(max_iters=700)
     offered = []
@@ -198,13 +202,45 @@ def test_declined_offers_leave_the_pass_unchanged(chain_6dof):
 
     plain = solve(instance, None, settings)
     probed = solve(instance, None, settings, accept=decline)
-    assert len(offered) == 7  # iterations 10, 20, ..., 640
+    assert len(offered) == 8  # iterations 10, 20, ..., 640 and 700
     assert (plain.status, plain.iterations) == ("max_iters", 700)
     assert (probed.status, probed.iterations) == (plain.status, plain.iterations)
     assert probed.Z.tobytes() == plain.Z.tobytes()
+    assert offered[-1].tobytes() == plain.Z.tobytes()
     taken = solve(instance, None, settings, accept=lambda Z: "closed")
     assert (taken.status, taken.iterations, taken.accepted) == ("accepted", 10, "closed")
     assert taken.Z.tobytes() == offered[0].tobytes()
+
+
+def test_optimal_stop_is_offered(monkeypatch):
+    """The toy's callback sees iterations 10 and 20 and its optimal stop at 25.
+
+    Taking the stop ends the pass accepted, with the stop's iterate.
+    """
+    steps = 0
+    inner = cidgik.solver._admm_steps
+
+    def counting_steps(*args):
+        nonlocal steps
+        for step in inner(*args):
+            steps += 1
+            yield step
+
+    monkeypatch.setattr(cidgik.solver, "_admm_steps", counting_steps)
+    offered = []
+
+    def decline(Z):
+        offered.append((steps, Z))
+        return None
+
+    declined = solve(build_toy_instance(), np.eye(3), accept=decline)
+    assert (declined.status, declined.iterations) == ("optimal", 25)
+    assert [it for it, _ in offered] == [10, 20, 25]
+    assert offered[-1][1].tobytes() == declined.Z.tobytes()
+    steps = 0
+    taken = solve(build_toy_instance(), np.eye(3), accept=lambda Z: "closed" if steps == 25 else None)
+    assert (taken.status, taken.iterations, taken.accepted) == ("accepted", 25, "closed")
+    assert taken.Z.tobytes() == declined.Z.tobytes()
 
 
 def test_nonfinite_warm_start_rejected(toy_qcqp):
