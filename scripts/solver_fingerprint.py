@@ -16,18 +16,27 @@ SDP ("toy") and a warm-started rank-direction pass ("warm-octahedron-0":
 octahedron key 0, a 4000-iteration C = I pass, then one 4000-iteration pass
 with that iterate's direction_matrix as the cost and the iterate as the warm
 start, which stops at its cap, so its Z is its last iterate), since every
-benchmark key closes in its first pass.  Run it at two commits and diff the
-output: a refactor of the solve path must leave it byte-identical.
+benchmark key closes in its first pass.  BLAS runs on one thread, so the
+output does not depend on the caller's environment.  Run it at two commits
+and diff the output: a refactor of the solve path must leave every lift and
+pass line byte-identical; a theta hash may change when only the rounding of
+the local refinement does.
 """
 
-import hashlib
-import json
+import os
 
-import numpy as np
+# One BLAS thread, set before numpy loads: threaded BLAS changes the rounding.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-import cidgik as ck
-import cidgik.iteration
-from cidgik.robots import arm_6dof, planar_two_link
+import hashlib  # noqa: E402
+import json  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import cidgik as ck  # noqa: E402
+import cidgik.iteration  # noqa: E402
+from cidgik.robots import arm_6dof, planar_two_link  # noqa: E402
 
 # Benchmark workloads (ikbench/run.py) and keys; table uses 25 obstacles.
 # "unreachable-table" puts the arm-unreachable goal among the table obstacles.

@@ -15,7 +15,6 @@ from .graph import (
     QcqpInstance,
     assemble_qcqp,
     build_graph,
-    residuals,
 )
 from .iteration import (
     CidgikOptions,
@@ -64,7 +63,6 @@ from .workspace import (
     add_self_collision,
     config_in_collision,
     environment,
-    sphere_violation,
 )
 
 __all__ = [
@@ -115,10 +113,8 @@ __all__ = [
     "parse_sdpa",
     "pose_error",
     "reconstruct_angles",
-    "residuals",
     "run_benchmark",
     "save_problem",
     "solve",
-    "sphere_violation",
     "verify_solution",
 ]

@@ -116,9 +116,11 @@ def build_graph(robot: RobotModel, goals: list[Goal]) -> DistanceGraph:
         pos = np.asarray(g.position, dtype=float)
         if pos.shape != (d,):
             raise GraphError(f"goal position must have dimension {d}")
+        if not np.all(np.isfinite(pos)):
+            raise GraphError("goal position must be finite")
         if g.direction is not None:
             u = np.asarray(g.direction, dtype=float)
-            if u.shape != (d,) or abs(np.linalg.norm(u) - 1.0) > 1e-9:
+            if u.shape != (d,) or not abs(np.linalg.norm(u) - 1.0) <= 1e-9:  # NaN fails too
                 raise GraphError("goal direction must be a unit vector")
         goal_by_ee[g.end_effector] = g
 
@@ -301,62 +303,6 @@ def assemble_qcqp(
     for aux in workspace.aux_points:
         instance = add_aux_point(instance, aux)
     return instance
-
-
-class Residuals(NamedTuple):
-    equality: float
-    inequality: float
-    plane: float
-
-
-def residuals(instance: QcqpInstance, X: np.ndarray) -> Residuals:
-    """Worst-case constraint violations of a candidate point matrix.
-
-    X must supply every variable column (graph variables then aux points).
-    Equality violations are |achieved - target| in squared meters, with aux
-    tie mismatches (in meters) folded into the same component; inequality
-    violations follow the keep-out convention max(0, l^2 - ||x - c||^2).
-    """
-    X = np.asarray(X, dtype=float)
-    graph = instance.graph
-    if X.shape != (graph.dim, instance.num_variables):
-        raise ValueError(
-            f"expected points of shape {(graph.dim, instance.num_variables)}, got {X.shape}"
-        )
-
-    def pos(v: int) -> np.ndarray:
-        if v < graph.num_variables:
-            return X[:, v]
-        return graph.anchors[:, v - graph.num_variables]
-
-    eq = 0.0
-    for e in graph.edges:
-        diff = pos(e.head) - pos(e.tail)
-        eq = max(eq, abs(float(diff @ diff) - e.weight))
-    for k, aux in enumerate(instance.aux_points):
-        i, j = aux.edge
-        y = X[:, graph.num_variables + k]
-        target = (1.0 - aux.alpha) * pos(i) + aux.alpha * pos(j)
-        eq = max(eq, float(np.linalg.norm(y - target)))
-
-    ineq = 0.0
-    from .workspace import sphere_violation
-
-    for s in instance.spheres:
-        for v in range(instance.num_variables):
-            ineq = max(ineq, sphere_violation(X[:, v], s))
-    for i, j, eps in instance.self_collision:
-        diff = X[:, i] - X[:, j]
-        ineq = max(ineq, max(0.0, eps - float(diff @ diff)))
-
-    plane_viol = 0.0
-    for v, plane in instance.planes:
-        val = float(X[:, v] @ plane.normal) - plane.offset
-        if plane.relation == "on":
-            plane_viol = max(plane_viol, abs(val))
-        else:
-            plane_viol = max(plane_viol, max(0.0, -val))
-    return Residuals(equality=eq, inequality=ineq, plane=plane_viol)
 
 
 def feasible_points(instance: QcqpInstance, theta) -> np.ndarray:

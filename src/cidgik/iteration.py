@@ -26,9 +26,8 @@ from .kinematics import (
     pose_error,
     reconstruct_angles,
 )
-from .lifting import evaluate, extract_points, lift, lift_points
+from .lifting import SdpInstance, evaluate, extract_points, lift, lift_points
 from .solver import InfeasibilityCertificate, SolverSettings, _constraint_tolerance, solve
-from .workspace import Plane
 
 logger = logging.getLogger("cidgik.iteration")
 
@@ -80,9 +79,6 @@ def direction_matrix(Z: np.ndarray, dim: int) -> np.ndarray:
 class IterationRecord:
     h: float
     solver_status: str
-    eq_residual: float
-    ineq_violation: float
-    objective: float
 
 
 @dataclass(eq=False)
@@ -115,70 +111,98 @@ class CidgikOptions:
             raise ValueError("first_solve_budget must be at least 1")
 
 
-class _Clearances:
-    """Hinge terms that hold joint points clear of keep-out spheres and planes.
+class _LiftHinge:
+    """Hinge residuals on every inequality row of a lift, as functions of theta.
 
-    Pair i, (point label, obstacle), asks gap_i = w |x|^2 + n . x + k >= 0 of
-    the joint point x it names: a keep-out sphere with center c and radius r
-    has w = 1, n = -2c and k = |c|^2 - r^2, so the gap is the squared distance
-    to c less r^2; an "above" plane x.n >= c has w = 0 and k = -c.  Labels are
-    p (a joint origin) or q (one unit along the joint's world axis).
+    Row k's residual is min(b_k - tr(B_k Z(X)), 0) on the exact lift
+    Z(X) = [X I]^T [X I] of the instance's variable points X at a
+    configuration, so what an obstacle asks of a point is said only by
+    lift().  X is built as feasible_points builds it, X = P S: P holds the
+    joint points of the layout columns the variables use, and S picks each
+    variable's column and interpolates each aux point between its edge's ends.
     """
 
-    def __init__(self, pairs, dim: int):
-        self.owner = np.array([label[1] for label, _ in pairs], dtype=int)
-        self.on_axis = np.array([[label[0] == "q"] for label, _ in pairs], dtype=float)
-        w, lin, k = [], [], []
-        for _, obstacle in pairs:
-            if isinstance(obstacle, Plane):
-                w.append(0.0)
-                lin.append(obstacle.normal)
-                k.append(-obstacle.offset)
+    def __init__(self, qcqp: QcqpInstance, instance: SdpInstance):
+        robot, graph = qcqp.robot, qcqp.graph
+        index = robot.layout.index
+        labels = graph.variable_labels + graph.anchor_labels
+        S = np.zeros((len(index), instance.num_variables))
+        for v, label in enumerate(graph.variable_labels):
+            S[index[label], v] = 1.0
+        for k, aux in enumerate(qcqp.aux_points):
+            for v, weight in zip(aux.edge, (1.0 - aux.alpha, aux.alpha)):
+                S[index[labels[v]], graph.num_variables + k] += weight
+        used = np.flatnonzero(S.any(axis=1))
+        self.select = S[used]
+        # Column c sits at origins[o] + rotations[o] @ local[c] for its owner
+        # joint o (a q point one unit along o's axis, which o's own rotation
+        # fixes), and joint i moves it iff moves[c, i].
+        owner, local = [], []
+        for c in used:
+            kind, k, *end = robot.layout.columns[c]
+            if kind == "ee":
+                tip = np.asarray(robot.end_effectors[k].tip, dtype=float)
+                owner.append(robot.end_effectors[k].parent)
+                local.append(tip if end == ["pos"] else tip + tip / np.linalg.norm(tip))
             else:
-                c = np.asarray(obstacle.center, dtype=float)
-                w.append(1.0)
-                lin.append(-2.0 * c)
-                k.append(float(c @ c) - obstacle.radius**2)
-        self.dim = dim
-        self.w = np.array(w)
-        self.lin = np.array(lin, dtype=float).reshape(len(pairs), dim)
-        self.k = np.array(k)
+                owner.append(k)
+                local.append(robot.joints[k].axis if kind == "q" else np.zeros(3))
+        self.owner = np.array(owner, dtype=int)
+        self.local = np.array(local, dtype=float)
+        self.moves = _chains(robot)[self.owner]
+        self.dim = instance.dim
+        self.mats = instance.ineq_mats
+        self.rows = self.mats.reshape(len(self.mats), -1)  # tr(B_k Z) = rows[k] . Z.ravel()
+        self.rhs = instance.ineq_rhs
 
-    def __len__(self) -> int:
-        return len(self.k)
+    def slacks(self, frames) -> np.ndarray:
+        """Slacks b_k - tr(B_k Z(X)) at the frames' configuration."""
+        return self._lifted(frames)[0]
 
-    def points(self, frames) -> np.ndarray:
-        """(pairs, 3) world positions of the named joint points."""
-        return frames.origins[self.owner] + self.on_axis * frames.axes[self.owner]
+    def _lifted(self, frames):
+        """(slacks, X, (columns, 3) world points of the columns X uses)."""
+        o = self.owner
+        P = frames.origins[o] + np.einsum("cij,cj->ci", frames.rotations[o], self.local)
+        X = P[:, : self.dim].T @ self.select
+        return self.rhs - self.rows @ lift_points(X).ravel(), X, P
 
-    def gaps(self, points: np.ndarray) -> np.ndarray:
-        x = points[:, : self.dim]
-        return self.w * np.einsum("ij,ij->i", x, x) + np.einsum("ij,ij->i", self.lin, x) + self.k
+    def jacobian(self, frames) -> np.ndarray:
+        """d slack_k / d theta for the violated rows, zero for the others.
+
+        The gradient of tr(B Z(X)) in X is 2 (X B11 + B21), with B11 the Gram
+        block and B21 the X block of B; a column point x moves with joint i
+        as a_i x (x - o_i).
+        """
+        slack, X, P = self._lifted(frames)
+        J = np.zeros((len(slack), len(frames.axes)))
+        active = np.flatnonzero(slack < 0.0)
+        if not active.size:
+            return J
+        d, nv = X.shape
+        dP = np.cross(frames.axes, P[:, None] - frames.origins) * self.moves[:, :, None]
+        dX = np.einsum("cv,cnk->kvn", self.select, dP[:, :, :d])
+        B = self.mats[active]
+        J[active] = -2.0 * np.einsum("akv,kvn->an", X @ B[:, :nv, :nv] + B[:, nv:, :nv], dX)
+        return J
 
 
-def _obstacle_pairs(qcqp: QcqpInstance) -> list:
-    """Every (joint point label, obstacle) pair the instance constrains.
-
-    Obstacles are keep-out spheres, on every joint point, and "above" planes,
-    on the points they are attached to.
-    """
-    graph = qcqp.graph
-    labels = [label for label in graph.variable_labels if label[0] in ("p", "q")]
-    pairs = [(label, s) for s in qcqp.spheres if s.sense == "keep_out" for label in labels]
-    pairs += [
-        (graph.variable_labels[v], plane)
-        for v, plane in qcqp.planes
-        if plane.relation == "above" and graph.variable_labels[v][0] in ("p", "q")
-    ]
-    return pairs
+def _chains(robot: RobotModel) -> np.ndarray:
+    """(joints, joints) mask: row j marks joint j and every ancestor of it."""
+    n = len(robot.joints)
+    mask = np.eye(n, dtype=bool)
+    # Joints are listed parents-first, so each chain extends its parent's.
+    for i, joint in enumerate(robot.joints):
+        if joint.parent >= 0:
+            mask[i] |= mask[joint.parent]
+    return mask
 
 
 def _pose_residual(robot: RobotModel, goals, theta, clearances=None):
     """(residuals, joint frames) at theta: goal residuals plus hinge terms.
 
-    The hinge terms are those of a _Clearances, if given: a clearance
-    residual is its pair's gap while that is negative, zero when the point is
-    clear.  The frames are returned so that _pose_jacobian at the same theta
+    The hinge terms are those of a _LiftHinge, if given: one per inequality
+    row of the lift, its slack while that is negative, zero when the row
+    holds.  The frames are returned so that _pose_jacobian at the same theta
     need not rebuild them.
     """
     poses, frames = forward_kinematics(robot, theta)
@@ -189,52 +213,35 @@ def _pose_residual(robot: RobotModel, goals, theta, clearances=None):
         if g.direction is not None:
             parts.append(p.direction - np.asarray(g.direction, dtype=float))
     if clearances is not None:
-        parts.append(np.minimum(clearances.gaps(clearances.points(frames)), 0.0))
+        parts.append(np.minimum(clearances.slacks(frames), 0.0))
     return (np.concatenate(parts) if parts else np.zeros(0)), frames
 
 
 def _pose_jacobian(robot: RobotModel, goals, frames, clearances=None) -> np.ndarray:
-    """Geometric Jacobian of the stacked goal (and clearance) residuals.
+    """Geometric Jacobian of the stacked goal (and hinge) residuals.
 
     frames are the joint frames at the configuration, as _pose_residual
     returns them.  For a revolute joint with world axis a through origin o,
     an attached point p moves as a x (p - o) and an attached unit direction u
-    as a x u.  Clearance rows are zero while the point is clear of its
-    obstacle.
+    as a x u.  Hinge rows (see _LiftHinge.jacobian) are zero while their
+    inequality row holds.
     """
     d = robot.dimension
-    n = len(robot.joints)
-    # Joints are listed parents-first, so each chain extends its parent's.
-    ancestors = []
-    for i, joint in enumerate(robot.joints):
-        ancestors.append((ancestors[joint.parent] if joint.parent >= 0 else []) + [i])
-
-    def point_jacobian(point, owner):
-        chain = ancestors[owner]
-        J = np.zeros((3, n))
-        J[:, chain] = np.cross(frames.axes[chain], point - frames.origins[chain]).T
-        return J
+    chains = _chains(robot)
 
     rows = []
     for g in goals:
         ee = robot.end_effectors[g.end_effector]
         R = frames.rotations[ee.parent]
         pos = frames.origins[ee.parent] + R @ ee.tip
-        rows.append(point_jacobian(pos, ee.parent)[:d])
+        moves = chains[ee.parent][:, None]
+        rows.append((np.cross(frames.axes, pos - frames.origins) * moves).T[:d])
         if g.direction is not None:
             direction = R @ (ee.tip / np.linalg.norm(ee.tip))
-            chain = ancestors[ee.parent]
-            Jd = np.zeros((3, n))
-            Jd[:, chain] = np.cross(frames.axes[chain], direction).T
-            rows.append(Jd[:d])
+            rows.append((np.cross(frames.axes, direction) * moves).T[:d])
     if clearances is not None:
-        points = clearances.points(frames)
-        Jc = np.zeros((len(clearances), n))
-        for i in np.flatnonzero(clearances.gaps(points) < 0.0):
-            grad = 2.0 * clearances.w[i] * points[i, :d] + clearances.lin[i]
-            Jc[i] = grad @ point_jacobian(points[i], clearances.owner[i])[:d]
-        rows.append(Jc)
-    return np.vstack(rows) if rows else np.zeros((0, n))
+        rows.append(clearances.jacobian(frames))
+    return np.vstack(rows) if rows else np.zeros((0, len(robot.joints)))
 
 
 def refine_configuration(
@@ -242,7 +249,7 @@ def refine_configuration(
     goals,
     theta0,
     *,
-    clearances=(),
+    clearances: _LiftHinge | None = None,
     tol: float = 1e-11,
     max_steps: int = 40,
 ) -> np.ndarray | None:
@@ -250,15 +257,15 @@ def refine_configuration(
 
     Configurations satisfy every structural distance constraint identically,
     so driving the goal residuals to zero lands exactly on the feasibility
-    set; callers still gate the result against obstacles.  Clearance pairs
-    (joint point label, keep-out sphere or "above" plane) enter as hinge
-    residuals (see _Clearances).  Returns None when the iteration stalls above
-    the tolerance: no damped step lowers the residual, or LM_SLOW_STEPS
-    accepted steps in a row each cut its norm by less than LM_SLOW_CUT, as
-    they do in the residual valley of an unreachable goal.
+    set; callers still gate the result against the lift's inequalities.
+    clearances, if given, adds a hinge residual for every inequality row of a
+    lift (see _LiftHinge), so that the result holds those rows too.  Returns
+    None when the iteration stalls above the tolerance: no damped step lowers
+    the residual, or LM_SLOW_STEPS accepted steps in a row each cut its norm
+    by less than LM_SLOW_CUT, as they do in the residual valley of an
+    unreachable goal.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    clearances = _Clearances(clearances, robot.dimension) if clearances else None
     r, frames = _pose_residual(robot, goals, theta, clearances)
     if r.size == 0:
         return theta
@@ -363,15 +370,7 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
         result = solve(instance, C, settings, warm_start=warm, accept=gate)
         infeasible = result.status == "infeasible"
         h = float("nan") if infeasible else excess_rank(result.Z, dim)
-        out.trace.records.append(
-            IterationRecord(
-                h=h,
-                solver_status=result.status,
-                eq_residual=result.eq_residual,
-                ineq_violation=result.ineq_violation,
-                objective=result.objective,
-            )
-        )
+        out.trace.records.append(IterationRecord(h=h, solver_status=result.status))
         if infeasible:
             out.status = "infeasible"
             out.certificate = result.certificate
@@ -401,15 +400,16 @@ class _PassGate:
 
     An offered iterate's reconstructed angles seed a local refinement of the
     goal residuals; a configuration satisfies every structural distance
-    identically, so only the goal edges need closing.  With obstacles, the
-    refinement holds every joint point clear of each of them, so that LM
-    does not settle inside one; should that fail, a plain refinement
-    follows, and then the clearance refinement again from its
-    configuration, which returns at once when that configuration is clear.
-    The configuration only counts if its exact lifted residuals pass the
-    solver tolerance, no inequality is violated and its h is below h_tol,
-    so an accepted offer is a certified feasible rank-d point, not a guess;
-    the gate returns (h, lifted Z, theta) for it.
+    identically, so only the goal edges need closing.  When the lift has
+    inequality rows (obstacles, self-collision), the refinement carries a
+    hinge on each of them (see _LiftHinge), so that LM does not settle where
+    one is violated; should that fail, a plain refinement follows, and then
+    the hinged refinement again from its configuration, which returns at
+    once when that configuration violates no row.  The configuration only
+    counts if its exact lifted residuals pass the solver tolerance, no
+    inequality is violated and its h is below h_tol, so an accepted offer is
+    a certified feasible rank-d point, not a guess; the gate returns
+    (h, lifted Z, theta) for it.
 
     An instance that never closes, such as an unreachable goal, would pay
     one Levenberg-Marquardt run for every offer, so the first offer whose
@@ -424,24 +424,24 @@ class _PassGate:
         self.instance = instance
         self.tol_con = tol_con
         self.h_tol = h_tol
-        self.pairs = _obstacle_pairs(qcqp)
+        self.hinge = _LiftHinge(qcqp, instance) if instance.num_inequalities else None
         self.stalled = False
 
     def __call__(self, Z):
         if self.stalled:
             return None
-        qcqp, pairs = self.qcqp, self.pairs
+        qcqp, hinge = self.qcqp, self.hinge
         robot, goals, dim = qcqp.robot, qcqp.goals, self.instance.dim
         X0, _ = extract_points(Z, dim=dim)
         theta0 = reconstruct_angles(robot, _full_point_matrix(qcqp, X0)).theta
-        theta = refine_configuration(robot, goals, theta0, clearances=pairs) if pairs else None
+        theta = None if hinge is None else refine_configuration(robot, goals, theta0, clearances=hinge)
         if theta is None:
             theta = refine_configuration(robot, goals, theta0)
             if theta is None:
                 self.stalled = True
                 return None
-            if pairs:
-                theta = refine_configuration(robot, goals, theta, clearances=pairs)
+            if hinge is not None:
+                theta = refine_configuration(robot, goals, theta, clearances=hinge)
                 if theta is None:
                     return None
         Zr = lift_points(feasible_points(qcqp, theta))

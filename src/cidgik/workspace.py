@@ -24,8 +24,10 @@ class Sphere:
     sense: str = "keep_out"
 
     def __post_init__(self):
-        if not self.radius > 0.0:  # NaN fails too
-            raise ValueError("sphere radius must be strictly positive")
+        if not np.all(np.isfinite(np.asarray(self.center, dtype=float))):
+            raise ValueError("sphere center must be finite")
+        if not 0.0 < self.radius < math.inf:  # NaN fails too
+            raise ValueError("sphere radius must be positive and finite")
         if self.sense not in ("keep_out", "keep_in"):
             raise ValueError(f"unknown sphere sense {self.sense!r}")
 
@@ -39,8 +41,10 @@ class Plane:
     relation: str = "above"
 
     def __post_init__(self):
-        if abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(self.normal) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError("plane normal must have unit norm")
+        if not math.isfinite(self.offset):
+            raise ValueError("plane offset must be finite")
         if self.relation not in ("on", "above"):
             raise ValueError(f"unknown plane relation {self.relation!r}")
 
@@ -72,18 +76,6 @@ class WorkspaceSpec:
     self_collision_eps: float | None = None  # global eps for non-adjacent pairs
 
 
-def sphere_violation(x: np.ndarray, sphere: Sphere) -> float:
-    """Violated amount in squared meters; 0 on the feasible side and boundary."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != sphere.center.shape:
-        raise ValueError("point and sphere dimensions differ")
-    sq = float(np.sum((x - sphere.center) ** 2))
-    r2 = sphere.radius**2
-    if sphere.sense == "keep_out":
-        return max(0.0, r2 - sq)
-    return max(0.0, sq - r2)
-
-
 def config_in_collision(robot: RobotModel, theta, spheres) -> bool:
     """True iff any joint point (any joint_points column) violates a keep-out sphere."""
     keep_out = [s for s in spheres if s.sense == "keep_out"]
@@ -104,8 +96,8 @@ def add_self_collision(instance, i: int, j: int, eps: float):
     """
     if i == j:
         raise ValueError("self-collision constraint needs two distinct vertices")
-    if eps <= 0.0:
-        raise ValueError("self-collision threshold must be positive")
+    if not 0.0 < eps < math.inf:  # NaN fails too
+        raise ValueError("self-collision threshold must be positive and finite")
     nv = instance.num_variables
     if not (0 <= i < nv and 0 <= j < nv):
         raise ValueError("self-collision vertices must be variable points")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cidgik import GenerationError, config_in_collision, generate, residuals
+from cidgik import GenerationError, config_in_collision, evaluate, generate, lift, lift_points
 from cidgik.graph import feasible_points
 from cidgik.problemio import dumps_problem
 from cidgik.workspace import Sphere, WorkspaceSpec
@@ -17,9 +17,9 @@ def test_free_environment_accepts_immediately(chain_6dof):
 def test_ground_truth_realizes_instance(chain_6dof):
     problem = generate(chain_6dof, "octahedron", seed=3)
     X = feasible_points(problem.qcqp, problem.ground_truth)
-    r = residuals(problem.qcqp, X)
-    assert r.equality < 1e-9
-    assert r.inequality == 0.0
+    eq, slack = evaluate(lift(problem.qcqp), lift_points(X))
+    assert np.max(np.abs(eq)) < 1e-9
+    assert np.min(slack) >= 0.0
 
 
 def test_same_seed_identical_problem_bytes(chain_6dof):

@@ -8,12 +8,20 @@ from cidgik import (
     WorkspaceSpec,
     assemble_qcqp,
     build_graph,
+    evaluate,
     forward_kinematics,
-    residuals,
+    lift,
+    lift_points,
 )
 from cidgik.graph import feasible_points
 from cidgik.kinematics import load_robot
 from conftest import sample_angles
+
+
+def lifted(qcqp, X):
+    """(worst equality residual, lifted inequality slacks) of the exact lift of X."""
+    eq, slack = evaluate(lift(qcqp), lift_points(X))
+    return float(np.max(np.abs(eq))), slack
 
 
 def pose_goals(robot, theta):
@@ -130,24 +138,23 @@ def test_residuals_feasible_and_perturbed(chain_6dof):
     ws = WorkspaceSpec(spheres=[Sphere(center=np.array([0.0, 0.0, -3.0]), radius=0.4)])
     qcqp = assemble_qcqp(chain_6dof, goals, ws)
     X = feasible_points(qcqp, theta)
-    r = residuals(qcqp, X)
-    assert r.equality < 1e-9
-    assert r.inequality == 0.0
-    assert r.plane == 0.0
+    eq, slack = lifted(qcqp, X)
+    assert eq < 1e-9
+    assert np.min(slack) >= 0.0
 
     # drag one point to the obstacle centre: violation is the full radius^2
     X2 = X.copy()
     X2[:, 0] = np.array([0.0, 0.0, -3.0])
-    r2 = residuals(qcqp, X2)
-    assert r2.inequality == pytest.approx(0.4**2)
+    _, slack2 = lifted(qcqp, X2)
+    assert -np.min(slack2) == pytest.approx(0.4**2)
 
 
 def test_residuals_empty_sets(planar_2r):
     qcqp = assemble_qcqp(planar_2r, [Goal(end_effector=0, position=np.array([1.0, 1.0]))])
     X = np.array([[0.0], [1.0]])
-    r = residuals(qcqp, X)
-    assert r.inequality == 0.0 and r.plane == 0.0
-    assert r.equality < 1e-12
+    eq, slack = lifted(qcqp, X)
+    assert slack.size == 0
+    assert eq < 1e-12
 
 
 def test_equality_residuals_vanish_at_any_theta(chain_6dof):
@@ -156,7 +163,7 @@ def test_equality_residuals_vanish_at_any_theta(chain_6dof):
         theta = sample_angles(rng, 6)
         goals = pose_goals(chain_6dof, theta)
         qcqp = assemble_qcqp(chain_6dof, goals)
-        assert residuals(qcqp, feasible_points(qcqp, theta)).equality < 1e-9
+        assert lifted(qcqp, feasible_points(qcqp, theta))[0] < 1e-9
 
 
 def test_merging_coincident_points():
@@ -198,4 +205,4 @@ def test_merging_coincident_points():
     assert ("p", 2) in graph.merged or ("q", 1) in graph.merged
     assert all(e.weight > 1e-12 for e in graph.edges)
     qcqp = assemble_qcqp(robot, goals)
-    assert residuals(qcqp, feasible_points(qcqp, theta)).equality < 1e-9
+    assert lifted(qcqp, feasible_points(qcqp, theta))[0] < 1e-9

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,18 +7,24 @@ from hypothesis import strategies as st
 
 import cidgik.iteration
 from cidgik import (
+    AuxPoint,
     Goal,
     Sphere,
     WorkspaceSpec,
+    add_aux_point,
+    add_self_collision,
     assemble_qcqp,
     cidgik_solve,
     direction_matrix,
+    evaluate,
     excess_rank,
     forward_kinematics,
     generate,
-    residuals,
+    lift,
+    lift_points,
     verify_solution,
 )
+from cidgik.graph import feasible_points
 from cidgik.iteration import CidgikOptions, refine_configuration
 from cidgik.solver import SolverSettings
 
@@ -153,8 +161,8 @@ def test_cidgik_unreachable_never_converges(planar_2r):
 def test_cidgik_converged_implies_consistent(toy_qcqp):
     result = cidgik_solve(toy_qcqp)
     assert result.status == "converged"
-    r = residuals(toy_qcqp, result.X)
-    assert max(r.equality, r.inequality, r.plane) < 1e-5
+    eq, slack = evaluate(lift(toy_qcqp), lift_points(result.X))
+    assert max(float(np.max(np.abs(eq))), -float(np.min(slack)), 0.0) < 1e-5
     assert result.gram_gap < 1e-5
     assert result.position_error < 1e-5
 
@@ -353,58 +361,102 @@ def test_warm_started_second_pass_closes(chain_6dof, environment, monkeypatch):
     ]
 
 
-def test_clearance_rows_match_finite_differences(chain_6dof):
-    """Each active hinge row of the Jacobian is the derivative of its residual."""
-    qcqp = generate(chain_6dof, "table", 3, table_obstacles=25).qcqp
-    pairs = cidgik.iteration._obstacle_pairs(qcqp)
-    clearances = cidgik.iteration._Clearances(pairs, chain_6dof.dimension)
-    goals = qcqp.goals
+def _hinged_instance(robot):
+    """Table key 3 with an aux point, a keep-in ball and a self-collision row.
+
+    The aux point sits on an edge to the goal's direction point, which the
+    configuration's points realize as the tool's, so it moves with the end
+    effector; it picks up every sphere row.  The keep-in ball, appended
+    last, is small enough that every point leaves it, and the self-collision
+    row holds the aux point 3 m from the first variable point.
+    """
+    qcqp = generate(robot, "table", 3, table_obstacles=25).qcqp
+    graph = qcqp.graph
+    nv = graph.num_variables
+    tip = nv + graph.anchor_labels.index(("ee", 0, "dir"))
+    tool = next(e for e in graph.edges if e.head == tip)
+    qcqp = add_aux_point(qcqp, AuxPoint(edge=(tool.tail, tool.head), alpha=0.5))
+    ball = Sphere(center=np.array([0.0, 0.0, 0.5]), radius=0.1, sense="keep_in")
+    qcqp = dataclasses.replace(qcqp, spheres=qcqp.spheres + [ball])
+    return add_self_collision(qcqp, 0, nv, 9.0)
+
+
+def _finite_difference_check(qcqp, keys):
+    """Compare each violated hinge row of the Jacobian with central differences."""
+    robot, goals = qcqp.robot, qcqp.goals
+    hinge = cidgik.iteration._LiftHinge(qcqp, lift(qcqp))
+    n = len(robot.joints)
     rng = np.random.Generator(np.random.Philox(key=7))
-    active = 0
-    for _ in range(5):
-        theta = rng.uniform(-np.pi, np.pi, size=6)
-        r, frames = cidgik.iteration._pose_residual(chain_6dof, goals, theta, clearances)
-        J = cidgik.iteration._pose_jacobian(chain_6dof, goals, frames, clearances)
+    deep_rows = set()
+    for _ in range(keys):
+        theta = rng.uniform(-np.pi, np.pi, size=n)
+        r, frames = cidgik.iteration._pose_residual(robot, goals, theta, hinge)
+        J = cidgik.iteration._pose_jacobian(robot, goals, frames, hinge)
         step = 1e-6
         numeric = np.stack(
             [
                 (
-                    cidgik.iteration._pose_residual(chain_6dof, goals, theta + step * e, clearances)[0]
-                    - cidgik.iteration._pose_residual(chain_6dof, goals, theta - step * e, clearances)[0]
+                    cidgik.iteration._pose_residual(robot, goals, theta + step * e, hinge)[0]
+                    - cidgik.iteration._pose_residual(robot, goals, theta - step * e, hinge)[0]
                 )
                 / (2 * step)
-                for e in np.eye(6)
+                for e in np.eye(n)
             ],
             axis=1,
         )
-        goal_rows = len(r) - len(pairs)
-        deep = goal_rows + np.flatnonzero(r[goal_rows:] < -1e-3)
-        active += len(deep)
-        np.testing.assert_allclose(J[deep], numeric[deep], atol=1e-6)
+        goal_rows = len(r) - len(hinge.rhs)
+        deep = np.flatnonzero(r[goal_rows:] < -1e-3)
+        deep_rows.update(deep.tolist())
+        np.testing.assert_allclose(J[goal_rows + deep], numeric[goal_rows + deep], atol=1e-6)
         np.testing.assert_array_equal(J[goal_rows:][r[goal_rows:] == 0.0], 0.0)
-    assert active > 0
+    return deep_rows
 
 
-def test_clearance_gaps_match_obstacle_distances(chain_6dof):
-    """A sphere's gap is squared distance less squared radius; a plane's is x.n - c."""
-    qcqp = generate(chain_6dof, "table", 3, table_obstacles=25).qcqp
-    pairs = cidgik.iteration._obstacle_pairs(qcqp)
-    assert {type(obstacle).__name__ for _, obstacle in pairs} == {"Sphere", "Plane"}
-    clearances = cidgik.iteration._Clearances(pairs, chain_6dof.dimension)
-    theta = np.random.Generator(np.random.Philox(key=8)).uniform(-np.pi, np.pi, size=6)
-    from cidgik.kinematics import _frames, joint_points
+def test_clearance_rows_match_finite_differences(chain_6dof, toy_qcqp):
+    """Each violated hinge row of the Jacobian is the derivative of its residual.
 
-    P = joint_points(chain_6dof, theta)
-    index = chain_6dof.layout.index
-    expected = []
-    for label, obstacle in pairs:
-        x = P[:, index[label]]
-        if isinstance(obstacle, Sphere):
-            expected.append(float((x - obstacle.center) @ (x - obstacle.center)) - obstacle.radius**2)
-        else:
-            expected.append(float(x @ obstacle.normal) - obstacle.offset)
-    gaps = clearances.gaps(clearances.points(_frames(chain_6dof, theta)))
-    np.testing.assert_allclose(gaps, expected, atol=1e-12)
+    The rows checked include a self-collision row, sphere rows on an aux
+    point that moves with the end effector, and the planar toy's disc row.
+    """
+    qcqp = _hinged_instance(chain_6dof)
+    deep = _finite_difference_check(qcqp, keys=8)
+    aux_in_ball = len(qcqp.planes) + len(qcqp.spheres) * qcqp.num_variables - 1
+    self_collision = aux_in_ball + 1
+    assert {aux_in_ball, self_collision} <= deep
+    assert _finite_difference_check(toy_qcqp, keys=8) == {0}
+
+
+def test_clearance_gaps_match_obstacle_distances(chain_6dof, toy_qcqp):
+    """The hinge's slacks are those of the exact lift of the configuration's points."""
+    rng = np.random.Generator(np.random.Philox(key=8))
+    for qcqp in (_hinged_instance(chain_6dof), toy_qcqp):
+        sdp = lift(qcqp)
+        hinge = cidgik.iteration._LiftHinge(qcqp, sdp)
+        for _ in range(5):
+            theta = rng.uniform(-np.pi, np.pi, size=len(qcqp.robot.joints))
+            _, frames = forward_kinematics(qcqp.robot, theta)
+            _, expected = evaluate(sdp, lift_points(feasible_points(qcqp, theta)))
+            np.testing.assert_allclose(hinge.slacks(frames), expected, rtol=0, atol=1e-12)
+
+
+def test_self_collision_rows_close_in_the_first_pass(chain_6dof):
+    """Octahedron key 9 with every non-adjacent pair held at 0.8x its ground-truth squared distance.
+
+    The gate's hinge carries the self-collision rows, so the refinement's
+    configuration passes the gate's lifted check on the first pass.
+    """
+    problem = generate(chain_6dof, "octahedron", 9)
+    qcqp = problem.qcqp
+    X = feasible_points(qcqp, problem.ground_truth)
+    adjacent = {(e.tail, e.head) for e in qcqp.graph.edges}
+    for i in range(qcqp.num_variables):
+        for j in range(i + 1, qcqp.num_variables):
+            if (i, j) not in adjacent:
+                qcqp = add_self_collision(qcqp, i, j, 0.8 * float(np.sum((X[:, i] - X[:, j]) ** 2)))
+    options = CidgikOptions(max_iterations=1, solver=SolverSettings(max_iters=8000))
+    result = cidgik_solve(qcqp, options)
+    assert result.status == "converged"
+    assert result.verified
 
 
 def test_cidgik_planar_without_obstacle_picks_some_root(planar_2r):
