@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -27,7 +28,13 @@ from .kinematics import (
     reconstruct_angles,
 )
 from .lifting import SdpInstance, evaluate, extract_points, lift, lift_points
-from .solver import InfeasibilityCertificate, SolverSettings, _constraint_tolerance, solve
+from .solver import (
+    InfeasibilityCertificate,
+    SolverSettings,
+    _check_count,
+    _constraint_tolerance,
+    solve,
+)
 
 logger = logging.getLogger("cidgik.iteration")
 
@@ -103,12 +110,10 @@ class CidgikOptions:
     first_solve_budget: int = 4000
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not self.h_tol > 0:
-            raise ValueError("h_tol must be positive")
-        if self.first_solve_budget < 1:
-            raise ValueError("first_solve_budget must be at least 1")
+        _check_count(self.max_iterations, "max_iterations")
+        if not 0.0 < self.h_tol < math.inf:  # NaN fails too
+            raise ValueError("h_tol must be positive and finite")
+        _check_count(self.first_solve_budget, "first_solve_budget")
 
 
 class _LiftHinge:
@@ -498,10 +503,11 @@ def verify_solution(qcqp: QcqpInstance, theta) -> VerificationReport:
     """Check a configuration against the instance's goals and workspace.
 
     Success requires every goal position within 0.01 m, every specified goal
-    direction within 0.01 rad, every joint point clear of every keep-out
-    sphere up to 0.01 m of penetration depth (keep-in spheres are held to the
-    same depth), and each plane met to that depth at the point of its own
-    graph vertex.
+    direction within 0.01 rad, every joint point and aux point clear of every
+    keep-out sphere up to 0.01 m of penetration depth (keep-in spheres are
+    held to the same depth), each plane met to that depth at the point of its
+    own graph vertex, and each self-collision pair (i, j, eps) no closer than
+    sqrt(eps) by more than that depth.
     """
     robot = qcqp.robot
     theta = np.asarray(theta, dtype=float)
@@ -518,8 +524,17 @@ def verify_solution(qcqp: QcqpInstance, theta) -> VerificationReport:
 
     penetration = 0.0
     P = joint_points(robot, theta)
+    points = P
+    # Aux points and self-collision rows need the variable points; no preset
+    # has either, so the common case skips building them.
+    if qcqp.aux_points or qcqp.self_collision:
+        X = feasible_points(qcqp, theta)
+        points = np.hstack([P, X[:, qcqp.graph.num_variables :]])
+        for i, j, eps in qcqp.self_collision:
+            depth = math.sqrt(eps) - float(np.linalg.norm(X[:, i] - X[:, j]))
+            penetration = max(penetration, depth)
     for s in qcqp.spheres:
-        dist = np.linalg.norm(P - s.center[:, None], axis=0)
+        dist = np.linalg.norm(points - s.center[:, None], axis=0)
         if s.sense == "keep_out":
             depth = float(np.max(s.radius - dist))
         else:

@@ -7,12 +7,14 @@ The built-in method is an operator-splitting (ADMM) scheme on
 with inequality slacks appended.  The constraint normal system is factored
 once and cached; one ADMM step pairs a projection onto the affine constraint
 set with a projection onto the PSD x nonnegative cone, with over-relaxation
-and scaled dual updates (`_admm_steps`).  One loop in `solve` owns the
-iteration cap, a Farkas certificate probe of the live iterate every
-CERT_PROBE_EVERY iterations and the offers of the iterate to a caller's
-acceptance callback; a pass returns the iterate it stops on.  Everything is
-dense and deterministic: the same instance and settings reproduce the same
-iterates.
+and scaled dual updates (`_admm_steps`).  Each step tests only its dual
+residual; the split and the true constraint residuals are computed only once
+the cheaper tests before them pass.  One loop in `solve` owns the iteration
+cap, the Farkas certificate probes of the live iterate at iterations
+FIRST_PROBE * 2^k and the offers of the iterate to a caller's acceptance
+callback at FIRST_OFFER * 2^k; a pass returns the iterate it stops on.
+Everything is dense and deterministic: the same instance and settings
+reproduce the same iterates.
 
 There is one splitting on purpose.  ADMM on the dual pair A^T y + S = C is
 Douglas-Rachford on the primal (Gabay 1983; Eckstein and Bertsekas 1992), so
@@ -28,6 +30,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +44,9 @@ logger = logging.getLogger("cidgik.solver")
 OVER_RELAXATION = 1.5
 RHO_ADAPT_EVERY = 100
 RHO_MIN, RHO_MAX = 1e-4, 1e4
-CERT_PROBE_EVERY = 100  # iterations between Farkas probes of the iterate
+FIRST_PROBE = 100  # Farkas probes of the iterate at FIRST_PROBE * 2^k
 CERT_TOL = 1e-6
-CERT_POLISH_ROUNDS = 20  # alternating projections on a failed probe's multipliers
+CERT_POLISH_ROUNDS = 300  # cap on the alternating projections of a failed probe
 FIRST_OFFER = 10  # offers to the acceptance callback at FIRST_OFFER * 2^k
 
 
@@ -59,10 +62,16 @@ class SolverSettings:
     max_iters: int = 50000
 
     def __post_init__(self):
-        if not self.eps > 0:  # NaN fails too
-            raise ValueError("eps must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        # An infinite eps would make every residual test pass vacuously.
+        if not 0.0 < self.eps < math.inf:  # NaN fails too
+            raise ValueError("eps must be positive and finite")
+        _check_count(self.max_iters, "max_iters")
+
+
+def _check_count(value, what: str) -> None:
+    """Reject anything but an integer of at least 1 (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{what} must be an integer of at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,16 +117,20 @@ class _SvecSpace:
         self.rows, self.cols = np.triu_indices(n)
         self.weights = np.where(self.rows == self.cols, 1.0, math.sqrt(2.0))
         self.dim = len(self.weights)
+        # Flat positions of the upper triangle and of its mirror image; the
+        # two together cover every entry of an n x n matrix.
+        self.upper = self.rows * n + self.cols
+        self.lower = self.cols * n + self.rows
 
     def vec(self, M: np.ndarray) -> np.ndarray:
-        return M[self.rows, self.cols] * self.weights
+        return np.take(M, self.upper) * self.weights
 
     def mat(self, v: np.ndarray) -> np.ndarray:
-        M = np.zeros((self.n, self.n))
+        M = np.empty(self.n * self.n)
         vals = v / self.weights
-        M[self.rows, self.cols] = vals
-        M[self.cols, self.rows] = vals
-        return M
+        M[self.upper] = vals
+        M[self.lower] = vals
+        return M.reshape(self.n, self.n)
 
 
 class _ConicData:
@@ -250,15 +263,20 @@ def _certificate_from_iterate(
 
     Long before the gap itself is PSD enough to verify, its a.y is already
     well below zero, so multipliers that fail the check are polished by
-    CERT_POLISH_ROUNDS alternating projections between the cone and
-    range(G^T): v = proj_K(G^T y), then y = (G G^T)^-1 G v on the cached
-    factor.  The slack columns of G are diag(scale) > 0, so G^T y lies in
-    the cone exactly when S(y) is PSD and mu >= 0: the rounds walk toward
-    the set of certificates.  Each round's eigendecomposition also gives
-    lambda_min(S), which with a.y and the sign of mu screens the round's
-    multipliers: the cone condition asks S PSD and mu >= 0.  Only those
-    that pass the screen get the full check, _verify_certificate, which
-    alone decides.
+    alternating projections between the cone and range(G^T):
+    v = proj_K(G^T y), then y = (G G^T)^-1 G v on the cached factor.  The
+    slack columns of G are diag(scale) > 0, so G^T y lies in the cone exactly
+    when S(y) is PSD and mu >= 0: the rounds walk toward the set of
+    certificates.  Each round's eigendecomposition also gives lambda_min(S),
+    which with a.y and the sign of mu screens the round's multipliers: the
+    cone condition asks S PSD and mu >= 0.  Only those that pass the screen
+    get the full check, _verify_certificate, which alone decides.
+
+    The polish runs until it decides: a screened round verifies, or a
+    round's a.y + b.mu (the scaled h.y) reaches zero, which no certificate
+    can have, or CERT_POLISH_ROUNDS rounds have run.  On a feasible instance
+    a.y + b.mu rises through zero within tens of rounds and stays there; on
+    an unreachable goal it stays negative until the certificate verifies.
     """
     r = data.G @ w
     r -= data.h
@@ -269,6 +287,9 @@ def _certificate_from_iterate(
     v = data.project_cone(data.GT @ y)
     for _ in range(CERT_POLISH_ROUNDS):
         y = data.solve_normal(data.G @ v)
+        value = float(data.h @ y)
+        if value >= 0.0:
+            return None
         g = data.GT @ y
         v, lam_min = data.project_cone_min_eig(g)
         # Both tests of _verify_certificate, up to its normalization, and
@@ -276,7 +297,7 @@ def _certificate_from_iterate(
         tol = CERT_TOL * float(np.linalg.norm(y * data.scale))
         if (
             lam_min >= -tol
-            and float(data.h @ y) <= -tol
+            and value <= -tol
             and float(np.min(g[data.D :], initial=0.0)) >= -tol
         ):
             certificate = _verify_certificate(data.instance, *_multipliers(data, y))
@@ -315,6 +336,16 @@ def _true_residuals(data: _ConicData, x_vec):
 def _admm_steps(data, c_vec, settings, tol_con, x0):
     """Over-relaxed ADMM alternating the affine and cone projections.
 
+    Yields (x, z, dual_res, converged) per iteration: the affine point, the
+    cone point, the dual residual rho * max|z_new - z| and the stopping
+    test.  The test asks the dual residual, the split max|x - z| and the
+    true constraint residuals of z each to be within tolerance, in that
+    order and lazily: the split is computed only once the dual residual
+    passes, and _true_residuals only once the split passes too.  The two
+    norms of the rho update are taken only every RHO_ADAPT_EVERY
+    iterations.  Every entry of the new iterate reaches the dual residual,
+    so it is non-finite whenever the iterate is.
+
     When the objective ties over a face the iterate settles near the face's
     center instead of a vertex, mimicking the max-rank solutions
     interior-point methods return, which the first rank-direction update
@@ -323,30 +354,30 @@ def _admm_steps(data, c_vec, settings, tol_con, x0):
     z = x0.copy()
     u = np.zeros_like(z)
     rho = 1.0
+    dual_tol = settings.eps + settings.eps
     for it in itertools.count(1):
         w = z - u - c_vec / rho
         x = data.project_affine(w)
         xr = OVER_RELAXATION * x + (1.0 - OVER_RELAXATION) * z
         z_new = data.project_cone(xr + u)
         u += xr - z_new
-        dual_res = rho * float(np.max(np.abs(z_new - z)))
-        dual_change = rho * float(np.linalg.norm(z_new - z))
+        step = z_new - z
+        dual_res = rho * float(np.max(np.abs(step)))
         z = z_new
 
-        eq_res, ineq_viol = _true_residuals(data, z)
-        split = float(np.max(np.abs(x - z)))
-        split_tol = settings.eps + settings.eps * max(
-            float(np.max(np.abs(x))), float(np.max(np.abs(z)))
-        )
-        converged = (
-            eq_res <= tol_con
-            and ineq_viol <= tol_con
-            and split <= split_tol
-            and dual_res <= settings.eps + settings.eps
-        )
-        yield z, eq_res, ineq_viol, max(eq_res, ineq_viol, split), converged
+        converged = False
+        if dual_res <= dual_tol:
+            split = float(np.max(np.abs(x - z)))
+            split_tol = settings.eps + settings.eps * max(
+                float(np.max(np.abs(x))), float(np.max(np.abs(z)))
+            )
+            if split <= split_tol:
+                eq_res, ineq_viol = _true_residuals(data, z)
+                converged = eq_res <= tol_con and ineq_viol <= tol_con
+        yield x, z, dual_res, converged
 
         if it % RHO_ADAPT_EVERY == 0:
+            dual_change = rho * float(np.linalg.norm(step))
             rp = float(np.linalg.norm(x - z))
             if rp > 10.0 * dual_change and rho < RHO_MAX:
                 rho *= 2.0
@@ -370,14 +401,19 @@ def solve(
     callback took an iterate, or max_iters with the last iterate.
     warm_start, when given, seeds the iteration with a previous Z.
 
-    Every CERT_PROBE_EVERY iterations, while the combined residual is still
-    above 50x the constraint tolerance, the current iterate's gap to the
-    affine set is mapped to multipliers and checked as a Farkas certificate;
-    multipliers that fail get CERT_POLISH_ROUNDS alternating projections
-    toward the certificate set, each screened and checked again (see
-    _certificate_from_iterate).  The first certificate that verifies ends
-    the pass infeasible.  The probe only reads the iterate, so a pass it
-    never stops runs exactly as without it.
+    At iterations FIRST_PROBE * 2^k (100, 200, 400, ...), while the combined
+    residual (true constraint residuals and split) is still above 50x the
+    constraint tolerance, the current iterate's gap to the affine set is
+    mapped to multipliers and checked as a Farkas certificate; multipliers
+    that fail are polished by alternating projections toward the
+    certificate set, each round screened and checked again, until a round
+    verifies or its a.y + b.mu turns nonnegative (see
+    _certificate_from_iterate).  The schedule advances at every scheduled
+    iteration, whether or not the residual test lets that probe run.  The
+    first certificate that verifies ends the pass infeasible.  The probe
+    only reads the iterate, so a pass it never stops runs exactly as
+    without it.  The combined residual is computed only at probe
+    iterations, and the residuals SolveResult reports only at the stop.
 
     accept, when given, is offered the current cone point Z at iterations
     FIRST_OFFER * 2^k (10, 20, 40, ...) and at the iteration the pass stops
@@ -445,13 +481,12 @@ def solve(
     status = "max_iters"
     certificate = None
     accepted = None
-    next_offer = FIRST_OFFER
-    # A step yields (iterate, eq_res, ineq_viol, combined, converged) and
+    next_offer, next_probe = FIRST_OFFER, FIRST_PROBE
+    # A step yields (affine point, cone point, dual residual, converged) and
     # adapts its step size only when resumed.  zip takes the cap first, so
     # the steps never run past max_iters.
-    for it, step in zip(range(1, settings.max_iters + 1), steps):
-        x_vec, eq_res, ineq_viol, combined, converged = step
-        if not np.isfinite(combined):
+    for it, (x_vec, z_vec, dual_res, converged) in zip(range(1, settings.max_iters + 1), steps):
+        if not math.isfinite(dual_res):
             raise NumericalBreakdownError(
                 f"solver iterates became non-finite at iteration {it}"
             )
@@ -461,21 +496,25 @@ def solve(
             it == next_offer or converged or it == settings.max_iters
         ):
             next_offer *= 2
-            accepted = accept(space.mat(x_vec[:D]))
+            accepted = accept(space.mat(z_vec[:D]))
             if accepted is not None:
                 status = "accepted"
                 break
         if converged:
             status = "optimal"
             break
-        # The step yields a cone point, so its affine gap is the probe.
-        if it % CERT_PROBE_EVERY == 0 and combined > 50 * tol_con:
-            certificate = _certificate_from_iterate(data, x_vec)
-            if certificate is not None:
-                status = "infeasible"
-                break
+        if it == next_probe:
+            next_probe *= 2
+            split = float(np.max(np.abs(x_vec - z_vec)))
+            if max(*_true_residuals(data, z_vec), split) > 50 * tol_con:
+                # The step yields a cone point, so its affine gap is the probe.
+                certificate = _certificate_from_iterate(data, z_vec)
+                if certificate is not None:
+                    status = "infeasible"
+                    break
 
-    Zm = space.mat(x_vec[:D])
+    eq_res, ineq_viol = _true_residuals(data, z_vec)
+    Zm = space.mat(z_vec[:D])
     objective = float(np.tensordot(C, Zm))
     logger.debug(
         "solve finished: status=%s iters=%d eq_res=%.3e ineq=%.3e obj=%.6g",

@@ -223,6 +223,30 @@ def test_verify_solution_tolerated_penetration(chain_6dof):
     assert report.success
 
 
+def test_verify_solution_checks_self_collision_and_aux_points(chain_6dof):
+    """Self-collision rows and aux points are held to the penetration depth too."""
+    problem = generate(chain_6dof, "octahedron", 9)
+    theta = problem.ground_truth
+    assert verify_solution(problem.qcqp, theta).success
+    # Points 0 and 9 must stay 10 m apart; at the ground truth they are about 1.2 m.
+    crowded = add_self_collision(problem.qcqp, 0, 9, 100.0)
+    report = verify_solution(crowded, theta)
+    assert report.failures == ("collision",)
+    X = feasible_points(crowded, theta)
+    assert report.max_penetration == pytest.approx(10.0 - np.linalg.norm(X[:, 0] - X[:, 9]), abs=1e-12)
+    # A sphere around the midpoint of an edge holds no joint point but the edge's aux point.
+    free = assemble_qcqp(chain_6dof, problem.qcqp.goals)
+    edge = next(e for e in free.graph.edges if max(e.tail, e.head) < free.graph.num_variables)
+    X = feasible_points(free, theta)
+    mid = 0.5 * (X[:, edge.tail] + X[:, edge.head])
+    radius = 0.25 * float(np.linalg.norm(X[:, edge.tail] - X[:, edge.head]))
+    walled = assemble_qcqp(chain_6dof, free.goals, WorkspaceSpec(spheres=[Sphere(center=mid, radius=radius)]))
+    assert verify_solution(walled, theta).success
+    report = verify_solution(add_aux_point(walled, AuxPoint(edge=(edge.tail, edge.head), alpha=0.5)), theta)
+    assert report.failures == ("collision",)
+    assert report.max_penetration == pytest.approx(radius, abs=1e-12)
+
+
 def test_refine_configuration_closes_goals(chain_6dof):
     rng = np.random.Generator(np.random.Philox(key=41))
     theta_true = np.pi - rng.uniform(0, 2 * np.pi, size=6)

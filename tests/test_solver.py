@@ -36,6 +36,26 @@ def test_settings_validation():
         SolverSettings(max_iters=0)
 
 
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (SolverSettings, "eps", float("inf")),
+        (SolverSettings, "max_iters", 2.5),
+        (SolverSettings, "max_iters", 100.0),
+        (SolverSettings, "max_iters", True),
+        (CidgikOptions, "max_iterations", 2.5),
+        (CidgikOptions, "first_solve_budget", 50.0),
+        (CidgikOptions, "h_tol", float("inf")),
+        (CidgikOptions, "h_tol", float("nan")),
+    ],
+)
+def test_fractional_counts_and_infinite_tolerances_rejected(cls, field, value):
+    """A fractional count used to fail later, in range(); an infinite eps
+    made every residual test pass vacuously."""
+    with pytest.raises(ValueError):
+        cls(**{field: value})
+
+
 def test_toy_solve_feasible():
     toy = build_toy_instance()
     result = solve(toy, np.eye(3))
@@ -126,17 +146,18 @@ def _record_passes(monkeypatch):
 
 @pytest.mark.parametrize("key", [0, 22])
 def test_probe_certifies_unreachable_goal(chain_6dof, key):
-    """The iterate yields a verified certificate within 1000 iterations.
+    """The iterate yields a verified certificate at the first or second probe.
 
-    The probe polishes the multipliers of each iterate's affine gap before
-    it gives up on them; key 22 certifies at iteration 600.  The raw
-    multipliers alone first verified at 3300, and the stall-window hunt
-    before the probe needed 3150/5505.
+    The probe polishes the multipliers of each iterate's affine gap until
+    they verify or their a.y turns nonnegative; key 0 certifies at
+    iteration 100 and key 22 at 200.  With 20 polish rounds per probe they
+    certified at 800 and 600, the raw multipliers alone first verified at
+    3300, and the stall-window hunt before the probe needed 3150/5505.
     """
     instance = lift(_unreachable_qcqp(chain_6dof, key))
     result = solve(instance, None, SolverSettings(max_iters=8000))
     assert result.status == "infeasible"
-    assert result.iterations <= 1000
+    assert result.iterations <= 200
     cert = _verify_certificate(instance, result.certificate.y, result.certificate.mu)
     assert cert is not None
     assert cert.value < 0.0
@@ -147,14 +168,15 @@ def test_unreachable_goal_among_obstacles_certified(chain_6dof):
     """Inequality rows give the certificate multipliers mu >= 0 that must hold too.
 
     Key 0 among the 25 table obstacles (260 inequality rows) certifies at
-    iteration 1400; the raw probe multipliers first verified at 2600.
+    iteration 800; with 20 polish rounds per probe it certified at 1400,
+    and the raw probe multipliers first verified at 2600.
     """
     table = environment("table", chain_6dof, table_obstacles=25)
     instance = lift(_unreachable_qcqp(chain_6dof, 0, table))
     assert instance.num_inequalities == 260
     result = solve(instance, None, SolverSettings(max_iters=8000))
     assert result.status == "infeasible"
-    assert result.iterations <= 2000
+    assert result.iterations <= 800
     cert = result.certificate
     assert cert.mu.size == 260 and cert.mu.min() >= 0.0
     assert _verify_certificate(instance, cert.y, cert.mu) is not None
@@ -276,8 +298,100 @@ def test_probe_leaves_feasible_passes_unchanged(chain_6dof, monkeypatch):
     monkeypatch.setattr(cidgik.solver, "_certificate_from_iterate", recording_probe)
     probed = run()
     assert probes and all(p is None for p in probes)  # the probe ran and found nothing
-    monkeypatch.setattr(cidgik.solver, "CERT_PROBE_EVERY", 10**9)
+    monkeypatch.setattr(cidgik.solver, "FIRST_PROBE", 10**9)
     assert probed == run()
+
+
+def _count_steps(monkeypatch):
+    """A list whose length is the number of ADMM steps the current pass has yielded."""
+    steps = []
+    inner = cidgik.solver._admm_steps
+
+    def counting_steps(*args):
+        steps.clear()
+        for step in inner(*args):
+            steps.append(None)
+            yield step
+
+    monkeypatch.setattr(cidgik.solver, "_admm_steps", counting_steps)
+    return steps
+
+
+def test_probes_run_at_doubling_iterations(chain_6dof, monkeypatch):
+    """A 2000-iteration feasible pass probes at iterations 100, 200, 400, 800 and 1600.
+
+    Probing every 100 iterations, it paid for 20 failed polishes.
+    """
+    steps = _count_steps(monkeypatch)
+    probed = []
+    inner = cidgik.solver._certificate_from_iterate
+
+    def recording_probe(*args):
+        probed.append(len(steps))
+        return inner(*args)
+
+    monkeypatch.setattr(cidgik.solver, "_certificate_from_iterate", recording_probe)
+    instance = lift(generate(chain_6dof, "octahedron", 0).qcqp)
+    result = solve(instance, None, SolverSettings(max_iters=2000))
+    assert (result.status, result.iterations) == ("max_iters", 2000)
+    assert probed == [100, 200, 400, 800, 1600]
+
+
+def test_true_residuals_only_where_they_are_read(chain_6dof, monkeypatch):
+    """A 2000-iteration feasible pass computes the true residuals 6 times.
+
+    Once at each of the 5 probes, whose gate reads them, and once for the
+    residuals SolveResult reports; the stopping test reaches them only once
+    its dual residual and split pass, which they never do here.
+    """
+    calls = []
+    inner = cidgik.solver._true_residuals
+
+    def counting_residuals(*args):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(cidgik.solver, "_true_residuals", counting_residuals)
+    instance = lift(generate(chain_6dof, "octahedron", 0).qcqp)
+    result = solve(instance, None, SolverSettings(max_iters=2000))
+    assert result.status == "max_iters"
+    assert len(calls) == 6
+    assert (result.eq_residual, result.ineq_violation) == inner(
+        cidgik.solver._ConicData(instance), cidgik.solver._SvecSpace(instance.side).vec(result.Z)
+    )
+
+
+def test_failed_polish_stops_once_its_value_turns(chain_6dof, monkeypatch):
+    """A feasible iterate's polish ends on the round whose a.y + b.mu reaches zero.
+
+    Table-25 key 0's iterate at iteration 100 (260 inequality rows) gets no
+    certificate, and its polish stops well before CERT_POLISH_ROUNDS.
+    """
+    probes = []
+    inner_probe = cidgik.solver._certificate_from_iterate
+
+    def recording_probe(data, w):
+        probes.append((data, w.copy()))
+        return inner_probe(data, w)
+
+    monkeypatch.setattr(cidgik.solver, "_certificate_from_iterate", recording_probe)
+    instance = lift(generate(chain_6dof, "table", 0, table_obstacles=25).qcqp)
+    result = solve(instance, None, SolverSettings(max_iters=100))
+    assert (result.status, len(probes)) == ("max_iters", 1)
+
+    data, w = probes[0]
+    solved = []
+    inner_solve = cidgik.solver._ConicData.solve_normal
+
+    def recording_solve(self, r):
+        solved.append(inner_solve(self, r))
+        return solved[-1]
+
+    monkeypatch.setattr(cidgik.solver._ConicData, "solve_normal", recording_solve)
+    assert inner_probe(data, w) is None
+    assert 1 < len(solved) < 1 + cidgik.solver.CERT_POLISH_ROUNDS
+    assert float(data.h @ solved[-1]) >= 0.0
+    assert all(float(data.h @ y) < 0.0 for y in solved[1:-1])
 
 
 def test_solver_determinism(toy_qcqp):

@@ -99,9 +99,9 @@ def test_infeasible_result_carries_only_its_certificate():
     direction = rng.standard_normal(3)
     direction /= np.linalg.norm(direction)
     goal = Goal(end_effector=0, position=1.5 * robot.reach * direction, direction=direction)
-    # A first pass cut short of the certificate (found at iteration 600)
+    # A first pass cut short of the certificate (found at iteration 200)
     # leaves an iterate behind; only the second pass certifies.
-    options = CidgikOptions(first_solve_budget=300, solver=SolverSettings(max_iters=6000))
+    options = CidgikOptions(first_solve_budget=150, solver=SolverSettings(max_iters=6000))
     result = cidgik_solve(assemble_qcqp(robot, [goal]), options)
     assert result.status == "infeasible"
     assert [r.solver_status for r in result.trace.records] == ["max_iters", "infeasible"]
