@@ -17,6 +17,8 @@ from scipy.special import betainc
 from .generator import GenerationError, generate
 from .iteration import CidgikOptions, cidgik_solve
 from .kinematics import RobotModel, load_robot
+from .solver import _check_count
+from .workspace import environment
 
 logger = logging.getLogger("cidgik.bench")
 
@@ -222,6 +224,21 @@ def _worker(args) -> InstanceRow:
     )
 
 
+def check_campaign(
+    robot: RobotModel,
+    environment_name: str,
+    count: int,
+    *,
+    jobs: int = 1,
+    table_obstacles: int = 100,
+) -> None:
+    """Raise ValueError for a campaign that cannot run, before any instance or worker exists."""
+    if count < 1:
+        raise ValueError("empty campaign: count must be at least 1")
+    _check_count(jobs, "jobs")
+    environment(environment_name, robot, table_obstacles=table_obstacles)
+
+
 def run_benchmark(
     robot: RobotModel,
     environment_name: str,
@@ -234,11 +251,10 @@ def run_benchmark(
     robot_name: str = "robot",
 ) -> BenchmarkReport:
     """Solve a seeded campaign; per-instance determinism holds for any job count."""
-    if count < 1:
-        raise ValueError("empty campaign: count must be at least 1")
+    check_campaign(robot, environment_name, count, jobs=jobs, table_obstacles=table_obstacles)
     options = options or CidgikOptions()
     seeds = [base_seed + i for i in range(count)]
-    if jobs <= 1:
+    if jobs == 1:
         rows = [
             solve_one(
                 robot, environment_name, s, options, table_obstacles=table_obstacles

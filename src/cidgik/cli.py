@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import run_benchmark
+from .bench import check_campaign, run_benchmark
 from .generator import GenerationError, generate
 from .iteration import CidgikOptions, cidgik_solve
 from .kinematics import RobotError, load_robot
@@ -78,8 +78,9 @@ def cmd_bench(args) -> int:
     try:
         robot = load_robot(Path(args.robot).read_text())
         options = _options(args)
-        if args.n < 1:
-            raise ValueError("--n must be at least 1")
+        check_campaign(
+            robot, args.env, args.n, jobs=args.jobs, table_obstacles=args.table_obstacles
+        )
     except (OSError, RobotError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

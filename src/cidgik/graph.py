@@ -305,29 +305,31 @@ def assemble_qcqp(
     return instance
 
 
-def feasible_points(instance: QcqpInstance, theta) -> np.ndarray:
-    """Variable-point matrix realized by a configuration (aux points included)."""
-    robot = instance.robot
-    if robot is None:
-        raise ValueError("instance carries no robot model")
-    P = joint_points(robot, theta)
-    graph = instance.graph
-    layout = robot.layout
+def selection(instance: QcqpInstance) -> np.ndarray:
+    """(layout columns, variables) matrix S that maps joint points to variable points.
 
-    label_pos = {}
-    for c in layout.columns:
-        label_pos[c] = P[:, layout.index[c]]
-    # Goal anchor labels resolve to their structural positions at this theta.
-    X = np.empty((graph.dim, instance.num_variables))
+    Column v picks variable v's layout column; an aux point's column
+    interpolates between its edge's ends, a goal anchor end reading the
+    robot point it marks.  So joint_points(robot, theta) @ S is the
+    variable-point matrix a configuration realizes.
+    """
+    robot, graph = instance.robot, instance.graph
+    index = robot.layout.index
+    labels = graph.variable_labels + graph.anchor_labels
+    S = np.zeros((len(index), instance.num_variables))
     for v, label in enumerate(graph.variable_labels):
-        X[:, v] = label_pos[label]
-
-    def pos(v: int) -> np.ndarray:
-        if v < graph.num_variables:
-            return X[:, v]
-        return label_pos[graph.anchor_labels[v - graph.num_variables]]
-
+        S[index[label], v] = 1.0
     for k, aux in enumerate(instance.aux_points):
-        i, j = aux.edge
-        X[:, graph.num_variables + k] = (1.0 - aux.alpha) * pos(i) + aux.alpha * pos(j)
-    return X
+        for v, weight in zip(aux.edge, (1.0 - aux.alpha, aux.alpha)):
+            S[index[labels[v]], graph.num_variables + k] += weight
+    return S
+
+
+def feasible_points(instance: QcqpInstance, theta) -> np.ndarray:
+    """Variable-point matrix realized by a configuration (aux points included).
+
+    That is joint_points(robot, theta) @ selection(instance).
+    """
+    if instance.robot is None:
+        raise ValueError("instance carries no robot model")
+    return joint_points(instance.robot, theta) @ selection(instance)

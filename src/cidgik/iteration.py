@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import QcqpInstance, feasible_points
+from .graph import QcqpInstance, feasible_points, selection
 from .kinematics import (
     Pose,
-    RobotModel,
+    _frames,
     forward_kinematics,
     joint_points,
     pose_error,
@@ -116,35 +116,45 @@ class CidgikOptions:
         _check_count(self.first_solve_budget, "first_solve_budget")
 
 
-class _LiftHinge:
-    """Hinge residuals on every inequality row of a lift, as functions of theta.
+class _Residuals:
+    """The residuals the refinement drives to zero, as functions of theta.
 
-    Row k's residual is min(b_k - tr(B_k Z(X)), 0) on the exact lift
-    Z(X) = [X I]^T [X I] of the instance's variable points X at a
-    configuration, so what an obstacle asks of a point is said only by
-    lift().  X is built as feasible_points builds it, X = P S: P holds the
-    joint points of the layout columns the variables use, and S picks each
-    variable's column and interpolates each aux point between its edge's ends.
+    Every row reads points attached to joint frames: point c sits at
+    origins[o] + rotations[o] @ local[c] for its owner joint o, and moves
+    with each joint i among o's ancestors (o included) as a_i x (x - o_i).
+    The goal rows are P_pos - goal for each goal's tip point and, for a pose
+    goal, P_dir - P_pos - direction for its direction point.  A hinged object
+    (instance given) adds one row per inequality row k of the lift:
+    min(b_k - tr(B_k Z(X)), 0) on the exact lift Z(X) = [X I]^T [X I] of the
+    variable points X = P S (see graph.selection), so what an obstacle asks
+    of a point is said only by lift().
     """
 
-    def __init__(self, qcqp: QcqpInstance, instance: SdpInstance):
-        robot, graph = qcqp.robot, qcqp.graph
-        index = robot.layout.index
-        labels = graph.variable_labels + graph.anchor_labels
-        S = np.zeros((len(index), instance.num_variables))
-        for v, label in enumerate(graph.variable_labels):
-            S[index[label], v] = 1.0
-        for k, aux in enumerate(qcqp.aux_points):
-            for v, weight in zip(aux.edge, (1.0 - aux.alpha, aux.alpha)):
-                S[index[labels[v]], graph.num_variables + k] += weight
-        used = np.flatnonzero(S.any(axis=1))
-        self.select = S[used]
-        # Column c sits at origins[o] + rotations[o] @ local[c] for its owner
-        # joint o (a q point one unit along o's axis, which o's own rotation
-        # fixes), and joint i moves it iff moves[c, i].
+    def __init__(self, qcqp: QcqpInstance, instance: SdpInstance | None = None):
+        robot = qcqp.robot
+        self.robot = robot
+        self.dim = d = robot.dimension
+        goals = qcqp.goals
+        pointed = [k for k, g in enumerate(goals) if g.direction is not None]
+        columns = [("ee", g.end_effector, "pos") for g in goals]
+        columns += [("ee", goals[k].end_effector, "dir") for k in pointed]
+        self.num_goals, self.num_goal_points = len(goals), len(columns)
+        self.pointed = np.array(pointed, dtype=int)
+        self.positions = np.array([g.position for g in goals], dtype=float).reshape(-1, d)
+        self.directions = np.array([goals[k].direction for k in pointed], dtype=float).reshape(-1, d)
+        self.hinged = instance is not None
+        if self.hinged:
+            S = selection(qcqp)
+            used = np.flatnonzero(S.any(axis=1))
+            self.select = S[used]
+            columns += [robot.layout.columns[c] for c in used]
+            self.mats = instance.ineq_mats
+            self.rows = self.mats.reshape(len(self.mats), -1)  # tr(B_k Z) = rows[k] . Z.ravel()
+            self.rhs = instance.ineq_rhs
+        # A q point sits one unit along its joint's axis, which the joint's
+        # own rotation fixes; the direction point one unit past the tip.
         owner, local = [], []
-        for c in used:
-            kind, k, *end = robot.layout.columns[c]
+        for kind, k, *end in columns:
             if kind == "ee":
                 tip = np.asarray(robot.end_effectors[k].tip, dtype=float)
                 owner.append(robot.end_effectors[k].parent)
@@ -153,125 +163,76 @@ class _LiftHinge:
                 owner.append(k)
                 local.append(robot.joints[k].axis if kind == "q" else np.zeros(3))
         self.owner = np.array(owner, dtype=int)
-        self.local = np.array(local, dtype=float)
-        self.moves = _chains(robot)[self.owner]
-        self.dim = instance.dim
-        self.mats = instance.ineq_mats
-        self.rows = self.mats.reshape(len(self.mats), -1)  # tr(B_k Z) = rows[k] . Z.ravel()
-        self.rhs = instance.ineq_rhs
+        self.local = np.array(local, dtype=float).reshape(-1, 3, 1)
+        self.moves = robot.ancestors[self.owner]
 
-    def slacks(self, frames) -> np.ndarray:
-        """Slacks b_k - tr(B_k Z(X)) at the frames' configuration."""
-        return self._lifted(frames)[0]
+    def __call__(self, theta) -> tuple[np.ndarray, tuple]:
+        """(residuals, state) at theta.
 
-    def _lifted(self, frames):
-        """(slacks, X, (columns, 3) world points of the columns X uses)."""
-        o = self.owner
-        P = frames.origins[o] + np.einsum("cij,cj->ci", frames.rotations[o], self.local)
-        X = P[:, : self.dim].T @ self.select
-        return self.rhs - self.rows @ lift_points(X).ravel(), X, P
-
-    def jacobian(self, frames) -> np.ndarray:
-        """d slack_k / d theta for the violated rows, zero for the others.
-
-        The gradient of tr(B Z(X)) in X is 2 (X B11 + B21), with B11 the Gram
-        block and B21 the X block of B; a column point x moves with joint i
-        as a_i x (x - o_i).
+        The state is (frames, points P, variable points X, slacks
+        b_k - tr(B_k Z(X))), X and the slacks None unless hinged;
+        jacobian(state) reuses its points.
         """
-        slack, X, P = self._lifted(frames)
-        J = np.zeros((len(slack), len(frames.axes)))
-        active = np.flatnonzero(slack < 0.0)
-        if not active.size:
-            return J
-        d, nv = X.shape
-        dP = np.cross(frames.axes, P[:, None] - frames.origins) * self.moves[:, :, None]
-        dX = np.einsum("cv,cnk->kvn", self.select, dP[:, :, :d])
-        B = self.mats[active]
-        J[active] = -2.0 * np.einsum("akv,kvn->an", X @ B[:, :nv, :nv] + B[:, nv:, :nv], dX)
-        return J
+        frames = _frames(self.robot, theta)
+        o = self.owner
+        P = frames.origins[o] + (frames.rotations[o] @ self.local)[..., 0]
+        d, g = self.dim, self.num_goals
+        parts = [
+            (P[:g, :d] - self.positions).ravel(),
+            (P[g : self.num_goal_points, :d] - P[self.pointed, :d] - self.directions).ravel(),
+        ]
+        X = slack = None
+        if self.hinged:
+            X = P[self.num_goal_points :, :d].T @ self.select
+            slack = self.rhs - self.rows @ lift_points(X).ravel()
+            parts.append(np.minimum(slack, 0.0))
+        return np.concatenate(parts), (frames, P, X, slack)
 
+    def jacobian(self, state) -> np.ndarray:
+        """d residual / d theta at a state from __call__.
 
-def _chains(robot: RobotModel) -> np.ndarray:
-    """(joints, joints) mask: row j marks joint j and every ancestor of it."""
-    n = len(robot.joints)
-    mask = np.eye(n, dtype=bool)
-    # Joints are listed parents-first, so each chain extends its parent's.
-    for i, joint in enumerate(robot.joints):
-        if joint.parent >= 0:
-            mask[i] |= mask[joint.parent]
-    return mask
-
-
-def _pose_residual(robot: RobotModel, goals, theta, clearances=None):
-    """(residuals, joint frames) at theta: goal residuals plus hinge terms.
-
-    The hinge terms are those of a _LiftHinge, if given: one per inequality
-    row of the lift, its slack while that is negative, zero when the row
-    holds.  The frames are returned so that _pose_jacobian at the same theta
-    need not rebuild them.
-    """
-    poses, frames = forward_kinematics(robot, theta)
-    parts = []
-    for g in goals:
-        p = poses[g.end_effector]
-        parts.append(p.position - np.asarray(g.position, dtype=float))
-        if g.direction is not None:
-            parts.append(p.direction - np.asarray(g.direction, dtype=float))
-    if clearances is not None:
-        parts.append(np.minimum(clearances.slacks(frames), 0.0))
-    return (np.concatenate(parts) if parts else np.zeros(0)), frames
-
-
-def _pose_jacobian(robot: RobotModel, goals, frames, clearances=None) -> np.ndarray:
-    """Geometric Jacobian of the stacked goal (and hinge) residuals.
-
-    frames are the joint frames at the configuration, as _pose_residual
-    returns them.  For a revolute joint with world axis a through origin o,
-    an attached point p moves as a x (p - o) and an attached unit direction u
-    as a x u.  Hinge rows (see _LiftHinge.jacobian) are zero while their
-    inequality row holds.
-    """
-    d = robot.dimension
-    chains = _chains(robot)
-
-    rows = []
-    for g in goals:
-        ee = robot.end_effectors[g.end_effector]
-        R = frames.rotations[ee.parent]
-        pos = frames.origins[ee.parent] + R @ ee.tip
-        moves = chains[ee.parent][:, None]
-        rows.append((np.cross(frames.axes, pos - frames.origins) * moves).T[:d])
-        if g.direction is not None:
-            direction = R @ (ee.tip / np.linalg.norm(ee.tip))
-            rows.append((np.cross(frames.axes, direction) * moves).T[:d])
-    if clearances is not None:
-        rows.append(clearances.jacobian(frames))
-    return np.vstack(rows) if rows else np.zeros((0, len(robot.joints)))
+        Hinge rows are zero while their inequality row holds; a violated
+        row's gradient in X is -2 (X B11 + B21), with B11 the Gram block and
+        B21 the X block of B.
+        """
+        frames, P, X, slack = state
+        n, d, g, m = len(frames.axes), self.dim, self.num_goals, self.num_goal_points
+        active = np.flatnonzero(slack < 0.0) if self.hinged else ()
+        cols = len(P) if len(active) else m  # the hinge's points move only rows that are violated
+        dP = np.cross(frames.axes, P[:cols, None] - frames.origins) * self.moves[:cols, :, None]
+        dP = dP[:, :, :d].transpose(0, 2, 1)  # (column, coordinate, joint)
+        rows = [dP[:g].reshape(-1, n), (dP[g:m] - dP[self.pointed]).reshape(-1, n)]
+        if self.hinged:
+            J = np.zeros((len(slack), n))
+            if len(active):
+                nv = X.shape[1]
+                dX = np.einsum("cv,ckn->kvn", self.select, dP[m:])
+                B = self.mats[active]
+                J[active] = -2.0 * np.einsum("akv,kvn->an", X @ B[:, :nv, :nv] + B[:, nv:, :nv], dX)
+            rows.append(J)
+        return np.vstack(rows)
 
 
 def refine_configuration(
-    robot: RobotModel,
-    goals,
+    residuals: _Residuals,
     theta0,
     *,
-    clearances: _LiftHinge | None = None,
     tol: float = 1e-11,
     max_steps: int = 40,
 ) -> np.ndarray | None:
-    """Levenberg-Marquardt on the goal residuals over joint angles.
+    """Levenberg-Marquardt on a _Residuals object over joint angles.
 
     Configurations satisfy every structural distance constraint identically,
     so driving the goal residuals to zero lands exactly on the feasibility
-    set; callers still gate the result against the lift's inequalities.
-    clearances, if given, adds a hinge residual for every inequality row of a
-    lift (see _LiftHinge), so that the result holds those rows too.  Returns
-    None when the iteration stalls above the tolerance: no damped step lowers
-    the residual, or LM_SLOW_STEPS accepted steps in a row each cut its norm
-    by less than LM_SLOW_CUT, as they do in the residual valley of an
-    unreachable goal.
+    set; callers still gate the result against the lift's inequalities.  A
+    hinged object adds a residual for every inequality row of the lift, so
+    that the result holds those rows too.  Returns None when the iteration
+    stalls above the tolerance: no damped step lowers the residual, or
+    LM_SLOW_STEPS accepted steps in a row each cut its norm by less than
+    LM_SLOW_CUT, as they do in the residual valley of an unreachable goal.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    r, frames = _pose_residual(robot, goals, theta, clearances)
+    r, state = residuals(theta)
     if r.size == 0:
         return theta
     damping = 1e-8
@@ -281,19 +242,19 @@ def refine_configuration(
             return theta
         if slow == LM_SLOW_STEPS:
             return None
-        J = _pose_jacobian(robot, goals, frames, clearances)
+        J = residuals.jacobian(state)
         JtJ = J.T @ J
         g = J.T @ r
         norm = float(np.linalg.norm(r))
         accepted = False
         for _ in range(15):
             step = np.linalg.solve(JtJ + damping * np.eye(len(theta)), -g)
-            r_new, frames_new = _pose_residual(robot, goals, theta + step, clearances)
+            r_new, state_new = residuals(theta + step)
             norm_new = float(np.linalg.norm(r_new))
             if norm_new < norm:
                 slow = slow + 1 if norm_new > (1.0 - LM_SLOW_CUT) * norm else 0
                 theta = theta + step
-                r, frames = r_new, frames_new
+                r, state = r_new, state_new
                 damping = max(damping / 3.0, 1e-12)
                 accepted = True
                 break
@@ -405,16 +366,17 @@ class _PassGate:
 
     An offered iterate's reconstructed angles seed a local refinement of the
     goal residuals; a configuration satisfies every structural distance
-    identically, so only the goal edges need closing.  When the lift has
-    inequality rows (obstacles, self-collision), the refinement carries a
-    hinge on each of them (see _LiftHinge), so that LM does not settle where
-    one is violated; should that fail, a plain refinement follows, and then
-    the hinged refinement again from its configuration, which returns at
-    once when that configuration violates no row.  The configuration only
-    counts if its exact lifted residuals pass the solver tolerance, no
-    inequality is violated and its h is below h_tol, so an accepted offer is
-    a certified feasible rank-d point, not a guess; the gate returns
-    (h, lifted Z, theta) for it.
+    identically, so only the goal edges need closing.  The gate builds two
+    _Residuals objects once: a plain one and, when the lift has inequality
+    rows (obstacles, self-collision), a hinged one that carries a hinge on
+    each of them, so that LM does not settle where one is violated.  The
+    hinged refinement runs first; should it fail, a plain refinement
+    follows, and then the hinged refinement again from its configuration,
+    which returns at once when that configuration violates no row.  The
+    configuration only counts if its exact lifted residuals pass the solver
+    tolerance, no inequality is violated and its h is below h_tol, so an
+    accepted offer is a certified feasible rank-d point, not a guess; the
+    gate returns (h, lifted Z, theta) for it.
 
     An instance that never closes, such as an unreachable goal, would pay
     one Levenberg-Marquardt run for every offer, so the first offer whose
@@ -429,24 +391,24 @@ class _PassGate:
         self.instance = instance
         self.tol_con = tol_con
         self.h_tol = h_tol
-        self.hinge = _LiftHinge(qcqp, instance) if instance.num_inequalities else None
+        self.plain = _Residuals(qcqp)
+        self.hinged = _Residuals(qcqp, instance) if instance.num_inequalities else None
         self.stalled = False
 
     def __call__(self, Z):
         if self.stalled:
             return None
-        qcqp, hinge = self.qcqp, self.hinge
-        robot, goals, dim = qcqp.robot, qcqp.goals, self.instance.dim
-        X0, _ = extract_points(Z, dim=dim)
-        theta0 = reconstruct_angles(robot, _full_point_matrix(qcqp, X0)).theta
-        theta = None if hinge is None else refine_configuration(robot, goals, theta0, clearances=hinge)
+        qcqp, hinged = self.qcqp, self.hinged
+        X0, _ = extract_points(Z, dim=self.instance.dim)
+        theta0 = reconstruct_angles(qcqp.robot, _full_point_matrix(qcqp, X0)).theta
+        theta = None if hinged is None else refine_configuration(hinged, theta0)
         if theta is None:
-            theta = refine_configuration(robot, goals, theta0)
+            theta = refine_configuration(self.plain, theta0)
             if theta is None:
                 self.stalled = True
                 return None
-            if hinge is not None:
-                theta = refine_configuration(robot, goals, theta, clearances=hinge)
+            if hinged is not None:
+                theta = refine_configuration(hinged, theta)
                 if theta is None:
                     return None
         Zr = lift_points(feasible_points(qcqp, theta))
@@ -454,39 +416,27 @@ class _PassGate:
         ok = float(np.max(np.abs(eq))) <= self.tol_con and (
             not slack.size or float(np.min(slack)) >= -self.tol_con
         )
-        hr = excess_rank(Zr, dim)
+        hr = excess_rank(Zr, self.instance.dim)
         return (hr, Zr, theta) if ok and hr < self.h_tol else None
 
 
 def _full_point_matrix(qcqp: QcqpInstance, X: np.ndarray) -> np.ndarray:
     """Assemble the layout-ordered point matrix from solved variables.
 
-    Anchored-joint columns take their fixed positions, goal columns the goal
-    data; end-effector columns without a goal (or without a direction goal)
-    stay NaN and are skipped during reconstruction.  Variables merged away
-    during graph construction are recovered from their representatives.
+    Anchor columns (anchored joints, goal points) take the graph's anchor
+    positions; end-effector columns without a goal (or without a direction
+    goal) stay NaN and are skipped during reconstruction.  Variables merged
+    away during graph construction are recovered from their representatives.
     """
-    robot = qcqp.robot
     graph = qcqp.graph
-    layout = robot.layout
-    d = graph.dim
-    P = np.full((d, len(layout.columns)), np.nan)
-
-    fixed = joint_points(robot, np.zeros(len(robot.joints)))
+    layout = qcqp.robot.layout
+    known = dict(zip(graph.variable_labels, X.T))
+    known.update(zip(graph.anchor_labels, graph.anchors.T))
+    P = np.full((graph.dim, len(layout.columns)), np.nan)
     for idx, col in enumerate(layout.columns):
-        if col[0] in ("p", "q") and robot.anchored[col[1]]:
-            P[:, idx] = fixed[:, idx]
-    by_label = {lab: i for i, lab in enumerate(graph.variable_labels)}
-    anchor_index = {lab: a for a, lab in enumerate(graph.anchor_labels)}
-    for idx, col in enumerate(layout.columns[: layout.num_variables]):
         rep = graph.merged.get(col, col)
-        if rep in by_label:
-            P[:, idx] = X[:, by_label[rep]]
-        elif rep in anchor_index:
-            P[:, idx] = graph.anchors[:, anchor_index[rep]]
-    for a, lab in enumerate(graph.anchor_labels):
-        if lab[0] == "ee":
-            P[:, layout.index[lab]] = graph.anchors[:, a]
+        if rep in known:
+            P[:, idx] = known[rep]
     return P
 
 
@@ -524,15 +474,11 @@ def verify_solution(qcqp: QcqpInstance, theta) -> VerificationReport:
 
     penetration = 0.0
     P = joint_points(robot, theta)
-    points = P
-    # Aux points and self-collision rows need the variable points; no preset
-    # has either, so the common case skips building them.
-    if qcqp.aux_points or qcqp.self_collision:
-        X = feasible_points(qcqp, theta)
-        points = np.hstack([P, X[:, qcqp.graph.num_variables :]])
-        for i, j, eps in qcqp.self_collision:
-            depth = math.sqrt(eps) - float(np.linalg.norm(X[:, i] - X[:, j]))
-            penetration = max(penetration, depth)
+    X = P @ selection(qcqp)
+    points = np.hstack([P, X[:, qcqp.graph.num_variables :]])
+    for i, j, eps in qcqp.self_collision:
+        depth = math.sqrt(eps) - float(np.linalg.norm(X[:, i] - X[:, j]))
+        penetration = max(penetration, depth)
     for s in qcqp.spheres:
         dist = np.linalg.norm(points - s.center[:, None], axis=0)
         if s.sense == "keep_out":
@@ -540,10 +486,8 @@ def verify_solution(qcqp: QcqpInstance, theta) -> VerificationReport:
         else:
             depth = float(np.max(dist - s.radius))
         penetration = max(penetration, depth, 0.0)
-    index = robot.layout.index
-    labels = qcqp.graph.variable_labels
     for vertex, plane in qcqp.planes:
-        val = float(plane.normal @ P[:, index[labels[vertex]]] - plane.offset)
+        val = float(plane.normal @ X[:, vertex] - plane.offset)
         penetration = max(penetration, -val if plane.relation == "above" else abs(val))
 
     failures = []

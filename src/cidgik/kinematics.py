@@ -137,6 +137,16 @@ class RobotModel:
         return tuple(tuple(k) for k in kids)
 
     @cached_property
+    def ancestors(self) -> np.ndarray:
+        """(joints, joints) mask: row j marks joint j and every ancestor of it."""
+        mask = np.eye(len(self.joints), dtype=bool)
+        # Joints are listed parents-first, so each chain extends its parent's.
+        for i, joint in enumerate(self.joints):
+            if joint.parent >= 0:
+                mask[i] |= mask[joint.parent]
+        return mask
+
+    @cached_property
     def _fixed_rotations(self) -> np.ndarray:
         return np.array([_quat_to_matrix(j.rotation) for j in self.joints])
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,8 +159,15 @@ def environment(
     solid's vertices, 0.5 * reach from the base.  The table preset constrains
     every variable point above the z = 0 plane and scatters seeded random
     spheres over it; sphere centers keep clear of a cylinder around the base
-    column so the fixed base points stay feasible.
+    column so the fixed base points stay feasible.  table_obstacles must be an
+    integer of at least 0 for every preset.
     """
+    if (
+        isinstance(table_obstacles, bool)
+        or not isinstance(table_obstacles, numbers.Integral)
+        or table_obstacles < 0
+    ):
+        raise ValueError("table_obstacles must be an integer of at least 0")
     if name == "free":
         return WorkspaceSpec()
     if name not in ENVIRONMENT_NAMES:

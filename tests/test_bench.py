@@ -81,6 +81,22 @@ def test_empty_campaign_rejected(chain_6dof):
         run_benchmark(chain_6dof, "free", 0, 0)
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_nonpositive_jobs_rejected(chain_6dof, jobs, monkeypatch):
+    """Such job counts used to run the campaign serially; now no instance or worker starts."""
+    monkeypatch.setattr("cidgik.bench.solve_one", None)  # must not be reached
+    monkeypatch.setattr("cidgik.bench.ProcessPoolExecutor", None)
+    with pytest.raises(ValueError, match="jobs"):
+        run_benchmark(chain_6dof, "free", 2, 0, FAST, jobs=jobs)
+
+
+@pytest.mark.parametrize("count", [-3, 2.5])
+def test_bad_table_obstacles_rejected_before_the_campaign(chain_6dof, count, monkeypatch):
+    monkeypatch.setattr("cidgik.bench.solve_one", None)  # must not be reached
+    with pytest.raises(ValueError, match="table_obstacles"):
+        run_benchmark(chain_6dof, "table", 2, 0, FAST, table_obstacles=count)
+
+
 def _strip_times(payload):
     for row in payload["rows"]:
         row.pop("setup_time_s")

@@ -80,6 +80,9 @@ def test_solve_bad_numeric_flag(toy_problem_file, flags, monkeypatch, capsys):
         ["--n", "0", "--solver-iters", "6000"],
         ["--n", "2", "--solver-iters", "0"],
         ["--n", "2", "--max-iter", "0"],
+        ["--n", "2", "--jobs", "0"],
+        ["--n", "2", "--jobs", "-1"],
+        ["--n", "2", "--table-obstacles", "-3"],
     ],
 )
 def test_bench_bad_numeric_flag(flags, monkeypatch, capsys):
@@ -228,6 +231,15 @@ def test_gen_and_solve_round_trip(tmp_path):
     assert qcqp.robot.num_joints == 6
     code = main(["solve", str(out), "--solver-iters", "6000", "--out", str(tmp_path / "s.json")])
     assert code == 0
+
+
+def test_gen_negative_table_obstacles_exits_3(tmp_path, capsys):
+    robot_path = Path(__file__).parent.parent / "robots" / "arm_6dof.json"
+    out = tmp_path / "gen.json"
+    argv = ["gen", "--robot", str(robot_path), "--env", "table", "--seed", "5", "--out", str(out)]
+    assert main([*argv, "--table-obstacles", "-3"]) == 3
+    assert capsys.readouterr().err.startswith("error: table_obstacles")
+    assert not out.exists()
 
 
 def test_gen_matches_library_generate(tmp_path):

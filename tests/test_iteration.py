@@ -25,7 +25,8 @@ from cidgik import (
     verify_solution,
 )
 from cidgik.graph import feasible_points
-from cidgik.iteration import CidgikOptions, refine_configuration
+from cidgik.iteration import CidgikOptions, _Residuals, refine_configuration
+from cidgik.robots import arm_6dof, planar_two_link, random_coplanar_chain
 from cidgik.solver import SolverSettings
 
 FAST = CidgikOptions(solver=SolverSettings(max_iters=6000))
@@ -253,7 +254,7 @@ def test_refine_configuration_closes_goals(chain_6dof):
     poses, _ = forward_kinematics(chain_6dof, theta_true)
     goals = [Goal(end_effector=0, position=poses[0].position, direction=poses[0].direction)]
     theta0 = theta_true + rng.normal(scale=0.05, size=6)
-    refined = refine_configuration(chain_6dof, goals, theta0)
+    refined = refine_configuration(_Residuals(assemble_qcqp(chain_6dof, goals)), theta0)
     assert refined is not None
     report = verify_solution(assemble_qcqp(chain_6dof, goals), refined)
     assert report.position_error < 1e-9
@@ -264,17 +265,18 @@ def test_refine_configuration_closes_goals(chain_6dof):
 def test_refine_configuration_gives_up_on_unreachable_goal(chain_6dof, monkeypatch):
     """LM creeping along the residual valley of a far goal stops before max_steps."""
     jacobians = []
-    inner = cidgik.iteration._pose_jacobian
+    inner = _Residuals.jacobian
 
-    def counting_jacobian(*args):
-        jacobians.append(args)
-        return inner(*args)
+    def counting_jacobian(self, state):
+        jacobians.append(state)
+        return inner(self, state)
 
-    monkeypatch.setattr(cidgik.iteration, "_pose_jacobian", counting_jacobian)
+    monkeypatch.setattr(_Residuals, "jacobian", counting_jacobian)
     direction = np.random.Generator(np.random.Philox(key=0)).standard_normal(3)
     direction /= np.linalg.norm(direction)
     goal = Goal(end_effector=0, position=1.5 * chain_6dof.reach * direction, direction=direction)
-    assert refine_configuration(chain_6dof, [goal], np.zeros(6)) is None
+    residuals = _Residuals(assemble_qcqp(chain_6dof, [goal]))
+    assert refine_configuration(residuals, np.zeros(6)) is None
     assert len(jacobians) < 40  # max_steps, where a creeping LM would otherwise stop
 
 
@@ -329,9 +331,9 @@ def test_clearance_refinement_from_the_plain_configuration(chain_6dof, monkeypat
         passes.append((result.status, result.iterations))
         return result
 
-    def recording_refine(robot, goals, theta0, **kwargs):
-        theta = inner_refine(robot, goals, theta0, **kwargs)
-        stages.append((bool(kwargs.get("clearances")), theta is not None))
+    def recording_refine(residuals, theta0, **kwargs):
+        theta = inner_refine(residuals, theta0, **kwargs)
+        stages.append((residuals.hinged, theta is not None))
         return theta
 
     monkeypatch.setattr(cidgik.iteration, "solve", recording_solve)
@@ -405,35 +407,48 @@ def _hinged_instance(robot):
     return add_self_collision(qcqp, 0, nv, 9.0)
 
 
+def _jacobians(residuals, theta, step=1e-6):
+    """(residuals, Jacobian, central-difference Jacobian) at theta."""
+    r, state = residuals(theta)
+    columns = [
+        (residuals(theta + step * e)[0] - residuals(theta - step * e)[0]) / (2 * step)
+        for e in np.eye(len(theta))
+    ]
+    return r, residuals.jacobian(state), np.stack(columns, axis=1)
+
+
 def _finite_difference_check(qcqp, keys):
     """Compare each violated hinge row of the Jacobian with central differences."""
-    robot, goals = qcqp.robot, qcqp.goals
-    hinge = cidgik.iteration._LiftHinge(qcqp, lift(qcqp))
-    n = len(robot.joints)
+    residuals = _Residuals(qcqp, lift(qcqp))
+    n = len(qcqp.robot.joints)
     rng = np.random.Generator(np.random.Philox(key=7))
     deep_rows = set()
     for _ in range(keys):
         theta = rng.uniform(-np.pi, np.pi, size=n)
-        r, frames = cidgik.iteration._pose_residual(robot, goals, theta, hinge)
-        J = cidgik.iteration._pose_jacobian(robot, goals, frames, hinge)
-        step = 1e-6
-        numeric = np.stack(
-            [
-                (
-                    cidgik.iteration._pose_residual(robot, goals, theta + step * e, hinge)[0]
-                    - cidgik.iteration._pose_residual(robot, goals, theta - step * e, hinge)[0]
-                )
-                / (2 * step)
-                for e in np.eye(n)
-            ],
-            axis=1,
-        )
-        goal_rows = len(r) - len(hinge.rhs)
+        r, J, numeric = _jacobians(residuals, theta)
+        goal_rows = len(r) - len(residuals.rhs)
         deep = np.flatnonzero(r[goal_rows:] < -1e-3)
         deep_rows.update(deep.tolist())
         np.testing.assert_allclose(J[goal_rows + deep], numeric[goal_rows + deep], atol=1e-6)
         np.testing.assert_array_equal(J[goal_rows:][r[goal_rows:] == 0.0], 0.0)
     return deep_rows
+
+
+@pytest.mark.parametrize(
+    "robot", [arm_6dof(), planar_two_link(), random_coplanar_chain(7, 1)], ids=["arm", "planar", "chain"]
+)
+@pytest.mark.parametrize("pointed", [True, False], ids=["pose", "position"])
+def test_goal_rows_match_finite_differences(robot, pointed):
+    """Position rows and, for a pose goal, direction rows are the derivatives of their residuals."""
+    rng = np.random.Generator(np.random.Philox(key=9))
+    n = len(robot.joints)
+    poses, _ = forward_kinematics(robot, rng.uniform(-np.pi, np.pi, size=n))
+    goal = Goal(end_effector=0, position=poses[0].position, direction=poses[0].direction if pointed else None)
+    residuals = _Residuals(assemble_qcqp(robot, [goal]))
+    for _ in range(4):
+        r, J, numeric = _jacobians(residuals, rng.uniform(-np.pi, np.pi, size=n))
+        assert J.shape == (len(r), n) and len(r) == robot.dimension * (2 if pointed else 1)
+        np.testing.assert_allclose(J, numeric, rtol=0, atol=1e-8)
 
 
 def test_clearance_rows_match_finite_differences(chain_6dof, toy_qcqp):
@@ -455,12 +470,12 @@ def test_clearance_gaps_match_obstacle_distances(chain_6dof, toy_qcqp):
     rng = np.random.Generator(np.random.Philox(key=8))
     for qcqp in (_hinged_instance(chain_6dof), toy_qcqp):
         sdp = lift(qcqp)
-        hinge = cidgik.iteration._LiftHinge(qcqp, sdp)
+        residuals = _Residuals(qcqp, sdp)
         for _ in range(5):
             theta = rng.uniform(-np.pi, np.pi, size=len(qcqp.robot.joints))
-            _, frames = forward_kinematics(qcqp.robot, theta)
+            *_, slacks = residuals(theta)[1]
             _, expected = evaluate(sdp, lift_points(feasible_points(qcqp, theta)))
-            np.testing.assert_allclose(hinge.slacks(frames), expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(slacks, expected, rtol=0, atol=1e-12)
 
 
 def test_self_collision_rows_close_in_the_first_pass(chain_6dof):

@@ -203,6 +203,20 @@ def test_environment_presets(chain_6dof):
         environment("dodecahedron", chain_6dof)
 
 
+@pytest.mark.parametrize("count", [-3, -1, 2.5, True, "3", None])
+@pytest.mark.parametrize("name", ["free", "table"])
+def test_environment_rejects_bad_table_obstacles(chain_6dof, name, count):
+    """-3 used to give 0 spheres and 2.5 to give 3."""
+    with pytest.raises(ValueError, match="table_obstacles"):
+        environment(name, chain_6dof, table_obstacles=count)
+
+
+def test_environment_table_without_obstacles(chain_6dof):
+    table = environment("table", chain_6dof, table_obstacles=0)
+    assert not table.spheres and len(table.planes) == 1
+    assert len(environment("table", chain_6dof, table_obstacles=np.int64(2)).spheres) == 2
+
+
 def test_environment_requires_3d(planar_2r):
     with pytest.raises(ValueError):
         environment("octahedron", planar_2r)
