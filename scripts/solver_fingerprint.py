@@ -16,7 +16,11 @@ SDP ("toy") and a warm-started rank-direction pass ("warm-octahedron-0":
 octahedron key 0, a 4000-iteration C = I pass, then one 4000-iteration pass
 with that iterate's direction_matrix as the cost and the iterate as the warm
 start, which stops at its cap, so its Z is its last iterate), since every
-benchmark key closes in its first pass.  BLAS runs on one thread, so the
+benchmark key closes in its first pass.  Last come two kinematics lines, for
+arm_6dof and random_coplanar_chain(7, 1) at 50 seeded configurations: the
+SHA-1 of the forward_kinematics frames (rotations, origins, axes), of
+joint_points, and of the theta reconstruct_angles reads back from those
+points.  BLAS runs on one thread, so the
 output does not depend on the caller's environment.  Run it at two commits
 and diff the output: a refactor of the solve path must leave every lift and
 pass line byte-identical; a theta hash may change when only the rounding of
@@ -36,7 +40,7 @@ import numpy as np  # noqa: E402
 
 import cidgik as ck  # noqa: E402
 import cidgik.iteration  # noqa: E402
-from cidgik.robots import arm_6dof, planar_two_link  # noqa: E402
+from cidgik.robots import arm_6dof, planar_two_link, random_coplanar_chain  # noqa: E402
 
 # Benchmark workloads (ikbench/run.py) and keys; table uses 25 obstacles.
 # "unreachable-table" puts the arm-unreachable goal among the table obstacles.
@@ -99,6 +103,19 @@ def _print_result(name: str, result) -> None:
                       "passes": result.iterations, "theta": theta}))
 
 
+def _print_kinematics(name: str, robot) -> None:
+    rng = np.random.Generator(np.random.Philox(key=2024))
+    frames, points, theta = [], [], []
+    for th in rng.uniform(-np.pi, np.pi, size=(50, robot.num_joints)):
+        _, f = ck.forward_kinematics(robot, th)
+        P = ck.joint_points(robot, th)
+        frames += [f.rotations, f.origins, f.axes]
+        points.append(P)
+        theta.append(ck.reconstruct_angles(robot, P).theta)
+    print(json.dumps({"kinematics": name, "frames": _sha1(*frames),
+                      "points": _sha1(*points), "reconstruct": _sha1(*theta)}))
+
+
 def main():
     passes, solve = [], cidgik.iteration.solve
 
@@ -121,6 +138,8 @@ def main():
     first = ck.solve(sdp, None, settings)
     C = ck.direction_matrix(first.Z, sdp.dim)
     _print_pass("warm-octahedron-0", 1, ck.solve(sdp, C, settings, warm_start=first.Z))
+    _print_kinematics("arm_6dof", arm_6dof())
+    _print_kinematics("chain7", random_coplanar_chain(7, 1))
 
 
 if __name__ == "__main__":

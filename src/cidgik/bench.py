@@ -233,8 +233,7 @@ def check_campaign(
     table_obstacles: int = 100,
 ) -> None:
     """Raise ValueError for a campaign that cannot run, before any instance or worker exists."""
-    if count < 1:
-        raise ValueError("empty campaign: count must be at least 1")
+    _check_count(count, "count")
     _check_count(jobs, "jobs")
     environment(environment_name, robot, table_obstacles=table_obstacles)
 

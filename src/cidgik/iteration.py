@@ -21,9 +21,10 @@ import numpy as np
 from .graph import QcqpInstance, feasible_points, selection
 from .kinematics import (
     Pose,
+    _cross,
     _frames,
+    _points,
     forward_kinematics,
-    joint_points,
     pose_error,
     reconstruct_angles,
 )
@@ -199,7 +200,7 @@ class _Residuals:
         n, d, g, m = len(frames.axes), self.dim, self.num_goals, self.num_goal_points
         active = np.flatnonzero(slack < 0.0) if self.hinged else ()
         cols = len(P) if len(active) else m  # the hinge's points move only rows that are violated
-        dP = np.cross(frames.axes, P[:cols, None] - frames.origins) * self.moves[:cols, :, None]
+        dP = _cross(frames.axes, P[:cols, None] - frames.origins) * self.moves[:cols, :, None]
         dP = dP[:, :, :d].transpose(0, 2, 1)  # (column, coordinate, joint)
         rows = [dP[:g].reshape(-1, n), (dP[g:m] - dP[self.pointed]).reshape(-1, n)]
         if self.hinged:
@@ -237,6 +238,7 @@ def refine_configuration(
         return theta
     damping = 1e-8
     slow = 0
+    eye = np.eye(len(theta))
     for _ in range(max_steps):
         if float(np.max(np.abs(r))) < tol:
             return theta
@@ -248,7 +250,7 @@ def refine_configuration(
         norm = float(np.linalg.norm(r))
         accepted = False
         for _ in range(15):
-            step = np.linalg.solve(JtJ + damping * np.eye(len(theta)), -g)
+            step = np.linalg.solve(JtJ + damping * eye, -g)
             r_new, state_new = residuals(theta + step)
             norm_new = float(np.linalg.norm(r_new))
             if norm_new < norm:
@@ -460,8 +462,7 @@ def verify_solution(qcqp: QcqpInstance, theta) -> VerificationReport:
     sqrt(eps) by more than that depth.
     """
     robot = qcqp.robot
-    theta = np.asarray(theta, dtype=float)
-    poses, _ = forward_kinematics(robot, theta)
+    poses, frames = forward_kinematics(robot, theta)
     pos_err = 0.0
     dir_err = 0.0
     for g in qcqp.goals:
@@ -473,7 +474,7 @@ def verify_solution(qcqp: QcqpInstance, theta) -> VerificationReport:
             dir_err = max(dir_err, a)
 
     penetration = 0.0
-    P = joint_points(robot, theta)
+    P = _points(robot, frames)
     X = P @ selection(qcqp)
     points = np.hstack([P, X[:, qcqp.graph.num_variables :]])
     for i, j, eps in qcqp.self_collision:

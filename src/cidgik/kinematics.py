@@ -51,12 +51,24 @@ def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
-def _axis_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
-    c, s = math.cos(angle), math.sin(angle)
-    x, y, z = axis
-    K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + s * K + (1 - c) * (K @ K)
+_EYE = np.eye(3)
+_ORIGIN = np.zeros(3)
+
+
+def _spin(K: np.ndarray, KK: np.ndarray, sin, cos) -> np.ndarray:
+    """Rodrigues rotation I + sin θ K + (1 - cos θ) K² from an axis's terms K, K @ K."""
+    return _EYE + sin * K + (1 - cos) * KK
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis: np.cross's products without its axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +108,7 @@ class Pose:
 
 @dataclass(frozen=True, eq=False)
 class JointFrames:
-    """World frames of every joint at some configuration."""
+    """World frames of every joint at some configuration, as _frames walks them."""
 
     rotations: np.ndarray  # (N, 3, 3) orientation after the joint's own rotation
     origins: np.ndarray  # (N, 3) frame origins (invariant to the joint's own angle)
@@ -149,6 +161,13 @@ class RobotModel:
     @cached_property
     def _fixed_rotations(self) -> np.ndarray:
         return np.array([_quat_to_matrix(j.rotation) for j in self.joints])
+
+    @cached_property
+    def _axis_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(K, K @ K) per joint, K the skew matrix of the joint's local axis."""
+        axes = [j.axis for j in self.joints]
+        K = np.array([[[0, -z, y], [z, 0, -x], [-y, x, 0]] for x, y, z in axes])
+        return K, np.array([k @ k for k in K])
 
     @cached_property
     def anchored(self) -> tuple[bool, ...]:
@@ -206,28 +225,33 @@ class RobotModel:
 
 
 def _same_line(o1, a1, o2, a2, tol=ON_AXIS_TOL) -> bool:
-    if np.linalg.norm(np.cross(a1, a2)) > tol:
+    if np.linalg.norm(_cross(a1, a2)) > tol:
         return False
-    return np.linalg.norm(np.cross(a1, o2 - o1)) <= tol * max(1.0, np.linalg.norm(o2 - o1))
+    return np.linalg.norm(_cross(a1, o2 - o1)) <= tol * max(1.0, np.linalg.norm(o2 - o1))
 
 
-def _frames(robot: RobotModel, theta: np.ndarray) -> JointFrames:
+def _frames(robot: RobotModel, theta: np.ndarray, choose=None) -> JointFrames:
+    """The one frame walk: every joint's world frame at theta, parents first.
+
+    All spins come at once from the robot's cached axis terms, so the loop
+    only multiplies matrices.  With `choose` given, theta is filled in
+    instead: choose(i, R_pre, origin, world axis) returns joint i's angle
+    from its ancestors' frames (R_pre is the rotation before its own spin).
+    """
     n = len(robot.joints)
-    R = np.empty((n, 3, 3))
-    t = np.empty((n, 3))
-    axes = np.empty((n, 3))
+    R, t, axes = np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 3))
     fixed = robot._fixed_rotations
+    K, KK = robot._axis_terms
+    spins = _spin(K, KK, np.sin(theta)[:, None, None], np.cos(theta)[:, None, None])
     for i, j in enumerate(robot.joints):
-        if j.parent < 0:
-            Rp = np.eye(3)
-            tp = np.zeros(3)
-        else:
-            Rp = R[j.parent]
-            tp = t[j.parent]
+        Rp, tp = (_EYE, _ORIGIN) if j.parent < 0 else (R[j.parent], t[j.parent])
         t[i] = tp + Rp @ j.translation
         R_pre = Rp @ fixed[i]
         axes[i] = R_pre @ j.axis
-        R[i] = R_pre @ _axis_rotation(j.axis, float(theta[i]))
+        if choose is not None:
+            theta[i] = angle = choose(i, R_pre, t[i], axes[i])
+            spins[i] = _spin(K[i], KK[i], math.sin(angle), math.cos(angle))
+        R[i] = R_pre @ spins[i]
     return JointFrames(rotations=R, origins=t, axes=axes)
 
 
@@ -374,9 +398,8 @@ def _check_coplanarity(robot: RobotModel) -> None:
         if j.parent < 0:
             continue
         p = j.parent
-        a1, a2 = frames.axes[p], frames.axes[i]
         offset = frames.origins[i] - frames.origins[p]
-        triple = np.dot(np.cross(a1, a2), offset)
+        triple = np.dot(_cross(frames.axes[p], frames.axes[i]), offset)
         if abs(triple) > COPLANARITY_TOL * max(1.0, np.linalg.norm(offset)):
             raise RobotError(
                 f"non-coplanar axes between joints {robot.joints[p].name!r} "
@@ -405,8 +428,11 @@ def joint_points(robot: RobotModel, theta) -> np.ndarray:
     ||p_i - q_i|| = 1 for every configuration.  End-effector columns are the
     tip position and the point one unit along the pointing direction.
     """
-    theta = _check_theta(robot, theta)
-    frames = _frames(robot, theta)
+    return _points(robot, _frames(robot, _check_theta(robot, theta)))
+
+
+def _points(robot: RobotModel, frames: JointFrames) -> np.ndarray:
+    """joint_points from frames the walk has built."""
     d = robot.dimension
     layout = robot.layout
     P = np.empty((d, len(layout.columns)))
@@ -420,10 +446,7 @@ def joint_points(robot: RobotModel, theta) -> np.ndarray:
             ee = robot.end_effectors[k]
             R = frames.rotations[ee.parent]
             pos = frames.origins[ee.parent] + R @ ee.tip
-            if kind == "pos":
-                P[:, c] = pos[:d]
-            else:
-                P[:, c] = (pos + R @ (ee.tip / np.linalg.norm(ee.tip)))[:d]
+            P[:, c] = (pos if kind == "pos" else pos + R @ (ee.tip / np.linalg.norm(ee.tip)))[:d]
     return P
 
 
@@ -484,15 +507,16 @@ class ReconstructionResult:
 def reconstruct_angles(robot: RobotModel, points: np.ndarray) -> ReconstructionResult:
     """Recover joint angles from a solved point matrix (columns per robot.layout).
 
-    Walks the tree root-to-leaves.  For each joint the already-recovered
-    ancestor angles fix its frame origin and world axis; the angle is then the
-    atan2 between the zero-angle prediction and the observed position of a
-    descendant reference point, both projected into the plane orthogonal to
-    the axis.  References are tried in breadth-first order (child p then q,
-    then attached end-effector points, then deeper); if every projection is
-    degenerate (reference on the axis) the angle falls back to 0 and the
-    joint is reported.  NaN columns are skipped, so callers may leave unknown
-    end-effector direction points unfilled.
+    Picks each angle inside one root-to-leaves frame walk (_frames): the
+    recovered ancestor angles fix the joint's origin and world axis, and the
+    angle is the atan2 between the zero-angle prediction and the observed
+    position of a descendant reference point, both projected into the plane
+    orthogonal to the axis.  References are tried in breadth-first order
+    (child p then q, then attached end-effector points, then deeper); if
+    every one is on the axis the angle falls back to 0 and the joint is
+    reported.  NaN columns are skipped, so callers may leave unknown
+    end-effector direction points unfilled.  The residual is measured on the
+    points of the walk's own frames.
     """
     layout = robot.layout
     points = np.asarray(points, dtype=float)
@@ -504,53 +528,28 @@ def reconstruct_angles(robot: RobotModel, points: np.ndarray) -> ReconstructionR
     P3 = np.zeros((3, points.shape[1]))
     P3[: robot.dimension] = points
     index = layout.index
-    fixed = robot._fixed_rotations
-
-    n = len(robot.joints)
-    theta = np.zeros(n)
-    R_post = [None] * n
-    t_post = [None] * n
+    known = np.all(np.isfinite(points), axis=0)
     fallbacks = []
-    for i, j in enumerate(robot.joints):
-        if j.parent < 0:
-            Rp, tp = np.eye(3), np.zeros(3)
-        else:
-            Rp, tp = R_post[j.parent], t_post[j.parent]
-        o = tp + Rp @ j.translation
-        R_pre = Rp @ fixed[i]
-        a = R_pre @ j.axis
 
-        angle = None
+    def choose(i, R_pre, o, a):
         for pred, col in _reference_candidates(robot, i, R_pre, o):
-            obs = P3[:, index[col]]
-            if not np.all(np.isfinite(obs)):
+            if not known[index[col]]:
                 continue
+            obs = P3[:, index[col]]
             u0 = pred - o
             u0 = u0 - (u0 @ a) * a
             u1 = obs - o
             u1 = u1 - (u1 @ a) * a
             if np.linalg.norm(u0) < ON_AXIS_TOL or np.linalg.norm(u1) < ON_AXIS_TOL:
                 continue
-            angle = math.atan2(a @ np.cross(u0, u1), u0 @ u1)
-            break
-        if angle is None:
-            angle = 0.0
-            fallbacks.append(i)
-        theta[i] = angle
-        R_post[i] = R_pre @ _axis_rotation(j.axis, angle)
-        t_post[i] = o
+            return math.atan2(a @ _cross(u0, u1), u0 @ u1)
+        fallbacks.append(i)
+        return 0.0
 
-    rebuilt = joint_points(robot, theta)
-    mask = np.all(np.isfinite(points), axis=0)
-    if np.any(mask):
-        residual = float(
-            np.max(np.linalg.norm(rebuilt[:, mask] - points[:, mask], axis=0))
-        )
-    else:
-        residual = 0.0
-    return ReconstructionResult(
-        theta=theta, residual=residual, fallback_joints=tuple(fallbacks)
-    )
+    theta = np.zeros(len(robot.joints))
+    rebuilt = _points(robot, _frames(robot, theta, choose))
+    gaps = np.linalg.norm(rebuilt[:, known] - points[:, known], axis=0)
+    return ReconstructionResult(theta, float(np.max(gaps, initial=0.0)), tuple(fallbacks))
 
 
 def _reference_candidates(robot: RobotModel, root: int, R_pre, o):

@@ -77,8 +77,17 @@ def test_jeffreys_width_shrinks_with_n():
 
 
 def test_empty_campaign_rejected(chain_6dof):
-    with pytest.raises(ValueError, match="empty campaign"):
+    with pytest.raises(ValueError, match="count must be an integer of at least 1"):
         run_benchmark(chain_6dof, "free", 0, 0)
+
+
+@pytest.mark.parametrize("count", [2.5, True, 0, -1, "3"])
+def test_bad_count_rejected_before_any_instance(chain_6dof, count, monkeypatch):
+    """2.5 used to raise TypeError from range() and True to run one instance."""
+    monkeypatch.setattr("cidgik.bench.generate", None)  # must not be reached
+    monkeypatch.setattr("cidgik.bench.solve_one", None)
+    with pytest.raises(ValueError, match="count"):
+        run_benchmark(chain_6dof, "free", count, 0, FAST)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

@@ -17,9 +17,114 @@ from cidgik import (
 from cidgik.robots import (
     arm_6dof,
     planar_chain_document,
+    planar_two_link,
     random_coplanar_chain,
 )
 from conftest import sample_angles
+
+
+def _joint(name, parent, translation, axis, rpy=(0.0, 0.0, 0.0)):
+    return {"name": name, "parent": parent, "translation": translation,
+            "rotation_rpy": list(rpy), "axis": axis}
+
+
+def rpy_chain():
+    """Spatial chain whose every joint has a fixed rotation; each origin sits
+    on its parent's axis line, so consecutive axes intersect."""
+    return load_robot(
+        {
+            "dimension": 3,
+            "joints": [
+                _joint("a", "base", [0.0, 0.0, 0.2], [0.0, 0.0, 1.0], (0.1, 0.2, 0.3)),
+                _joint("b", "a", [0.0, 0.0, 0.3], [0.0, 1.0, 0.0], (0.4, -0.3, 0.2)),
+                _joint("c", "b", [0.0, 0.25, 0.0], [1.0, 0.0, 0.0], (-0.5, 0.1, 0.7)),
+                _joint("d", "c", [0.2, 0.0, 0.0], [0.0, 0.0, 1.0], (0.3, 0.3, -0.2)),
+            ],
+            "end_effectors": [{"parent": "d", "tip": [0.1, 0.05, 0.0]}],
+        }
+    )
+
+
+def branching_robot():
+    """Joint b carries two child joints (c, d) and an end effector of its own."""
+    return load_robot(
+        {
+            "dimension": 3,
+            "joints": [
+                _joint("a", "base", [0.0, 0.0, 0.2], [0.0, 0.0, 1.0]),
+                _joint("b", "a", [0.0, 0.0, 0.1], [0.0, 1.0, 0.0]),
+                _joint("c", "b", [0.0, 0.0, 0.3], [0.0, 0.0, 1.0]),
+                _joint("d", "b", [0.0, 0.2, 0.0], [1.0, 0.0, 0.0], (0.0, 0.4, 0.0)),
+            ],
+            "end_effectors": [
+                {"parent": "b", "tip": [0.15, 0.0, 0.0]},
+                {"parent": "c", "tip": [0.1, 0.0, 0.2]},
+                {"parent": "d", "tip": [0.0, 0.1, 0.1]},
+            ],
+        }
+    )
+
+
+def rodrigues_frames(robot, theta):
+    """Per-joint reference walk: one Rodrigues matrix and one quaternion
+    matrix per joint, no cached terms and no batching."""
+    n = robot.num_joints
+    R, t, axes = np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 3))
+    sines, cosines = np.sin(theta), np.cos(theta)
+    for i, j in enumerate(robot.joints):
+        Rp, tp = (np.eye(3), np.zeros(3)) if j.parent < 0 else (R[j.parent], t[j.parent])
+        w, x, y, z = j.rotation
+        fixed = np.array(
+            [
+                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+            ]
+        )
+        x, y, z = j.axis
+        K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        spin = np.eye(3) + sines[i] * K + (1 - cosines[i]) * (K @ K)
+        t[i] = tp + Rp @ j.translation
+        R_pre = Rp @ fixed
+        axes[i] = R_pre @ j.axis
+        R[i] = R_pre @ spin
+    return R, t, axes
+
+
+KERNEL_ROBOTS = {
+    "arm_6dof": arm_6dof,
+    "planar_two_link": planar_two_link,
+    "chain7": lambda: random_coplanar_chain(7, 1),
+    "rpy_chain": rpy_chain,
+    "branching": branching_robot,
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_ROBOTS)
+def test_frame_walk_matches_per_joint_rodrigues(name):
+    robot = KERNEL_ROBOTS[name]()
+    n = robot.num_joints
+    rng = np.random.Generator(np.random.Philox(key=31))
+    thetas = [sample_angles(rng, n) for _ in range(20)]
+    thetas += [np.full(n, v) for v in (0.0, math.pi, -math.pi)]
+    thetas += [rng.uniform(2.0 * math.pi, 20.0, size=n) * rng.choice([-1.0, 1.0], size=n)]
+    for theta in thetas:
+        _, frames = forward_kinematics(robot, theta)
+        R, t, axes = rodrigues_frames(robot, theta)
+        assert np.array_equal(frames.rotations, R)
+        assert np.array_equal(frames.origins, t)
+        assert np.array_equal(frames.axes, axes)
+
+
+@pytest.mark.parametrize("make", [rpy_chain, branching_robot])
+def test_reconstruction_round_trip_rpy_and_branching(make):
+    robot = make()
+    rng = np.random.Generator(np.random.Philox(key=78))
+    for _ in range(10):
+        theta = sample_angles(rng, robot.num_joints)
+        rec = reconstruct_angles(robot, joint_points(robot, theta))
+        assert rec.residual < 1e-6
+        assert rec.fallback_joints == ()
 
 
 def test_load_minimal_planar_chain():
@@ -239,6 +344,8 @@ def test_reconstruction_perturbed_column(chain_6dof):
     P[:, 2] += 1e-3 / math.sqrt(3)
     rec = reconstruct_angles(chain_6dof, P)  # must not raise
     assert rec.residual >= 1e-4
+    rebuilt = joint_points(chain_6dof, rec.theta)
+    assert abs(rec.residual - np.max(np.linalg.norm(rebuilt - P, axis=0))) <= 1e-15
 
 
 def test_pose_error_cases():
