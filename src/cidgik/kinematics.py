@@ -14,6 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,6 +134,15 @@ class PointLayout:
         return {c: i for i, c in enumerate(self.columns)}
 
 
+class _PointSources(NamedTuple):
+    """Where joint_points reads each layout column (see _points)."""
+
+    order: np.ndarray  # per column, its row among (origins, origins + axes, tips, directions)
+    owners: np.ndarray  # parent joint of each end effector
+    tips: np.ndarray  # (ee, 3, 1) tip offsets in the parent frame
+    units: np.ndarray  # (ee, 3, 1) the same, at unit length
+
+
 @dataclass(frozen=True, eq=False)
 class RobotModel:
     joints: tuple[Joint, ...]
@@ -209,6 +219,19 @@ class RobotModel:
             cols.append(("ee", k, "pos"))
             cols.append(("ee", k, "dir"))
         return PointLayout(columns=tuple(cols), num_variables=num_vars)
+
+    @cached_property
+    def _point_sources(self) -> _PointSources:
+        n, ees = len(self.joints), self.end_effectors
+        first = {"p": 0, "q": n, "pos": 2 * n, "dir": 2 * n + len(ees)}
+        order = [first[col[-1] if col[0] == "ee" else col[0]] + col[1] for col in self.layout.columns]
+        units = [e.tip / np.linalg.norm(e.tip) for e in ees]
+        return _PointSources(
+            order=np.array(order, dtype=int),
+            owners=np.array([e.parent for e in ees], dtype=int),
+            tips=np.array([e.tip for e in ees], dtype=float).reshape(-1, 3, 1),
+            units=np.array(units, dtype=float).reshape(-1, 3, 1),
+        )
 
     @cached_property
     def reach(self) -> float:
@@ -432,22 +455,20 @@ def joint_points(robot: RobotModel, theta) -> np.ndarray:
 
 
 def _points(robot: RobotModel, frames: JointFrames) -> np.ndarray:
-    """joint_points from frames the walk has built."""
-    d = robot.dimension
-    layout = robot.layout
-    P = np.empty((d, len(layout.columns)))
-    for c, col in enumerate(layout.columns):
-        if col[0] == "p":
-            P[:, c] = frames.origins[col[1]][:d]
-        elif col[0] == "q":
-            P[:, c] = (frames.origins[col[1]] + frames.axes[col[1]])[:d]
-        else:
-            _, k, kind = col
-            ee = robot.end_effectors[k]
-            R = frames.rotations[ee.parent]
-            pos = frames.origins[ee.parent] + R @ ee.tip
-            P[:, c] = (pos if kind == "pos" else pos + R @ (ee.tip / np.linalg.norm(ee.tip)))[:d]
-    return P
+    """joint_points from frames the walk has built.
+
+    Every candidate point is computed at once: each joint's origin (its p
+    point) and the point one unit along its world axis (q), and per end
+    effector the tip origin + R tip in its parent's frame and the direction
+    point one unit further along R tip.  One gather then lays them out.
+    """
+    s = robot._point_sources
+    R = frames.rotations[s.owners]
+    tips = frames.origins[s.owners] + (R @ s.tips)[..., 0]
+    points = np.concatenate(
+        [frames.origins, frames.origins + frames.axes, tips, tips + (R @ s.units)[..., 0]]
+    )
+    return np.ascontiguousarray(points[s.order, : robot.dimension].T)
 
 
 def structural_pairs(robot: RobotModel) -> list[tuple[tuple, tuple]]:

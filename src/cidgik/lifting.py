@@ -70,34 +70,36 @@ def _stacked(kind: str, side: int, mats, rhs) -> tuple[np.ndarray, np.ndarray]:
     return mats, rhs
 
 
-def _sym_from_coeffs(side: int, coeffs: dict[tuple[int, int], float]) -> np.ndarray:
-    """Symmetric A with tr(A Z) = sum coeffs[(i, j)] * Z_ij for symmetric Z."""
-    A = np.zeros((side, side))
-    for (i, j), c in coeffs.items():
-        if i == j:
-            A[i, i] += c
-        else:
-            A[i, j] += 0.5 * c
-            A[j, i] += 0.5 * c
-    return A
+def _distance_rows(M: np.ndarray, rows, k, W: np.ndarray, corners, nv: int) -> None:
+    """Write ||x_k - w||^2 into M[rows], one variable k and one point w per row.
 
-
-def _anchor_coeffs(k: int, w: np.ndarray, nv: int, side: int) -> dict:
-    """Coefficients of ||x_k - w||^2 as a linear function of Z.
-
-    x_k^T x_k - 2 w^T x_k + ||w||^2: the Gram diagonal, the X block column,
-    and the constant routed through the pinned identity corner Z[-1, -1] = 1.
+    x_k^T x_k - 2 w^T x_k + ||w||^2: the Gram diagonal, the X block column
+    (zero coordinates of w leave their entries at zero) and the constant
+    ||w||^2 (corners) routed through the pinned identity corner Z[-1, -1] = 1.
     """
-    coeffs = {(k, k): 1.0}
-    for r, wr in enumerate(w):
-        if wr != 0.0:
-            coeffs[(min(k, nv + r), max(k, nv + r))] = -2.0 * wr
-    coeffs[(side - 1, side - 1)] = coeffs.get((side - 1, side - 1), 0.0) + float(w @ w)
-    return coeffs
+    M[rows, k, k] = 1.0
+    for r in range(W.shape[1]):
+        nz = W[:, r] != 0.0
+        M[rows[nz], k[nz], nv + r] = M[rows[nz], nv + r, k[nz]] = -W[nz, r]
+    M[rows, -1, -1] = corners
 
 
-def _edge_coeffs(k: int, l: int) -> dict:
-    return {(k, k): 1.0, (l, l): 1.0, (min(k, l), max(k, l)): -2.0}
+def _pair_rows(M: np.ndarray, rows, k, l) -> None:
+    """Write ||x_k - x_l||^2 into M[rows]: +1 on both diagonals, -1 between."""
+    M[rows, k, k] = 1.0
+    M[rows, l, l] = 1.0
+    M[rows, k, l] = M[rows, l, k] = -1.0
+
+
+def _plane_rows(M: np.ndarray, rows, planes, nv: int) -> None:
+    """Write x_v . n into M[rows] for each (v, plane), on the X block."""
+    if not planes:
+        return
+    v = np.array([v for v, _ in planes])
+    N = np.array([p.normal for _, p in planes], dtype=float)
+    for r in range(N.shape[1]):
+        nz = N[:, r] != 0.0
+        M[rows[nz], v[nz], nv + r] = M[rows[nz], nv + r, v[nz]] = 0.5 * N[nz, r]
 
 
 def lift(qcqp: QcqpInstance) -> SdpInstance:
@@ -109,105 +111,109 @@ def lift(qcqp: QcqpInstance) -> SdpInstance:
     d(d+1)/2 upper-triangle equalities, planes select rows of the X block,
     obstacles become negated inequalities, and auxiliary points contribute
     linear ties on both the X block and the Gram rows.
+
+    Each kind of row is written into one stacked array by index: equalities
+    are the edges, the corner, the "on" planes and the aux ties, in that
+    order; inequalities the "above" planes, every sphere for every variable
+    point (sphere-major) and the self-collision pairs.
     """
     graph = qcqp.graph
     d = graph.dim
     nv = qcqp.num_variables
     side = nv + d
     n_graph = graph.num_variables
+    anchors = graph.anchors
+    edges = graph.edges
+    on = [(v, p) for v, p in qcqp.planes if p.relation == "on"]
+    above = [(v, p) for v, p in qcqp.planes if p.relation != "on"]
+    corner_r, corner_s = np.triu_indices(d)
+    n_edge, n_corner = len(edges), len(corner_r)
+    n_aux = len(qcqp.aux_points) * (d + nv)
+    n_sphere = len(qcqp.spheres) * nv
 
-    eq_mats: list[np.ndarray] = []
-    eq_rhs: list[float] = []
-    ineq_mats: list[np.ndarray] = []
-    ineq_rhs: list[float] = []
+    eq_mats = np.zeros((n_edge + n_corner + len(on) + n_aux, side, side))
+    eq_rhs = np.zeros(len(eq_mats))
+    ineq_mats = np.zeros((len(above) + n_sphere + len(qcqp.self_collision), side, side))
+    ineq_rhs = np.zeros(len(ineq_mats))
 
-    def anchor_vec(v: int) -> np.ndarray:
-        return graph.anchors[:, v - n_graph]
+    tails = np.array([e.tail for e in edges], dtype=int)
+    heads = np.array([e.head for e in edges], dtype=int)
+    eq_rhs[:n_edge] = [e.weight for e in edges]
+    pair = np.flatnonzero(heads < n_graph)
+    _pair_rows(eq_mats, pair, tails[pair], heads[pair])
+    to_anchor = np.flatnonzero(heads >= n_graph)  # tail < head and anchors come last
+    points = [anchors[:, h - n_graph] for h in heads[to_anchor]]
+    _distance_rows(
+        eq_mats, to_anchor, tails[to_anchor], anchors[:, heads[to_anchor] - n_graph].T,
+        [float(w @ w) for w in points], nv,
+    )
 
-    for e in graph.edges:
-        if e.head < n_graph:  # variable-variable
-            coeffs = _edge_coeffs(e.tail, e.head)
-            rhs = e.weight
-        else:  # variable-anchor (tail < head and anchors come last)
-            w = anchor_vec(e.head)
-            coeffs = _anchor_coeffs(e.tail, w, nv, side)
-            rhs = e.weight
-        eq_mats.append(_sym_from_coeffs(side, coeffs))
-        eq_rhs.append(rhs)
+    t = n_edge + np.arange(n_corner)
+    eq_mats[t, nv + corner_r, nv + corner_s] = eq_mats[t, nv + corner_s, nv + corner_r] = (
+        np.where(corner_r == corner_s, 1.0, 0.5)
+    )
+    eq_rhs[t] = corner_r == corner_s
 
-    for r in range(d):
-        for s in range(r, d):
-            eq_mats.append(_sym_from_coeffs(side, {(nv + r, nv + s): 1.0}))
-            eq_rhs.append(1.0 if r == s else 0.0)
+    t0 = n_edge + n_corner
+    _plane_rows(eq_mats, t0 + np.arange(len(on)), on, nv)
+    eq_rhs[t0 : t0 + len(on)] = [p.offset for _, p in on]
+    t0 += len(on)
 
-    for v, plane in qcqp.planes:
-        coeffs = {
-            (min(v, nv + r), max(v, nv + r)): float(nr)
-            for r, nr in enumerate(plane.normal)
-            if nr != 0.0
-        }
-        A = _sym_from_coeffs(side, coeffs)
-        if plane.relation == "on":
-            eq_mats.append(A)
-            eq_rhs.append(plane.offset)
-        else:  # x.n >= c  ->  tr(-A Z) <= -c
-            ineq_mats.append(-A)
-            ineq_rhs.append(-plane.offset)
-
+    u, x_cols = np.arange(nv), nv + np.arange(d)
     for k, aux in enumerate(qcqp.aux_points):
         ky = n_graph + k
-        i, j = aux.edge
         wa, wb = 1.0 - aux.alpha, aux.alpha
         # X block: y_r - wa x_i_r - wb x_j_r = const
-        for r in range(d):
-            coeffs = {(min(ky, nv + r), max(ky, nv + r)): 1.0}
-            rhs = 0.0
-            for v, wgt in ((i, wa), (j, wb)):
-                if v < n_graph:
-                    key = (min(v, nv + r), max(v, nv + r))
-                    coeffs[key] = coeffs.get(key, 0.0) - wgt
-                else:
-                    rhs += wgt * anchor_vec(v)[r]
-            eq_mats.append(_sym_from_coeffs(side, coeffs))
-            eq_rhs.append(rhs)
+        t = t0 + np.arange(d)
+        eq_mats[t, ky, x_cols] = eq_mats[t, x_cols, ky] = 0.5
         # Gram rows: <y, x_u> = wa <x_i, x_u> + wb <x_j, x_u> for every variable u
-        for u in range(nv):
-            coeffs = {(min(ky, u), max(ky, u)): 1.0}
-            for v, wgt in ((i, wa), (j, wb)):
-                if v < n_graph:
-                    key = (min(v, u), max(v, u))
-                    coeffs[key] = coeffs.get(key, 0.0) - wgt
-                else:
-                    w = anchor_vec(v)
-                    for r, wr in enumerate(w):
-                        if wr != 0.0:
-                            key = (min(u, nv + r), max(u, nv + r))
-                            coeffs[key] = coeffs.get(key, 0.0) - wgt * wr
-            eq_mats.append(_sym_from_coeffs(side, coeffs))
-            eq_rhs.append(0.0)
-
-    for sphere in qcqp.spheres:
-        r2 = sphere.radius**2
-        for v in range(nv):
-            M = _sym_from_coeffs(side, _anchor_coeffs(v, sphere.center, nv, side))
-            if sphere.sense == "keep_out":
-                ineq_mats.append(-M)
-                ineq_rhs.append(-r2)
+        g = t0 + d + u
+        eq_mats[g, u, ky] = eq_mats[g, ky, u] = 0.5
+        eq_mats[g[ky], ky, ky] = 1.0
+        rhs = 0.0
+        border, touched = np.zeros(d), np.zeros(d, dtype=bool)
+        for v, wgt in ((aux.edge[0], wa), (aux.edge[1], wb)):
+            if v < n_graph:
+                eq_mats[t, v, x_cols] = eq_mats[t, x_cols, v] = -0.5 * wgt
+                eq_mats[g, u, v] = eq_mats[g, v, u] = -0.5 * wgt
+                eq_mats[g[v], v, v] = -wgt
             else:
-                ineq_mats.append(M)
-                ineq_rhs.append(r2)
+                w = anchors[:, v - n_graph]
+                rhs = rhs + wgt * w
+                nz = w != 0.0
+                border[nz] -= wgt * w[nz]
+                touched |= nz
+        eq_rhs[t] = rhs
+        for r in np.flatnonzero(touched):
+            eq_mats[g, u, nv + r] = eq_mats[g, nv + r, u] = 0.5 * border[r]
+        t0 += d + nv
 
-    for i, j, eps in qcqp.self_collision:
-        ineq_mats.append(-_sym_from_coeffs(side, _edge_coeffs(i, j)))
-        ineq_rhs.append(-eps)
+    _plane_rows(ineq_mats, np.arange(len(above)), above, nv)
+    ineq_mats[: len(above)] *= -1.0  # x.n >= c  ->  tr(-A Z) <= -c
+    ineq_rhs[: len(above)] = [-p.offset for _, p in above]
+
+    spheres = qcqp.spheres
+    if spheres:
+        t = len(above) + np.arange(n_sphere)
+        centers = np.array([s.center for s in spheres], dtype=float)
+        _distance_rows(
+            ineq_mats, t, np.tile(u, len(spheres)), np.repeat(centers, nv, axis=0),
+            np.repeat([float(s.center @ s.center) for s in spheres], nv), nv,
+        )
+        keep_out = np.repeat([s.sense == "keep_out" for s in spheres], nv)
+        block = ineq_mats[t[0] : t[-1] + 1]
+        np.negative(block, out=block, where=keep_out[:, None, None])
+        r2 = [-s.radius**2 if s.sense == "keep_out" else s.radius**2 for s in spheres]
+        ineq_rhs[t] = np.repeat(r2, nv)
+
+    t0 = len(above) + n_sphere
+    pairs = np.array([(i, j) for i, j, _ in qcqp.self_collision], dtype=int).reshape(-1, 2)
+    _pair_rows(ineq_mats, t0 + np.arange(len(pairs)), pairs[:, 0], pairs[:, 1])
+    ineq_mats[t0:] *= -1.0
+    ineq_rhs[t0:] = [-eps for _, _, eps in qcqp.self_collision]
 
     return SdpInstance(
-        side=side,
-        dim=d,
-        eq_mats=eq_mats,
-        eq_rhs=np.array(eq_rhs),
-        ineq_mats=ineq_mats,
-        ineq_rhs=np.array(ineq_rhs),
+        side=side, dim=d, eq_mats=eq_mats, eq_rhs=eq_rhs, ineq_mats=ineq_mats, ineq_rhs=ineq_rhs
     )
 
 

@@ -4,15 +4,19 @@ The built-in method is an operator-splitting (ADMM) scheme on
 
     min tr(C Z)  s.t.  tr(A_k Z) = a_k,  tr(B_j Z) <= b_j,  Z PSD,
 
-with inequality slacks appended.  The constraint normal system is factored
-once and cached; one ADMM step pairs a projection onto the affine constraint
-set with a projection onto the PSD x nonnegative cone, with over-relaxation
-and scaled dual updates (`_admm_steps`).  Each step tests only its dual
-residual; the split and the true constraint residuals are computed only once
-the cheaper tests before them pass.  One loop in `solve` owns the iteration
-cap, the Farkas certificate probes of the live iterate at iterations
-FIRST_PROBE * 2^k and the offers of the iterate to a caller's acceptance
-callback at FIRST_OFFER * 2^k; a pass returns the iterate it stops on.
+with inequality slacks appended.  The affine projection eliminates the
+slacks and solves in the D = side (side + 1) / 2 dimensions of svec(Z), on
+factors of a D x D matrix and of the equality rows' Schur complement taken
+once per pass (`_ConicData`), so a projection costs O(rows x D) however many
+inequality rows there are.  One ADMM step pairs that projection onto the
+affine constraint set with a projection onto the PSD x nonnegative cone,
+with over-relaxation and scaled dual updates (`_admm_steps`).  Each step
+tests only its dual residual; the split and the true constraint residuals
+are computed only once the cheaper tests before them pass.  One loop in
+`solve` owns the iteration cap, the Farkas certificate probes of the live
+iterate at iterations FIRST_PROBE * 2^k and the offers of the iterate to a
+caller's acceptance callback at FIRST_OFFER * 2^k; a pass returns the
+iterate it stops on.
 Everything is dense and deterministic: the same instance and settings
 reproduce the same iterates.
 
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .lifting import SdpInstance
 
@@ -134,7 +138,19 @@ class _SvecSpace:
 
 
 class _ConicData:
-    """Preprocessed constraint system shared by the solve loop and certificates."""
+    """Preprocessed constraint system shared by the solve loop and certificates.
+
+    The iterate is (z, s): z = svec(Z) in D dimensions and one slack per
+    inequality row.  Each row is scaled to unit norm, so the constraint
+    operator is G = [[E, 0], [B_s, diag(scale_in)]] with right-hand side h:
+    E the scaled equality rows, B_s the scaled inequality rows.  G is never
+    formed.  On the affine set G x = h the slacks are s = c - B z, with B
+    the inequality rows in original units and c their right-hand side, so
+    the projection (_reduce) eliminates them and works in D dimensions on
+    H = I + B^T B and the Schur complement S = E H^-1 E^T of the equality
+    rows.  Both are factored here, once per pass.  Without inequality rows
+    H = I is neither formed nor solved, and S = E E^T.
+    """
 
     def __init__(self, instance: SdpInstance):
         self.instance = instance
@@ -142,11 +158,10 @@ class _ConicData:
         D = self.space.dim
         self.n_eq = instance.num_equalities
         self.n_ineq = instance.num_inequalities
-        m = self.n_eq + self.n_ineq
 
         mats = np.concatenate([instance.eq_mats, instance.ineq_mats])
         # The fancy-indexed view is strided; without a contiguous copy the row
-        # norms sum in another order and G changes in its last bits.
+        # norms sum in another order and the scaled rows change in their last bits.
         rows = np.ascontiguousarray(mats[:, self.space.rows, self.space.cols])
         rows *= self.space.weights
         rhs = np.concatenate([instance.eq_rhs, instance.ineq_rhs])
@@ -155,29 +170,46 @@ class _ConicData:
             raise ValueError("constraint matrices must be nonzero")
         self.scale = 1.0 / norms
         self.row_norms = norms
-
-        G = np.zeros((m, D + self.n_ineq))
-        G[:, :D] = rows * self.scale[:, None]
-        slack_rows = np.arange(self.n_eq, m)
-        G[slack_rows, D + slack_rows - self.n_eq] = self.scale[self.n_eq :]
-        self.G = G
-        self.GT = G.T
+        self.A = rows * self.scale[:, None]  # the scaled rows: G without its slack columns
         self.h = rhs * self.scale
         self.D = D
 
-        K = G @ G.T
-        self._cho = None
-        self._pinv = None
+        self.E = self.A[: self.n_eq]
+        self.e = self.h[: self.n_eq]
+        self.B = rows[self.n_eq :]
+        self.c = instance.ineq_rhs
+        if self.n_ineq:
+            H = self.B.T @ self.B
+            H.flat[:: D + 1] += 1.0
+            # H >= I, so its Cholesky factor fails only on non-finite rows.  The
+            # explicit inverse turns each projection's H solve into one matvec,
+            # several times faster than two triangular solves at this size.
+            L, info = dpotrf(H, lower=1, clean=1)
+            if not info:
+                L_inv, info = dtrtri(L, lower=1)
+            if info:
+                raise NumericalBreakdownError(f"factoring I + B^T B failed with info={info}")
+            W = L_inv @ self.E.T
+            self._h_inv = L_inv.T @ L_inv
+            self.M = L_inv.T @ W  # H^-1 E^T
+            S = W.T @ W
+        else:
+            self.M = self.E.T
+            S = self.E @ self.M
+        self._cho = self._pinv = None
         try:
-            self._cho = scipy.linalg.cho_factor(K)
+            # Without equality rows S is empty, and so is its pseudo-inverse.
+            self._cho = scipy.linalg.cho_factor(S) if self.n_eq else None
         except scipy.linalg.LinAlgError:
-            lam, V = np.linalg.eigh(K)
+            pass
+        if self._cho is None:
+            lam, V = np.linalg.eigh(S)
             inv = np.zeros_like(lam)
-            keep = lam > 1e-12 * max(float(lam[-1]), 1.0)
+            keep = lam > 1e-12 * max(float(np.max(lam, initial=0.0)), 1.0)
             inv[keep] = 1.0 / lam[keep]
             self._pinv = (V, inv)
 
-    def solve_normal(self, r: np.ndarray) -> np.ndarray:
+    def _solve_schur(self, r: np.ndarray) -> np.ndarray:
         if self._cho is not None:
             # LAPACK on the cached factor, without cho_solve's checks: solve()
             # rejects non-finite input and checks every iterate.
@@ -189,10 +221,55 @@ class _ConicData:
         V, inv = self._pinv
         return V @ (inv * (V.T @ r))
 
+    def _reduce(self, w: np.ndarray, homogeneous: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(u, lam) for the projection of w onto G x = h, or onto G x = 0 if homogeneous.
+
+        With w = (a, b), the projection x = (z, c - B z) minimizes
+        ||z - a||^2 + ||c - B z - b||^2 subject to E z = e, so
+        z = u - H^-1 E^T lam with u = H^-1 (a + B^T (c - b)) and lam from
+        S lam = E u - e.  A singular S (dependent equality rows) takes its
+        pseudo-inverse, which projects onto G x = proj_range(G) h.  Both
+        project_affine and multipliers read the projection off (u, lam).
+        """
+        D = self.D
+        if self.n_ineq:
+            t = w[D:] if homogeneous else w[D:] - self.c
+            u = self._h_inv @ (w[:D] - self.B.T @ t)
+        else:
+            u = w[:D]
+        r = self.E @ u
+        if not homogeneous:
+            r -= self.e
+        return u, self._solve_schur(r)
+
     def project_affine(self, w: np.ndarray) -> np.ndarray:
-        r = self.G @ w
-        r -= self.h
-        return w - self.GT @ self.solve_normal(r)
+        """The projection x = (z, c - B z) of w onto G x = h."""
+        u, lam = self._reduce(w, False)
+        z = u - self.M @ lam
+        if not self.n_ineq:
+            return z
+        return np.concatenate([z, self.c - self.B @ z])
+
+    def multipliers(self, w: np.ndarray, homogeneous: bool = False) -> np.ndarray:
+        """y with w - x = G^T y, x the projection of w onto G x = h (G x = 0 if homogeneous).
+
+        lam for the equality rows, and for each inequality row its slack gap
+        b - s = b - c + B z over the row's scale.  Without inequality rows
+        this is lam alone, and the projected point is never formed.
+        """
+        u, lam = self._reduce(w, homogeneous)
+        if not self.n_ineq:
+            return lam
+        gap = w[self.D :] + self.B @ (u - self.M @ lam)
+        if not homogeneous:
+            gap -= self.c
+        return np.concatenate([lam, gap * self.row_norms[self.n_eq :]])
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """G^T y, without forming G."""
+        if not self.n_ineq:
+            return self.A.T @ y
+        return np.concatenate([self.A.T @ y, y[self.n_eq :] * self.scale[self.n_eq :]])
 
     def project_cone(self, w: np.ndarray) -> np.ndarray:
         return self.project_cone_min_eig(w)[0]
@@ -209,14 +286,20 @@ class _ConicData:
         return out, lam_min
 
     def affine_least_squares_residual(self) -> tuple[np.ndarray, float]:
-        """Residual h - proj_range(G) h; nonzero means the affine set is empty."""
-        y = self.solve_normal(self.h)
-        resid = self.h - self.G @ (self.GT @ y)
+        """Residual h - proj_range(G) h; nonzero means the affine set is empty.
+
+        x = project_affine(0) meets G x = proj_range(G) h.  Its slacks meet
+        the inequality rows by construction, so only equality rows keep a
+        residual.
+        """
+        x = self.project_affine(np.zeros(self.D + self.n_ineq))
+        resid = np.zeros(len(self.h))
+        resid[: self.n_eq] = self.e - self.E @ x[: self.D]
         return resid, float(np.max(np.abs(resid))) if resid.size else 0.0
 
     def unscaled_evaluation(self, z_mat_part: np.ndarray) -> np.ndarray:
         """tr(A_k Z) for every constraint row, in original units."""
-        return (self.G[:, : self.D] @ z_mat_part) * self.row_norms
+        return (self.A @ z_mat_part) * self.row_norms
 
 
 def _constraint_tolerance(instance: SdpInstance, settings: SolverSettings) -> float:
@@ -255,17 +338,18 @@ def _certificate_from_iterate(
 ) -> InfeasibilityCertificate | None:
     """Farkas test on a cone point w through its gap to the affine set.
 
-    w - proj_affine(w) = G^T y with y = (G G^T)^-1 (G w - h).  When the
-    affine set and the cone are disjoint, the gap of the ADMM iterate tends
-    to the closest-pair direction, which lies in the dual cone and makes
-    y (in original units) a Farkas witness (Banjac, Goulart, Stellato and
-    Boyd, JOTA 2019).
+    w - proj_affine(w) = G^T y, with y the multipliers of the projection
+    (_ConicData.multipliers).  When the affine set and the cone are disjoint,
+    the gap of the ADMM iterate tends to the closest-pair direction, which
+    lies in the dual cone and makes y (in original units) a Farkas witness
+    (Banjac, Goulart, Stellato and Boyd, JOTA 2019).
 
     Long before the gap itself is PSD enough to verify, its a.y is already
     well below zero, so multipliers that fail the check are polished by
     alternating projections between the cone and range(G^T):
-    v = proj_K(G^T y), then y = (G G^T)^-1 G v on the cached factor.  The
-    slack columns of G are diag(scale) > 0, so G^T y lies in the cone exactly
+    v = proj_K(G^T y), then y the multipliers of the projection of v onto
+    G x = 0, whose gap G^T y is the part of v in range(G^T).  The slack
+    columns of G are diag(scale) > 0, so G^T y lies in the cone exactly
     when S(y) is PSD and mu >= 0: the rounds walk toward the set of
     certificates.  Each round's eigendecomposition also gives lambda_min(S),
     which with a.y and the sign of mu screens the round's multipliers: the
@@ -278,19 +362,17 @@ def _certificate_from_iterate(
     a.y + b.mu rises through zero within tens of rounds and stays there; on
     an unreachable goal it stays negative until the certificate verifies.
     """
-    r = data.G @ w
-    r -= data.h
-    y = data.solve_normal(r)
+    y = data.multipliers(w)
     certificate = _verify_certificate(data.instance, *_multipliers(data, y))
     if certificate is not None:
         return certificate
-    v = data.project_cone(data.GT @ y)
+    v = data.project_cone(data.adjoint(y))
     for _ in range(CERT_POLISH_ROUNDS):
-        y = data.solve_normal(data.G @ v)
+        y = data.multipliers(v, homogeneous=True)
         value = float(data.h @ y)
         if value >= 0.0:
             return None
-        g = data.GT @ y
+        g = data.adjoint(y)
         v, lam_min = data.project_cone_min_eig(g)
         # Both tests of _verify_certificate, up to its normalization, and
         # mu >= 0: the slack block of G^T y is mu in original units.

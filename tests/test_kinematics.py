@@ -116,6 +116,36 @@ def test_frame_walk_matches_per_joint_rodrigues(name):
         assert np.array_equal(frames.axes, axes)
 
 
+def per_column_points(robot, frames):
+    """Reference point matrix: each layout column read off the frames on its own."""
+    d = robot.dimension
+    P = np.empty((d, len(robot.layout.columns)))
+    for c, col in enumerate(robot.layout.columns):
+        if col[0] == "p":
+            P[:, c] = frames.origins[col[1]][:d]
+        elif col[0] == "q":
+            P[:, c] = (frames.origins[col[1]] + frames.axes[col[1]])[:d]
+        else:
+            ee = robot.end_effectors[col[1]]
+            R = frames.rotations[ee.parent]
+            pos = frames.origins[ee.parent] + R @ ee.tip
+            P[:, c] = (pos if col[2] == "pos" else pos + R @ (ee.tip / np.linalg.norm(ee.tip)))[:d]
+    return P
+
+
+@pytest.mark.parametrize("name", KERNEL_ROBOTS)
+def test_joint_points_match_per_column_reference(name):
+    """The one-gather point matrix equals the column-by-column one, zero signs included."""
+    robot = KERNEL_ROBOTS[name]()
+    rng = np.random.Generator(np.random.Philox(key=32))
+    for theta in [sample_angles(rng, robot.num_joints) for _ in range(20)] + [np.zeros(robot.num_joints)]:
+        _, frames = forward_kinematics(robot, theta)
+        got, want = joint_points(robot, theta), per_column_points(robot, frames)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("make", [rpy_chain, branching_robot])
 def test_reconstruction_round_trip_rpy_and_branching(make):
     robot = make()

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cidgik import (
+    AuxPoint,
     Goal,
+    Plane,
     SdpInstance,
     Sphere,
     WorkspaceSpec,
+    add_aux_point,
     assemble_qcqp,
     build_toy_instance,
     evaluate,
@@ -16,8 +21,9 @@ from cidgik import (
     lift_points,
 )
 from cidgik.graph import feasible_points
-from cidgik.robots import random_coplanar_chain
+from cidgik.robots import planar_two_link, random_coplanar_chain
 from conftest import sample_angles
+from test_iteration import _hinged_instance
 
 A0 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
 A1 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
@@ -200,3 +206,176 @@ def test_sdp_instance_rejects_misshaped_constraints(eq_mats, eq_rhs, ineq_mats, 
         SdpInstance(
             side=2, dim=1, eq_mats=eq_mats, eq_rhs=eq_rhs, ineq_mats=ineq_mats, ineq_rhs=ineq_rhs
         )
+
+
+# ---------------------------------------------------------------------------
+# The stacked lift against an entrywise reference
+
+
+def _sym_from_coeffs(side, coeffs):
+    """Symmetric A with tr(A Z) = sum coeffs[(i, j)] * Z_ij for symmetric Z."""
+    A = np.zeros((side, side))
+    for (i, j), c in coeffs.items():
+        if i == j:
+            A[i, i] += c
+        else:
+            A[i, j] += 0.5 * c
+            A[j, i] += 0.5 * c
+    return A
+
+
+def _anchor_coeffs(k, w, nv, side):
+    coeffs = {(k, k): 1.0}
+    for r, wr in enumerate(w):
+        if wr != 0.0:
+            coeffs[(min(k, nv + r), max(k, nv + r))] = -2.0 * wr
+    coeffs[(side - 1, side - 1)] = coeffs.get((side - 1, side - 1), 0.0) + float(w @ w)
+    return coeffs
+
+
+def _edge_coeffs(k, l):
+    return {(k, k): 1.0, (l, l): 1.0, (min(k, l), max(k, l)): -2.0}
+
+
+def _reference_lift(qcqp):
+    """The lift written row by row: a coefficient dict per row, then a dense matrix."""
+    graph = qcqp.graph
+    d, nv, n_graph = graph.dim, qcqp.num_variables, graph.num_variables
+    side = nv + d
+    eq_mats, eq_rhs, ineq_mats, ineq_rhs = [], [], [], []
+
+    def anchor_vec(v):
+        return graph.anchors[:, v - n_graph]
+
+    for e in graph.edges:
+        if e.head < n_graph:
+            coeffs = _edge_coeffs(e.tail, e.head)
+        else:
+            coeffs = _anchor_coeffs(e.tail, anchor_vec(e.head), nv, side)
+        eq_mats.append(_sym_from_coeffs(side, coeffs))
+        eq_rhs.append(e.weight)
+    for r in range(d):
+        for s in range(r, d):
+            eq_mats.append(_sym_from_coeffs(side, {(nv + r, nv + s): 1.0}))
+            eq_rhs.append(1.0 if r == s else 0.0)
+    for v, plane in qcqp.planes:
+        coeffs = {
+            (min(v, nv + r), max(v, nv + r)): float(nr)
+            for r, nr in enumerate(plane.normal)
+            if nr != 0.0
+        }
+        A = _sym_from_coeffs(side, coeffs)
+        if plane.relation == "on":
+            eq_mats.append(A)
+            eq_rhs.append(plane.offset)
+        else:
+            ineq_mats.append(-A)
+            ineq_rhs.append(-plane.offset)
+    for k, aux in enumerate(qcqp.aux_points):
+        ky = n_graph + k
+        i, j = aux.edge
+        wa, wb = 1.0 - aux.alpha, aux.alpha
+        for r in range(d):
+            coeffs = {(min(ky, nv + r), max(ky, nv + r)): 1.0}
+            rhs = 0.0
+            for v, wgt in ((i, wa), (j, wb)):
+                if v < n_graph:
+                    key = (min(v, nv + r), max(v, nv + r))
+                    coeffs[key] = coeffs.get(key, 0.0) - wgt
+                else:
+                    rhs += wgt * anchor_vec(v)[r]
+            eq_mats.append(_sym_from_coeffs(side, coeffs))
+            eq_rhs.append(rhs)
+        for u in range(nv):
+            coeffs = {(min(ky, u), max(ky, u)): 1.0}
+            for v, wgt in ((i, wa), (j, wb)):
+                if v < n_graph:
+                    key = (min(v, u), max(v, u))
+                    coeffs[key] = coeffs.get(key, 0.0) - wgt
+                else:
+                    for r, wr in enumerate(anchor_vec(v)):
+                        if wr != 0.0:
+                            key = (min(u, nv + r), max(u, nv + r))
+                            coeffs[key] = coeffs.get(key, 0.0) - wgt * wr
+            eq_mats.append(_sym_from_coeffs(side, coeffs))
+            eq_rhs.append(0.0)
+    for sphere in qcqp.spheres:
+        r2 = sphere.radius**2
+        for v in range(nv):
+            M = _sym_from_coeffs(side, _anchor_coeffs(v, sphere.center, nv, side))
+            if sphere.sense == "keep_out":
+                ineq_mats.append(-M)
+                ineq_rhs.append(-r2)
+            else:
+                ineq_mats.append(M)
+                ineq_rhs.append(r2)
+    for i, j, eps in qcqp.self_collision:
+        ineq_mats.append(-_sym_from_coeffs(side, _edge_coeffs(i, j)))
+        ineq_rhs.append(-eps)
+    return SdpInstance(side, d, eq_mats, np.array(eq_rhs), ineq_mats, np.array(ineq_rhs))
+
+
+def _planes_instance(chain_6dof):
+    """Octahedron key 0 with an "on" plane and an "above" plane on two variable points."""
+    qcqp = generate(chain_6dof, "octahedron", 0).qcqp
+    tilted = np.array([0.6, 0.0, 0.8])
+    planes = [
+        (1, Plane(normal=tilted, offset=0.1, relation="on")),
+        (2, Plane(normal=np.array([0.0, 1.0, 0.0]), offset=-0.2, relation="above")),
+    ]
+    return dataclasses.replace(qcqp, planes=qcqp.planes + planes)
+
+
+def _variable_aux_instance(chain_6dof):
+    """Table-25 key 2 with an aux point between two variable points."""
+    qcqp = generate(chain_6dof, "table", 2, table_obstacles=25).qcqp
+    nv = qcqp.graph.num_variables
+    edge = next(e for e in qcqp.graph.edges if e.head < nv)
+    return add_aux_point(qcqp, AuxPoint(edge=(edge.tail, edge.head), alpha=0.3))
+
+
+def _coplanar_chain_instance():
+    robot = random_coplanar_chain(7, 1)
+    poses, _ = forward_kinematics(robot, np.linspace(-1.0, 1.0, 7))
+    goal = Goal(end_effector=0, position=poses[0].position, direction=poses[0].direction)
+    ws = WorkspaceSpec(spheres=[Sphere(center=np.array([0.0, 0.0, -5.0]), radius=0.5)])
+    return assemble_qcqp(robot, [goal], ws)
+
+
+def _generated(env, key, obstacles=0):
+    return lambda robot: generate(robot, env, key, table_obstacles=obstacles).qcqp
+
+
+LIFT_CASES = {
+    "octahedron-0": _generated("octahedron", 0),
+    "octahedron-1": _generated("octahedron", 1),
+    "table25-0": _generated("table", 0, 25),
+    "table25-1": _generated("table", 1, 25),
+    "table100-0": _generated("table", 0, 100),
+    "table100-1": _generated("table", 1, 100),
+    "cube-0": _generated("cube", 0),
+    "icosahedron-0": _generated("icosahedron", 0),
+    "free-0": _generated("free", 0),
+    "planar-two-link": lambda robot: assemble_qcqp(
+        planar_two_link(),
+        [Goal(end_effector=0, position=np.array([1.0, 1.0]))],
+        WorkspaceSpec(spheres=[Sphere(center=np.array([1.0, 0.0]), radius=0.5)]),
+    ),
+    "coplanar-chain-7": lambda robot: _coplanar_chain_instance(),
+    "aux-keep-in-self-collision": _hinged_instance,
+    "aux-between-variables": _variable_aux_instance,
+    "on-and-above-planes": _planes_instance,
+}
+
+
+@pytest.mark.parametrize("case", list(LIFT_CASES))
+def test_lift_matches_entrywise_reference(chain_6dof, case):
+    """Every row and right-hand side equals the row-by-row lift exactly, zero signs included."""
+    qcqp = LIFT_CASES[case](chain_6dof)
+    got, want = lift(qcqp), _reference_lift(qcqp)
+    assert (got.side, got.dim) == (want.side, want.dim)
+    for name in ("eq_mats", "eq_rhs", "ineq_mats", "ineq_rhs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape
+        assert np.array_equal(a, b), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name

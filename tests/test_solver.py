@@ -380,18 +380,95 @@ def test_failed_polish_stops_once_its_value_turns(chain_6dof, monkeypatch):
     assert (result.status, len(probes)) == ("max_iters", 1)
 
     data, w = probes[0]
-    solved = []
-    inner_solve = cidgik.solver._ConicData.solve_normal
+    solved = []  # the multipliers of the probe's projection, then of each polish round's
+    inner_multipliers = cidgik.solver._ConicData.multipliers
 
-    def recording_solve(self, r):
-        solved.append(inner_solve(self, r))
+    def recording_multipliers(self, v, homogeneous=False):
+        solved.append(inner_multipliers(self, v, homogeneous))
         return solved[-1]
 
-    monkeypatch.setattr(cidgik.solver._ConicData, "solve_normal", recording_solve)
+    monkeypatch.setattr(cidgik.solver._ConicData, "multipliers", recording_multipliers)
     assert inner_probe(data, w) is None
     assert 1 < len(solved) < 1 + cidgik.solver.CERT_POLISH_ROUNDS
     assert float(data.h @ solved[-1]) >= 0.0
     assert all(float(data.h @ y) < 0.0 for y in solved[1:-1])
+
+
+def _dense_operator(instance):
+    """(G, h): the scaled constraint rows with their slack columns, as a dense matrix."""
+    space = cidgik.solver._SvecSpace(instance.side)
+    mats = np.concatenate([instance.eq_mats, instance.ineq_mats])
+    rows = mats[:, space.rows, space.cols] * space.weights
+    scale = 1.0 / np.linalg.norm(rows, axis=1)
+    n_eq, n_ineq = instance.num_equalities, instance.num_inequalities
+    G = np.zeros((n_eq + n_ineq, space.dim + n_ineq))
+    G[:, : space.dim] = rows * scale[:, None]
+    G[n_eq + np.arange(n_ineq), space.dim + np.arange(n_ineq)] = scale[n_eq:]
+    return G, np.concatenate([instance.eq_rhs, instance.ineq_rhs]) * scale
+
+
+def _duplicated_row_instance(chain_6dof):
+    """Octahedron key 0 with its first equality row repeated: a singular Schur complement."""
+    inst = lift(generate(chain_6dof, "octahedron", 0).qcqp)
+    return SdpInstance(
+        side=inst.side,
+        dim=inst.dim,
+        eq_mats=np.concatenate([inst.eq_mats, inst.eq_mats[:1]]),
+        eq_rhs=np.concatenate([inst.eq_rhs, inst.eq_rhs[:1]]),
+        ineq_mats=inst.ineq_mats,
+        ineq_rhs=inst.ineq_rhs,
+    )
+
+
+PROJECTION_CASES = {
+    "table-25": lambda robot: lift(generate(robot, "table", 0, table_obstacles=25).qcqp),
+    "octahedron": lambda robot: lift(generate(robot, "octahedron", 0).qcqp),
+    "unreachable": lambda robot: lift(_unreachable_qcqp(robot, 0)),
+    "toy": lambda robot: build_toy_instance(),
+    "duplicated-equality": _duplicated_row_instance,
+    "inequalities-only": lambda robot: SdpInstance(
+        side=2, dim=1, eq_mats=[], eq_rhs=[], ineq_mats=[-np.eye(2)], ineq_rhs=[-1.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PROJECTION_CASES))
+def test_projection_matches_dense_reference(chain_6dof, case):
+    """The D-dimensional projection is w - G^T pinv(G G^T) (G w - h), and w - x = G^T y.
+
+    The dense operator G (slack columns included) and its m x m normal
+    matrix are built here only; the solver never forms them.  The
+    multipliers of the homogeneous projection (h = 0), which the
+    certificate polish reads, must give its gap too.
+    """
+    instance = PROJECTION_CASES[case](chain_6dof)
+    data = cidgik.solver._ConicData(instance)
+    G, h = _dense_operator(instance)
+    if case == "table-25":
+        assert G.shape[0] > data.D  # more rows than svec dimensions
+    if case == "unreachable":
+        assert data.n_ineq == 0  # H = I is never formed
+    if case == "duplicated-equality":
+        assert data._cho is None  # the pseudo-inverse of a singular S
+    normal_pinv = np.linalg.pinv(G @ G.T)
+    rng = np.random.Generator(np.random.Philox(key=58))
+    for homogeneous in (False, True):
+        rhs = 0.0 * h if homogeneous else h
+        for _ in range(3):
+            w = rng.standard_normal(G.shape[1])
+            want = w - G.T @ (normal_pinv @ (G @ w - rhs))
+            scale = np.linalg.norm(w) + np.linalg.norm(want)
+            if not homogeneous:
+                x = data.project_affine(w)
+                assert np.linalg.norm(x - want) <= 1e-9 * scale
+            y = data.multipliers(w, homogeneous)
+            assert np.linalg.norm(w - want - G.T @ y) <= 1e-9 * scale
+            np.testing.assert_allclose(
+                data.adjoint(y), G.T @ y, rtol=0.0, atol=1e-12 * np.linalg.norm(y)
+            )
+    resid, resid_inf = data.affine_least_squares_residual()
+    assert resid_inf <= 1e-9 * (1.0 + np.max(np.abs(h)))
+    np.testing.assert_allclose(resid, h - G @ G.T @ (normal_pinv @ h), rtol=0.0, atol=1e-9)
 
 
 def test_solver_determinism(toy_qcqp):
