@@ -10,13 +10,16 @@ factors of a D x D matrix and of the equality rows' Schur complement taken
 once per pass (`_ConicData`), so a projection costs O(rows x D) however many
 inequality rows there are.  One ADMM step pairs that projection onto the
 affine constraint set with a projection onto the PSD x nonnegative cone,
-with over-relaxation and scaled dual updates (`_admm_steps`).  Each step
-tests only its dual residual; the split and the true constraint residuals
-are computed only once the cheaper tests before them pass.  One loop in
-`solve` owns the iteration cap, the Farkas certificate probes of the live
-iterate at iterations FIRST_PROBE * 2^k and the offers of the iterate to a
-caller's acceptance callback at FIRST_OFFER * 2^k; a pass returns the
-iterate it stops on.
+with over-relaxation and scaled dual updates (`_admm_steps`).  The cone
+projection is one eigendecomposition by LAPACK dsyevd, called directly on a
+buffer each pass allocates once; the ADMM and the certificate polish share
+it.  Each step tests only its dual residual; the split and the true
+constraint residuals are computed only once the cheaper tests before them
+pass.  One loop in `solve` owns the iteration cap, the Farkas certificate
+probes of the live iterate at iterations FIRST_PROBE * 2^k (each polished
+by over-relaxed alternating projections, `_certificate_from_iterate`) and
+the offers of the iterate to a caller's acceptance callback at
+FIRST_OFFER * 2^k; a pass returns the iterate it stops on.
 Everything is dense and deterministic: the same instance and settings
 reproduce the same iterates.
 
@@ -39,13 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd, dtrtri
 
 from .lifting import SdpInstance
 
 logger = logging.getLogger("cidgik.solver")
 
 OVER_RELAXATION = 1.5
+POLISH_RELAXATION = 1.8  # over-relaxation of the certificate polish's rounds after the first
 RHO_ADAPT_EVERY = 100
 RHO_MIN, RHO_MAX = 1e-4, 1e4
 FIRST_PROBE = 100  # Farkas probes of the iterate at FIRST_PROBE * 2^k
@@ -129,12 +133,15 @@ class _SvecSpace:
     def vec(self, M: np.ndarray) -> np.ndarray:
         return np.take(M, self.upper) * self.weights
 
-    def mat(self, v: np.ndarray) -> np.ndarray:
-        M = np.empty(self.n * self.n)
+    def mat(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The symmetric matrix of v, written into out (C-contiguous n x n) if given."""
+        M = np.empty((self.n, self.n)) if out is None else out
+        flat = M.reshape(-1)  # a view, since M is C-contiguous
+        # Divided, not multiplied by 1 / weights, which rounds differently.
         vals = v / self.weights
-        M[self.upper] = vals
-        M[self.lower] = vals
-        return M.reshape(self.n, self.n)
+        flat[self.upper] = vals
+        flat[self.lower] = vals
+        return M
 
 
 class _ConicData:
@@ -158,6 +165,7 @@ class _ConicData:
         D = self.space.dim
         self.n_eq = instance.num_equalities
         self.n_ineq = instance.num_inequalities
+        self._cone_buf = np.empty((instance.side, instance.side))  # project_cone_min_eig's scatter
 
         mats = np.concatenate([instance.eq_mats, instance.ineq_mats])
         # The fancy-indexed view is strided; without a contiguous copy the row
@@ -275,9 +283,21 @@ class _ConicData:
         return self.project_cone_min_eig(w)[0]
 
     def project_cone_min_eig(self, w: np.ndarray) -> tuple[np.ndarray, float]:
-        """proj_K(w), plus the least eigenvalue of mat(w[:D]) that it costs anyway."""
-        M = self.space.mat(w[: self.D])
-        lam, V = np.linalg.eigh(M)
+        """proj_K(w), plus the least eigenvalue of mat(w[:D]) that it costs anyway.
+
+        LAPACK dsyevd on the lower triangle, called directly on the buffer
+        this pass allocated: np.linalg.eigh calls the same routine and gets
+        the same eigenpairs, but its wrapper costs about a quarter of the
+        call.  The rebuild keeps every column, zero eigenvalues included, so
+        it rounds as it always did.  Neither scans for NaN: a NaN that
+        dsyevd returns reaches the output and the solve loop's finiteness
+        check, and where dsyevd fails on one (info > 0, where eigh raised
+        LinAlgError) this raises NumericalBreakdownError.
+        """
+        M = self.space.mat(w[: self.D], out=self._cone_buf)
+        lam, V, info = dsyevd(M, compute_v=1, lower=1)
+        if info:
+            raise NumericalBreakdownError(f"dsyevd failed with info={info}")
         lam_min = float(lam[0])
         np.maximum(lam, 0.0, out=lam)
         out = np.empty_like(w)
@@ -334,7 +354,7 @@ def _verify_certificate(
 
 
 def _certificate_from_iterate(
-    data: _ConicData, w: np.ndarray
+    data: _ConicData, w: np.ndarray, iteration: int
 ) -> InfeasibilityCertificate | None:
     """Farkas test on a cone point w through its gap to the affine set.
 
@@ -347,45 +367,57 @@ def _certificate_from_iterate(
     Long before the gap itself is PSD enough to verify, its a.y is already
     well below zero, so multipliers that fail the check are polished by
     alternating projections between the cone and range(G^T):
-    v = proj_K(G^T y), then y the multipliers of the projection of v onto
-    G x = 0, whose gap G^T y is the part of v in range(G^T).  The slack
-    columns of G are diag(scale) > 0, so G^T y lies in the cone exactly
-    when S(y) is PSD and mu >= 0: the rounds walk toward the set of
-    certificates.  Each round's eigendecomposition also gives lambda_min(S),
-    which with a.y and the sign of mu screens the round's multipliers: the
-    cone condition asks S PSD and mu >= 0.  Only those that pass the screen
-    get the full check, _verify_certificate, which alone decides.
+    v = proj_K(G^T y), then y_new the multipliers of the projection of v
+    onto G x = 0, whose gap G^T y_new is the part of v in range(G^T).  The
+    rounds converge linearly, so after the first each one is over-relaxed:
+    y <- y + POLISH_RELAXATION * (y_new - y), which nearly halves the
+    rounds a certificate takes.  The slack columns of G are diag(scale) > 0,
+    so G^T y lies in the cone exactly when S(y) is PSD and mu >= 0: the
+    rounds walk toward the set of certificates.  Each round's cone
+    projection (one LAPACK dsyevd) also gives lambda_min(S), which with a.y
+    and the sign of mu screens the round's relaxed multipliers: the cone
+    condition asks S PSD and mu >= 0.  Only those that pass the screen get
+    the full check, _verify_certificate, which alone decides.
 
     The polish runs until it decides: a screened round verifies, or a
-    round's a.y + b.mu (the scaled h.y) reaches zero, which no certificate
-    can have, or CERT_POLISH_ROUNDS rounds have run.  On a feasible instance
-    a.y + b.mu rises through zero within tens of rounds and stays there; on
-    an unreachable goal it stays negative until the certificate verifies.
+    round's a.y + b.mu (the scaled h.y of the relaxed y) reaches zero, which
+    no certificate can have, or CERT_POLISH_ROUNDS rounds have run.  On a
+    feasible instance a.y + b.mu rises through zero within tens of rounds
+    and stays there; on an unreachable goal it stays negative until the
+    certificate verifies.  Each probe logs one debug line: the ADMM
+    iteration it probed, its polish rounds and how it ended.
     """
     y = data.multipliers(w)
     certificate = _verify_certificate(data.instance, *_multipliers(data, y))
-    if certificate is not None:
-        return certificate
-    v = data.project_cone(data.adjoint(y))
-    for _ in range(CERT_POLISH_ROUNDS):
-        y = data.multipliers(v, homogeneous=True)
-        value = float(data.h @ y)
-        if value >= 0.0:
-            return None
-        g = data.adjoint(y)
-        v, lam_min = data.project_cone_min_eig(g)
-        # Both tests of _verify_certificate, up to its normalization, and
-        # mu >= 0: the slack block of G^T y is mu in original units.
-        tol = CERT_TOL * float(np.linalg.norm(y * data.scale))
-        if (
-            lam_min >= -tol
-            and value <= -tol
-            and float(np.min(g[data.D :], initial=0.0)) >= -tol
-        ):
-            certificate = _verify_certificate(data.instance, *_multipliers(data, y))
-            if certificate is not None:
-                return certificate
-    return None
+    rounds, outcome = 0, "verified"
+    if certificate is None:
+        outcome = "round cap"
+        v = data.project_cone(data.adjoint(y))
+        for rounds in range(1, CERT_POLISH_ROUNDS + 1):
+            y_new = data.multipliers(v, homogeneous=True)
+            y = y_new if rounds == 1 else y + POLISH_RELAXATION * (y_new - y)
+            value = float(data.h @ y)
+            if value >= 0.0:
+                outcome = "value turned nonnegative"
+                break
+            g = data.adjoint(y)
+            v, lam_min = data.project_cone_min_eig(g)
+            # Both tests of _verify_certificate, up to its normalization, and
+            # mu >= 0: the slack block of G^T y is mu in original units.
+            tol = CERT_TOL * float(np.linalg.norm(y * data.scale))
+            if (
+                lam_min >= -tol
+                and value <= -tol
+                and float(np.min(g[data.D :], initial=0.0)) >= -tol
+            ):
+                certificate = _verify_certificate(data.instance, *_multipliers(data, y))
+                if certificate is not None:
+                    outcome = "verified"
+                    break
+    logger.debug(
+        "Farkas probe at iteration %d: %s after %d polish rounds", iteration, outcome, rounds
+    )
+    return certificate
 
 
 def _multipliers(data: _ConicData, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -487,15 +519,16 @@ def solve(
     residual (true constraint residuals and split) is still above 50x the
     constraint tolerance, the current iterate's gap to the affine set is
     mapped to multipliers and checked as a Farkas certificate; multipliers
-    that fail are polished by alternating projections toward the
-    certificate set, each round screened and checked again, until a round
-    verifies or its a.y + b.mu turns nonnegative (see
-    _certificate_from_iterate).  The schedule advances at every scheduled
-    iteration, whether or not the residual test lets that probe run.  The
-    first certificate that verifies ends the pass infeasible.  The probe
-    only reads the iterate, so a pass it never stops runs exactly as
-    without it.  The combined residual is computed only at probe
-    iterations, and the residuals SolveResult reports only at the stop.
+    that fail are polished by over-relaxed alternating projections toward
+    the certificate set, each round screened and checked again, until a
+    round verifies, its a.y + b.mu turns nonnegative or CERT_POLISH_ROUNDS
+    rounds have run (see _certificate_from_iterate).  The schedule advances
+    at every scheduled iteration, whether or not the residual test lets that
+    probe run.  The first certificate that verifies ends the pass
+    infeasible.  The probe only reads the iterate, so a pass it never stops
+    runs exactly as without it.  The combined residual is computed only at
+    probe iterations, and the residuals SolveResult reports only at the
+    stop.
 
     accept, when given, is offered the current cone point Z at iterations
     FIRST_OFFER * 2^k (10, 20, 40, ...) and at the iteration the pass stops
@@ -516,8 +549,9 @@ def solve(
     C = np.asarray(C, dtype=float)
     if C.shape != (instance.side, instance.side):
         raise ValueError("objective matrix side does not match the instance")
-    # The normal solves skip scipy's finiteness scan; finite input plus the
-    # per-iteration check on the residual keep NaN from going unnoticed.
+    # The LAPACK calls of the loop (dpotrs, dsyevd) skip scipy's finiteness
+    # scan; finite input plus the per-iteration check on the dual residual
+    # keep NaN from going unnoticed.
     if not np.all(np.isfinite(C)):
         raise ValueError("objective matrix must be finite")
     if np.max(np.abs(C - C.T)) > 1e-12 * max(1.0, float(np.max(np.abs(C)))):
@@ -590,7 +624,7 @@ def solve(
             split = float(np.max(np.abs(x_vec - z_vec)))
             if max(*_true_residuals(data, z_vec), split) > 50 * tol_con:
                 # The step yields a cone point, so its affine gap is the probe.
-                certificate = _certificate_from_iterate(data, z_vec)
+                certificate = _certificate_from_iterate(data, z_vec, it)
                 if certificate is not None:
                     status = "infeasible"
                     break

@@ -365,21 +365,25 @@ def test_failed_polish_stops_once_its_value_turns(chain_6dof, monkeypatch):
     """A feasible iterate's polish ends on the round whose a.y + b.mu reaches zero.
 
     Table-25 key 0's iterate at iteration 100 (260 inequality rows) gets no
-    certificate, and its polish stops well before CERT_POLISH_ROUNDS.
+    certificate, and its polish stops well before CERT_POLISH_ROUNDS.  The
+    stop reads the relaxed multipliers, so the test records the y of every
+    h.y the polish takes, and checks each against the relaxation of the
+    projections' raw multipliers.
     """
     probes = []
     inner_probe = cidgik.solver._certificate_from_iterate
 
-    def recording_probe(data, w):
-        probes.append((data, w.copy()))
-        return inner_probe(data, w)
+    def recording_probe(data, w, iteration):
+        probes.append((data, w.copy(), iteration))
+        return inner_probe(data, w, iteration)
 
     monkeypatch.setattr(cidgik.solver, "_certificate_from_iterate", recording_probe)
     instance = lift(generate(chain_6dof, "table", 0, table_obstacles=25).qcqp)
     result = solve(instance, None, SolverSettings(max_iters=100))
     assert (result.status, len(probes)) == ("max_iters", 1)
 
-    data, w = probes[0]
+    data, w, iteration = probes[0]
+    assert iteration == 100
     solved = []  # the multipliers of the probe's projection, then of each polish round's
     inner_multipliers = cidgik.solver._ConicData.multipliers
 
@@ -387,11 +391,188 @@ def test_failed_polish_stops_once_its_value_turns(chain_6dof, monkeypatch):
         solved.append(inner_multipliers(self, v, homogeneous))
         return solved[-1]
 
+    read = []  # the y of each h.y the polish computes: the stopping test's
+
+    class RecordingRow(np.ndarray):
+        def __matmul__(self, y):
+            read.append(y.copy())
+            return np.asarray(self) @ y
+
     monkeypatch.setattr(cidgik.solver._ConicData, "multipliers", recording_multipliers)
-    assert inner_probe(data, w) is None
+    data.h = data.h.view(RecordingRow)
+    assert inner_probe(data, w, iteration) is None
+    h = np.asarray(data.h)
     assert 1 < len(solved) < 1 + cidgik.solver.CERT_POLISH_ROUNDS
-    assert float(data.h @ solved[-1]) >= 0.0
-    assert all(float(data.h @ y) < 0.0 for y in solved[1:-1])
+    assert len(read) == len(solved) - 1  # one stopping test per polish round
+    assert float(h @ read[-1]) >= 0.0
+    assert all(float(h @ y) < 0.0 for y in read[:-1])
+    # The first round is unrelaxed; each later one moves POLISH_RELAXATION
+    # times its step toward the round's projection.
+    relaxation = cidgik.solver.POLISH_RELAXATION
+    assert read[0].tobytes() == solved[1].tobytes()
+    for prev, y, y_new in zip(read, read[1:], solved[2:]):
+        assert y.tobytes() == (prev + relaxation * (y_new - prev)).tobytes()
+        assert not np.array_equal(y, y_new)
+
+
+@pytest.mark.parametrize("key", [0, 22])
+def test_relaxed_polish_certifies_within_its_round_budget(chain_6dof, monkeypatch, key):
+    """Keys 0 and 22 certify in their first pass within 120 polish rounds in total.
+
+    Unrelaxed (POLISH_RELAXATION = 1), key 0 took 187 rounds and key 22 took
+    162; at 1.8 they take 103 and 88.  The goal among the table obstacles
+    still certifies by iteration 800 with mu >= 0
+    (test_unreachable_goal_among_obstacles_certified).
+    """
+    passes = _record_passes(monkeypatch)
+    rounds = []
+    inner = cidgik.solver._ConicData.multipliers
+
+    def counting_multipliers(self, v, homogeneous=False):
+        if homogeneous:  # only the polish projects onto G x = 0
+            rounds.append(None)
+        return inner(self, v, homogeneous)
+
+    monkeypatch.setattr(cidgik.solver._ConicData, "multipliers", counting_multipliers)
+    qcqp = _unreachable_qcqp(chain_6dof, key)
+    result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
+    assert result.status == "infeasible"
+    assert [(warm is None, r.status) for warm, r in passes] == [(True, "infeasible")]
+    assert 0 < len(rounds) <= 120
+    assert _verify_certificate(lift(qcqp), result.certificate.y, result.certificate.mu) is not None
+
+
+def test_probes_are_logged(chain_6dof, monkeypatch, caplog):
+    """One debug line per probe: its ADMM iteration, polish rounds and outcome.
+
+    Unreachable key 0 verifies at its first probe; a 3-round cap ends that
+    probe at the cap instead; table-25 key 0 is feasible, and its probe at
+    iteration 100 ends once its value turns nonnegative.
+    """
+
+    def probe_lines(instance, max_iters):
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="cidgik.solver"):
+            solve(instance, None, SolverSettings(max_iters=max_iters))
+        return [r.getMessage() for r in caplog.records if "Farkas probe" in r.getMessage()]
+
+    unreachable = lift(_unreachable_qcqp(chain_6dof, 0))
+    [line] = probe_lines(unreachable, 100)
+    prefix = "Farkas probe at iteration 100: verified after "
+    assert line.startswith(prefix) and line.endswith(" polish rounds")
+    assert 0 < int(line[len(prefix) :].split()[0]) <= 120
+    monkeypatch.setattr(cidgik.solver, "CERT_POLISH_ROUNDS", 3)
+    assert probe_lines(unreachable, 100) == [
+        "Farkas probe at iteration 100: round cap after 3 polish rounds"
+    ]
+    monkeypatch.undo()
+    table = lift(generate(chain_6dof, "table", 0, table_obstacles=25).qcqp)
+    [line] = probe_lines(table, 100)
+    assert line.startswith("Farkas probe at iteration 100: value turned nonnegative after ")
+
+
+def _eigh_cone_reference(data, w):
+    """proj_K(w) and lambda_min as the cone projection computed them with np.linalg.eigh."""
+    n = data.instance.side
+    rows, cols = np.triu_indices(n)
+    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    vals = w[: data.D] / weights
+    M = np.empty((n, n))
+    M[rows, cols] = vals
+    M[cols, rows] = vals
+    lam, V = np.linalg.eigh(M)
+    lam_min = float(lam[0])
+    np.maximum(lam, 0.0, out=lam)
+    out = np.empty_like(w)
+    out[: data.D] = ((V * lam) @ V.T)[rows, cols] * weights
+    out[data.D :] = np.maximum(w[data.D :], 0.0)
+    return out, lam_min
+
+
+CONE_CASES = {
+    "octahedron": lambda robot: lift(generate(robot, "octahedron", 0).qcqp),
+    "table-25": lambda robot: lift(generate(robot, "table", 0, table_obstacles=25).qcqp),
+    "unreachable": lambda robot: lift(_unreachable_qcqp(robot, 0)),
+    "toy": lambda robot: build_toy_instance(),
+}
+
+
+@pytest.mark.parametrize("case", list(CONE_CASES))
+def test_cone_projection_matches_eigh_reference(chain_6dof, monkeypatch, case):
+    """The LAPACK cone kernel gives the eigh projection's output and lambda_min, bit for bit.
+
+    Its inputs are the cone projections' inputs at ADMM iterations 1, 10
+    and 100 (table-25 with its slack block), the unreachable goal's first
+    polish inputs, and seeded random vectors, whose matrices are random
+    symmetric ones.
+    """
+    instance = CONE_CASES[case](chain_6dof)
+    inputs = []
+    inner = cidgik.solver._ConicData.project_cone_min_eig
+
+    def recording_projection(self, w):
+        inputs.append(w.copy())
+        return inner(self, w)
+
+    monkeypatch.setattr(cidgik.solver._ConicData, "project_cone_min_eig", recording_projection)
+    result = solve(instance, None, SolverSettings(max_iters=100))
+    monkeypatch.undo()
+    data = cidgik.solver._ConicData(instance)
+    assert len(inputs) >= result.iterations
+    # The ADMM projects once per iteration; an unreachable goal's probe at
+    # iteration 100 then polishes.
+    chosen = [inputs[0], inputs[9], inputs[99]] if result.iterations == 100 else inputs
+    if case == "unreachable":
+        assert result.status == "infeasible" and len(inputs) > 100
+        chosen += inputs[100:110]
+    rng = np.random.Generator(np.random.Philox(key=23))
+    chosen += [rng.standard_normal(data.D + data.n_ineq) for _ in range(20)]
+    for w in chosen:
+        out, lam_min = data.project_cone_min_eig(w)
+        want, want_min = _eigh_cone_reference(data, w)
+        assert out.tobytes() == want.tobytes()
+        assert lam_min == want_min
+
+
+def test_cone_projection_nan(chain_6dof, monkeypatch):
+    """NaN goes through the kernel as it went through eigh, and solve still stops on it.
+
+    A NaN on the diagonal of a diagonal matrix, or in the slack block,
+    reaches the output.  A NaN in a dense matrix makes dsyevd fail, where
+    eigh raised LinAlgError; the kernel raises NumericalBreakdownError.  A
+    NaN put into a solve's affine point, either in the matrix or in a slack,
+    ends the solve with NumericalBreakdownError.
+    """
+    instance = lift(generate(chain_6dof, "table", 0, table_obstacles=25).qcqp)
+    data = cidgik.solver._ConicData(instance)
+    diagonal = np.zeros(data.D + data.n_ineq)
+    diagonal[: data.D] = data.space.vec(np.eye(instance.side))
+    diagonal[0] = np.nan
+    slack = np.ones(data.D + data.n_ineq)
+    slack[-1] = np.nan
+    for w in (diagonal, slack):
+        out, _ = data.project_cone_min_eig(w)
+        want, _ = _eigh_cone_reference(data, w)
+        assert np.isnan(out).any()
+        assert out.tobytes() == want.tobytes()
+    dense = np.random.Generator(np.random.Philox(key=23)).standard_normal(len(slack))
+    dense[1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _eigh_cone_reference(data, dense)
+    with pytest.raises(NumericalBreakdownError):
+        data.project_cone_min_eig(dense)
+
+    inner = cidgik.solver._ConicData.project_affine
+    for position in (1, -1):  # an off-diagonal entry of Z, the last slack
+
+        def poisoned_affine(self, w):
+            x = inner(self, w)
+            x[position] = np.nan
+            return x
+
+        monkeypatch.setattr(cidgik.solver._ConicData, "project_affine", poisoned_affine)
+        with pytest.raises(NumericalBreakdownError):
+            solve(instance, None, SolverSettings(max_iters=100))
 
 
 def _dense_operator(instance):
