@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
@@ -16,7 +17,7 @@ from scipy.special import betainc
 
 from .generator import GenerationError, generate
 from .iteration import CidgikOptions, cidgik_solve
-from .kinematics import RobotModel, load_robot
+from .kinematics import RobotModel
 from .solver import _check_count
 from .workspace import environment
 
@@ -217,13 +218,6 @@ def solve_one(
     )
 
 
-def _worker(args) -> InstanceRow:
-    document, environment_name, seed, options, table_obstacles = args
-    return solve_one(
-        load_robot(document), environment_name, seed, options, table_obstacles=table_obstacles
-    )
-
-
 def check_campaign(
     robot: RobotModel,
     environment_name: str,
@@ -252,21 +246,16 @@ def run_benchmark(
     """Solve a seeded campaign; per-instance determinism holds for any job count."""
     check_campaign(robot, environment_name, count, jobs=jobs, table_obstacles=table_obstacles)
     options = options or CidgikOptions()
-    seeds = [base_seed + i for i in range(count)]
+    seeds = range(base_seed, base_seed + count)
+    # One function over the seeds either way; a RobotModel pickles.
+    one = functools.partial(
+        solve_one, robot, environment_name, options=options, table_obstacles=table_obstacles
+    )
     if jobs == 1:
-        rows = [
-            solve_one(
-                robot, environment_name, s, options, table_obstacles=table_obstacles
-            )
-            for s in seeds
-        ]
+        rows = list(map(one, seeds))
     else:
-        work = [
-            (robot.document, environment_name, s, options, table_obstacles)
-            for s in seeds
-        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_worker, work))
+            rows = list(pool.map(one, seeds))
     return BenchmarkReport(
         robot_name=robot_name,
         environment=environment_name,

@@ -46,8 +46,11 @@ POSITION_TOL = 0.01
 DIRECTION_TOL = 0.01
 PENETRATION_TOL = 0.01
 
-# Levenberg-Marquardt gives up after LM_SLOW_STEPS accepted steps in a row
-# that each cut the residual norm by less than the fraction LM_SLOW_CUT.
+# Levenberg-Marquardt succeeds once every residual is below LM_TOL, within
+# LM_MAX_STEPS accepted steps.  It gives up after LM_SLOW_STEPS accepted steps
+# in a row that each cut the residual norm by less than the fraction LM_SLOW_CUT.
+LM_TOL = 1e-11
+LM_MAX_STEPS = 40
 LM_SLOW_STEPS = 3
 LM_SLOW_CUT = 1e-3
 
@@ -214,13 +217,7 @@ class _Residuals:
         return np.vstack(rows)
 
 
-def refine_configuration(
-    residuals: _Residuals,
-    theta0,
-    *,
-    tol: float = 1e-11,
-    max_steps: int = 40,
-) -> np.ndarray | None:
+def refine_configuration(residuals: _Residuals, theta0) -> np.ndarray | None:
     """Levenberg-Marquardt on a _Residuals object over joint angles.
 
     Configurations satisfy every structural distance constraint identically,
@@ -239,8 +236,8 @@ def refine_configuration(
     damping = 1e-8
     slow = 0
     eye = np.eye(len(theta))
-    for _ in range(max_steps):
-        if float(np.max(np.abs(r))) < tol:
+    for _ in range(LM_MAX_STEPS):
+        if float(np.max(np.abs(r))) < LM_TOL:
             return theta
         if slow == LM_SLOW_STEPS:
             return None
@@ -263,7 +260,7 @@ def refine_configuration(
             damping *= 10.0
         if not accepted:
             return None
-    return theta if float(np.max(np.abs(r))) < tol else None
+    return theta if float(np.max(np.abs(r))) < LM_TOL else None
 
 
 @dataclass(eq=False)

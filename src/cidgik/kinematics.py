@@ -9,6 +9,7 @@ joint angles, which is what the distance-geometric solver exploits.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import deque
@@ -476,7 +477,11 @@ def structural_pairs(robot: RobotModel) -> list[tuple[tuple, tuple]]:
 
     Per joint: the unit (p, q) edge.  Per consecutive joint pair: all cross
     pairs between the two point sets.  Per end effector: pairs from the parent
-    joint's points to the tip and direction points.
+    joint's points to the tip and direction points.  Per joint with more than
+    one point set attached to its frame (child joints' points, end effectors'
+    tip and direction points): all cross pairs between those sets, since
+    pairs to the joint's own axis alone would let each set swing about it
+    on its own.
     """
     layout = robot.layout
     planar = robot.dimension == 2
@@ -498,6 +503,14 @@ def structural_pairs(robot: RobotModel) -> list[tuple[tuple, tuple]]:
         for a in pts(ee.parent):
             pairs.append((a, ("ee", k, "pos")))
             pairs.append((a, ("ee", k, "dir")))
+    for i, children in enumerate(robot.children):
+        attached = [pts(c) for c in children] + [
+            [("ee", k, "pos"), ("ee", k, "dir")]
+            for k, ee in enumerate(robot.end_effectors)
+            if ee.parent == i
+        ]
+        for first, second in itertools.combinations(attached, 2):
+            pairs.extend(itertools.product(first, second))
     index = layout.index
     return [(a, b) if index[a] < index[b] else (b, a) for a, b in pairs]
 
@@ -505,9 +518,9 @@ def structural_pairs(robot: RobotModel) -> list[tuple[tuple, tuple]]:
 def nominal_distances(robot: RobotModel) -> dict[tuple[tuple, tuple], float]:
     """Squared distances of all structural pairs, computed at theta = 0.
 
-    Rotation about a joint's own axis fixes the distances from its (p, q) to
-    everything rigidly attached downstream, so these values hold at any theta;
-    tests assert the invariance directly through forward kinematics.
+    Both points of every pair are fixed in one joint's frame (a joint's own
+    (p, q) lie on its axis, fixed in its frame too), so these values hold at
+    any theta; tests assert the invariance directly through forward kinematics.
     """
     P = joint_points(robot, np.zeros(len(robot.joints)))
     index = robot.layout.index

@@ -10,16 +10,17 @@ factors of a D x D matrix and of the equality rows' Schur complement taken
 once per pass (`_ConicData`), so a projection costs O(rows x D) however many
 inequality rows there are.  One ADMM step pairs that projection onto the
 affine constraint set with a projection onto the PSD x nonnegative cone,
-with over-relaxation and scaled dual updates (`_admm_steps`).  The cone
-projection is one eigendecomposition by LAPACK dsyevd, called directly on a
-buffer each pass allocates once; the ADMM and the certificate polish share
-it.  Each step tests only its dual residual; the split and the true
-constraint residuals are computed only once the cheaper tests before them
-pass.  One loop in `solve` owns the iteration cap, the Farkas certificate
-probes of the live iterate at iterations FIRST_PROBE * 2^k (each polished
-by over-relaxed alternating projections, `_certificate_from_iterate`) and
-the offers of the iterate to a caller's acceptance callback at
-FIRST_OFFER * 2^k; a pass returns the iterate it stops on.
+with over-relaxation and scaled dual updates.  The cone projection is one
+eigendecomposition by LAPACK dsyevd, called directly on a buffer each pass
+allocates once; the ADMM and the certificate polish share it.  Each step
+tests only its dual residual; the split and the true constraint residuals
+are computed only once the cheaper tests before them pass.  One loop in
+`solve` runs the splitting and owns its iterate, dual variable and step
+size rho, the iteration cap, the Farkas certificate probes of the live
+iterate at iterations FIRST_PROBE * 2^k (each polished by over-relaxed
+alternating projections, `_certificate_from_iterate`) and the offers of the
+iterate to a caller's acceptance callback at FIRST_OFFER * 2^k; a pass
+returns the iterate it stops on.
 Everything is dense and deterministic: the same instance and settings
 reproduce the same iterates.
 
@@ -34,7 +35,6 @@ their step-size rules first chose differently.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import numbers
@@ -279,9 +279,6 @@ class _ConicData:
             return self.A.T @ y
         return np.concatenate([self.A.T @ y, y[self.n_eq :] * self.scale[self.n_eq :]])
 
-    def project_cone(self, w: np.ndarray) -> np.ndarray:
-        return self.project_cone_min_eig(w)[0]
-
     def project_cone_min_eig(self, w: np.ndarray) -> tuple[np.ndarray, float]:
         """proj_K(w), plus the least eigenvalue of mat(w[:D]) that it costs anyway.
 
@@ -392,7 +389,7 @@ def _certificate_from_iterate(
     rounds, outcome = 0, "verified"
     if certificate is None:
         outcome = "round cap"
-        v = data.project_cone(data.adjoint(y))
+        v = data.project_cone_min_eig(data.adjoint(y))[0]
         for rounds in range(1, CERT_POLISH_ROUNDS + 1):
             y_new = data.multipliers(v, homogeneous=True)
             y = y_new if rounds == 1 else y + POLISH_RELAXATION * (y_new - y)
@@ -426,13 +423,6 @@ def _multipliers(data: _ConicData, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return y[: data.n_eq], y[data.n_eq :]
 
 
-def _affine_infeasibility_certificate(
-    data: _ConicData, resid: np.ndarray
-) -> InfeasibilityCertificate | None:
-    """Certificate when the equality system alone is contradictory."""
-    return _verify_certificate(data.instance, *_multipliers(data, -resid))
-
-
 def _true_residuals(data: _ConicData, x_vec):
     """(equality residual inf-norm, inequality violation inf-norm) of an iterate."""
     instance = data.instance
@@ -445,60 +435,6 @@ def _true_residuals(data: _ConicData, x_vec):
     slacks = instance.ineq_rhs - evaluation[data.n_eq :]
     ineq_viol = float(np.max(np.maximum(-slacks, 0.0))) if data.n_ineq else 0.0
     return eq_res, ineq_viol
-
-
-def _admm_steps(data, c_vec, settings, tol_con, x0):
-    """Over-relaxed ADMM alternating the affine and cone projections.
-
-    Yields (x, z, dual_res, converged) per iteration: the affine point, the
-    cone point, the dual residual rho * max|z_new - z| and the stopping
-    test.  The test asks the dual residual, the split max|x - z| and the
-    true constraint residuals of z each to be within tolerance, in that
-    order and lazily: the split is computed only once the dual residual
-    passes, and _true_residuals only once the split passes too.  The two
-    norms of the rho update are taken only every RHO_ADAPT_EVERY
-    iterations.  Every entry of the new iterate reaches the dual residual,
-    so it is non-finite whenever the iterate is.
-
-    When the objective ties over a face the iterate settles near the face's
-    center instead of a vertex, mimicking the max-rank solutions
-    interior-point methods return, which the first rank-direction update
-    needs in order to see the full eigenstructure.
-    """
-    z = x0.copy()
-    u = np.zeros_like(z)
-    rho = 1.0
-    dual_tol = settings.eps + settings.eps
-    for it in itertools.count(1):
-        w = z - u - c_vec / rho
-        x = data.project_affine(w)
-        xr = OVER_RELAXATION * x + (1.0 - OVER_RELAXATION) * z
-        z_new = data.project_cone(xr + u)
-        u += xr - z_new
-        step = z_new - z
-        dual_res = rho * float(np.max(np.abs(step)))
-        z = z_new
-
-        converged = False
-        if dual_res <= dual_tol:
-            split = float(np.max(np.abs(x - z)))
-            split_tol = settings.eps + settings.eps * max(
-                float(np.max(np.abs(x))), float(np.max(np.abs(z)))
-            )
-            if split <= split_tol:
-                eq_res, ineq_viol = _true_residuals(data, z)
-                converged = eq_res <= tol_con and ineq_viol <= tol_con
-        yield x, z, dual_res, converged
-
-        if it % RHO_ADAPT_EVERY == 0:
-            dual_change = rho * float(np.linalg.norm(step))
-            rp = float(np.linalg.norm(x - z))
-            if rp > 10.0 * dual_change and rho < RHO_MAX:
-                rho *= 2.0
-                u *= 0.5
-            elif dual_change > 10.0 * rp and rho > RHO_MIN:
-                rho *= 0.5
-                u *= 2.0
 
 
 def solve(
@@ -539,9 +475,9 @@ def solve(
     iterate too, so a pass that declines every offer runs exactly as
     without them.
 
-    Every pass runs the one splitting, _admm_steps, with or without a warm
-    start; a dual-pair variant would compute the same iterates (see the
-    module docstring).
+    Every pass runs the one splitting in this function's loop, with or
+    without a warm start; a dual-pair variant would compute the same
+    iterates (see the module docstring).
     """
     settings = settings or SolverSettings()
     if C is None:
@@ -568,7 +504,8 @@ def solve(
 
     resid, resid_inf = data.affine_least_squares_residual()
     if resid_inf > 1e-9 * (1.0 + float(np.max(np.abs(data.h)))):
-        cert = _affine_infeasibility_certificate(data, resid)
+        # The equality system alone is contradictory.
+        cert = _verify_certificate(instance, *_multipliers(data, -resid))
         status = "infeasible" if cert is not None else "max_iters"
         return SolveResult(
             status=status,
@@ -593,26 +530,53 @@ def solve(
         x0[D:] = np.maximum(instance.ineq_rhs - ev[data.n_eq :], 0.0)
 
     tol_con = _constraint_tolerance(instance, settings)
-    steps = _admm_steps(data, c_vec, settings, tol_con, x0)
+    dual_tol = settings.eps + settings.eps
+    # Over-relaxed ADMM with a scaled dual u: x the affine point, z the cone
+    # point.  When the objective ties over a face, z settles near the face's
+    # center instead of a vertex, mimicking the max-rank solutions
+    # interior-point methods return, which the first rank-direction update
+    # needs in order to see the full eigenstructure.
+    z = x0
+    u = np.zeros_like(z)
+    rho = 1.0
     status = "max_iters"
     certificate = None
     accepted = None
     next_offer, next_probe = FIRST_OFFER, FIRST_PROBE
-    # A step yields (affine point, cone point, dual residual, converged) and
-    # adapts its step size only when resumed.  zip takes the cap first, so
-    # the steps never run past max_iters.
-    for it, (x_vec, z_vec, dual_res, converged) in zip(range(1, settings.max_iters + 1), steps):
+    for it in range(1, settings.max_iters + 1):
+        x = data.project_affine(z - u - c_vec / rho)
+        xr = OVER_RELAXATION * x + (1.0 - OVER_RELAXATION) * z
+        z_new = data.project_cone_min_eig(xr + u)[0]
+        u += xr - z_new
+        step = z_new - z
+        dual_res = rho * float(np.max(np.abs(step)))
+        z = z_new
+        # Every entry of the new iterate reaches the dual residual, so it is
+        # non-finite whenever the iterate is.
         if not math.isfinite(dual_res):
             raise NumericalBreakdownError(
                 f"solver iterates became non-finite at iteration {it}"
             )
+        # The stopping test asks the dual residual, the split max|x - z| and
+        # the true constraint residuals of z each to be within tolerance, in
+        # that order and lazily: each is computed only once the ones before
+        # it pass.
+        converged = False
+        if dual_res <= dual_tol:
+            split = float(np.max(np.abs(x - z)))
+            split_tol = settings.eps + settings.eps * max(
+                float(np.max(np.abs(x))), float(np.max(np.abs(z)))
+            )
+            if split <= split_tol:
+                eq_res, ineq_viol = _true_residuals(data, z)
+                converged = eq_res <= tol_con and ineq_viol <= tol_con
         # The iterate a pass stops on is offered too; doubling next_offer
         # off schedule is harmless, since the loop ends after it.
         if accept is not None and (
             it == next_offer or converged or it == settings.max_iters
         ):
             next_offer *= 2
-            accepted = accept(space.mat(z_vec[:D]))
+            accepted = accept(space.mat(z[:D]))
             if accepted is not None:
                 status = "accepted"
                 break
@@ -621,16 +585,27 @@ def solve(
             break
         if it == next_probe:
             next_probe *= 2
-            split = float(np.max(np.abs(x_vec - z_vec)))
-            if max(*_true_residuals(data, z_vec), split) > 50 * tol_con:
-                # The step yields a cone point, so its affine gap is the probe.
-                certificate = _certificate_from_iterate(data, z_vec, it)
+            split = float(np.max(np.abs(x - z)))
+            if max(*_true_residuals(data, z), split) > 50 * tol_con:
+                # z is a cone point, so its affine gap is the probe.
+                certificate = _certificate_from_iterate(data, z, it)
                 if certificate is not None:
                     status = "infeasible"
                     break
+        # The step size follows the balance of the primal residual and the
+        # dual change; rescaling u keeps the unscaled dual rho * u.
+        if it % RHO_ADAPT_EVERY == 0:
+            dual_change = rho * float(np.linalg.norm(step))
+            rp = float(np.linalg.norm(x - z))
+            if rp > 10.0 * dual_change and rho < RHO_MAX:
+                rho *= 2.0
+                u *= 0.5
+            elif dual_change > 10.0 * rp and rho > RHO_MIN:
+                rho *= 0.5
+                u *= 2.0
 
-    eq_res, ineq_viol = _true_residuals(data, z_vec)
-    Zm = space.mat(z_vec[:D])
+    eq_res, ineq_viol = _true_residuals(data, z)
+    Zm = space.mat(z[:D])
     objective = float(np.tensordot(C, Zm))
     logger.debug(
         "solve finished: status=%s iters=%d eq_res=%.3e ineq=%.3e obj=%.6g",

@@ -62,3 +62,49 @@ def toy_qcqp(planar_2r):
 
 def sample_angles(rng, n):
     return np.pi - rng.uniform(0.0, 2.0 * np.pi, size=n)
+
+
+def two_arm_tree(mount_turn: float = 0.0):
+    """A z-axis torso at (0, 0, 0.2) carrying two 4-joint arms (axes y, z, y, z).
+
+    The arms start at (0, +-0.2, 0.2) from the torso, with links of 0.3, 0.3
+    and 0.2 m along z and a tip at (0, 0, 0.1); the left arm comes first in
+    the document, and each tip is an end effector.  mount_turn turns the
+    right arm's mount about the torso axis, so its axis plane leaves the
+    left arm's.
+    """
+    c, s = np.cos(mount_turn), np.sin(mount_turn)
+
+    def arm(side, start, yaw):
+        links = [start, [0.0, 0.0, 0.3], [0.0, 0.0, 0.3], [0.0, 0.0, 0.2]]
+        axes = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]] * 2
+        return [
+            {
+                "name": f"{side}{i}",
+                "parent": "torso" if i == 0 else f"{side}{i - 1}",
+                "translation": link,
+                "rotation_rpy": [0.0, 0.0, yaw if i == 0 else 0.0],
+                "axis": axis,
+            }
+            for i, (link, axis) in enumerate(zip(links, axes))
+        ]
+
+    torso = {
+        "name": "torso",
+        "parent": "base",
+        "translation": [0.0, 0.0, 0.2],
+        "rotation_rpy": [0.0, 0.0, 0.0],
+        "axis": [0.0, 0.0, 1.0],
+    }
+    return load_robot(
+        {
+            "dimension": 3,
+            "joints": [torso]
+            + arm("left", [0.0, 0.2, 0.2], 0.0)
+            + arm("right", [0.2 * s, -0.2 * c, 0.2], mount_turn),
+            "end_effectors": [
+                {"parent": "left3", "tip": [0.0, 0.0, 0.1]},
+                {"parent": "right3", "tip": [0.0, 0.0, 0.1]},
+            ],
+        }
+    )

@@ -13,9 +13,9 @@ from cidgik import (
     lift,
     lift_points,
 )
-from cidgik.graph import feasible_points
-from cidgik.kinematics import load_robot
-from conftest import sample_angles
+from cidgik.graph import feasible_points, selection
+from cidgik.kinematics import joint_points, load_robot
+from conftest import sample_angles, two_arm_tree
 
 
 def lifted(qcqp, X):
@@ -206,3 +206,46 @@ def test_merging_coincident_points():
     assert all(e.weight > 1e-12 for e in graph.edges)
     qcqp = assemble_qcqp(robot, goals)
     assert lifted(qcqp, feasible_points(qcqp, theta))[0] < 1e-9
+
+
+@pytest.mark.parametrize("mount_turn", [0.0, np.pi / 4])
+def test_swung_sibling_arm_breaks_a_lifted_row(mount_turn):
+    """Swinging the right arm of a two-arm torso about the torso axis breaks a row.
+
+    Each arm's first axis lies in a plane through the torso axis.  When the
+    two planes are mount_turn apart, the swing by -2 mount_turn reflects the
+    right arm's points through the left arm's plane, which keeps every
+    distance: that point set satisfies every lifted row although no
+    configuration realizes it, so on the turned mount only the gate's check
+    through forward kinematics rejects it.  With both arms in one plane
+    (mount_turn 0) every swing but the trivial one breaks a row.
+    """
+    robot = two_arm_tree(mount_turn)
+    index = robot.layout.index
+    arm = {i for i, joint in enumerate(robot.joints) if joint.name.startswith("right")}
+    right = [
+        index[c] for c in robot.layout.columns if (c[1] == 1 if c[0] == "ee" else c[1] in arm)
+    ]
+    theta = np.array([0.3, -0.4, 0.7, 1.1, -0.2, 0.5, 0.9, -1.3, 0.4])
+    points = joint_points(robot, theta)
+
+    def violation(angle):
+        c, s = np.cos(angle), np.sin(angle)
+        P = points.copy()
+        P[:, right] = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ P[:, right]
+        goals = []
+        for k in range(2):
+            tip, ahead = P[:, index["ee", k, "pos"]], P[:, index["ee", k, "dir"]]
+            goals.append(Goal(end_effector=k, position=tip, direction=ahead - tip))
+        qcqp = assemble_qcqp(robot, goals)
+        return lifted(qcqp, P @ selection(qcqp))[0]
+
+    assert violation(0.0) < 1e-12
+    assert violation(0.5) > 0.1
+    mirror = -2.0 * mount_turn % (2.0 * np.pi)
+    for angle in 2.0 * np.pi * np.arange(1, 72) / 72:
+        if mount_turn and abs(angle - mirror) < 1e-9:
+            assert violation(angle) < 1e-12
+        else:
+            assert violation(angle) > 1e-3, angle
+

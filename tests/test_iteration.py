@@ -28,6 +28,7 @@ from cidgik.graph import feasible_points
 from cidgik.iteration import CidgikOptions, _Residuals, refine_configuration
 from cidgik.robots import arm_6dof, planar_two_link, random_coplanar_chain
 from cidgik.solver import SolverSettings
+from conftest import two_arm_tree
 
 FAST = CidgikOptions(solver=SolverSettings(max_iters=6000))
 
@@ -263,7 +264,7 @@ def test_refine_configuration_closes_goals(chain_6dof):
 
 
 def test_refine_configuration_gives_up_on_unreachable_goal(chain_6dof, monkeypatch):
-    """LM creeping along the residual valley of a far goal stops before max_steps."""
+    """LM creeping along the residual valley of a far goal stops before LM_MAX_STEPS."""
     jacobians = []
     inner = _Residuals.jacobian
 
@@ -277,7 +278,7 @@ def test_refine_configuration_gives_up_on_unreachable_goal(chain_6dof, monkeypat
     goal = Goal(end_effector=0, position=1.5 * chain_6dof.reach * direction, direction=direction)
     residuals = _Residuals(assemble_qcqp(chain_6dof, [goal]))
     assert refine_configuration(residuals, np.zeros(6)) is None
-    assert len(jacobians) < 40  # max_steps, where a creeping LM would otherwise stop
+    assert len(jacobians) < cidgik.iteration.LM_MAX_STEPS  # where a creeping LM would stop
 
 
 @pytest.mark.parametrize("environment, key", [("octahedron", 56), ("table", 29)])
@@ -505,3 +506,11 @@ def test_cidgik_planar_without_obstacle_picks_some_root(planar_2r):
     x = result.X.ravel()
     assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-6)
     assert np.linalg.norm(x - np.array([1.0, 1.0])) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_two_arm_tree_key_6_converges():
+    """Free-space key 6 of the two-arm tree ran 10 passes to max_iterations while
+    its arms could swing apart in the lift; rigid, it converges and verifies."""
+    result = cidgik_solve(generate(two_arm_tree(), "free", 6).qcqp)
+    assert result.status == "converged"
+    assert result.verified

@@ -20,7 +20,7 @@ from cidgik.robots import (
     planar_two_link,
     random_coplanar_chain,
 )
-from conftest import sample_angles
+from conftest import sample_angles, two_arm_tree
 
 
 def _joint(name, parent, translation, axis, rpy=(0.0, 0.0, 0.0)):
@@ -290,10 +290,10 @@ def test_parallel_axis_cross_distances():
     assert dist(("q", 0), ("p", 1)) == pytest.approx(L2 + 1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_nominal_distance_invariance(seed, chain_6dof):
     robots = {0: chain_6dof, 1: random_coplanar_chain(5, seed=21),
-              2: random_coplanar_chain(7, seed=22)}
+              2: random_coplanar_chain(7, seed=22), 3: two_arm_tree(np.pi / 4)}
     robot = robots[seed]
     nominal = nominal_distances(robot)
     index = robot.layout.index

@@ -234,33 +234,43 @@ def test_declined_offers_leave_the_pass_unchanged(chain_6dof):
     assert taken.Z.tobytes() == offered[0].tobytes()
 
 
+def _count_affine_projections(monkeypatch):
+    """A list with one entry per _ConicData.project_affine call.
+
+    A pass projects once for its affine pre-check and then once per ADMM
+    iteration, so during iteration k the list holds k + 1 entries.
+    """
+    calls = []
+    inner = cidgik.solver._ConicData.project_affine
+
+    def counting_projection(self, w):
+        calls.append(None)
+        return inner(self, w)
+
+    monkeypatch.setattr(cidgik.solver._ConicData, "project_affine", counting_projection)
+    return calls
+
+
 def test_optimal_stop_is_offered(monkeypatch):
     """The toy's callback sees iterations 10 and 20 and its optimal stop at 25.
 
     Taking the stop ends the pass accepted, with the stop's iterate.
     """
-    steps = 0
-    inner = cidgik.solver._admm_steps
-
-    def counting_steps(*args):
-        nonlocal steps
-        for step in inner(*args):
-            steps += 1
-            yield step
-
-    monkeypatch.setattr(cidgik.solver, "_admm_steps", counting_steps)
+    calls = _count_affine_projections(monkeypatch)
     offered = []
 
     def decline(Z):
-        offered.append((steps, Z))
+        offered.append((len(calls) - 1, Z))
         return None
 
     declined = solve(build_toy_instance(), np.eye(3), accept=decline)
     assert (declined.status, declined.iterations) == ("optimal", 25)
     assert [it for it, _ in offered] == [10, 20, 25]
     assert offered[-1][1].tobytes() == declined.Z.tobytes()
-    steps = 0
-    taken = solve(build_toy_instance(), np.eye(3), accept=lambda Z: "closed" if steps == 25 else None)
+    calls.clear()
+    taken = solve(
+        build_toy_instance(), np.eye(3), accept=lambda Z: "closed" if len(calls) - 1 == 25 else None
+    )
     assert (taken.status, taken.iterations, taken.accepted) == ("accepted", 25, "closed")
     assert taken.Z.tobytes() == declined.Z.tobytes()
 
@@ -302,32 +312,17 @@ def test_probe_leaves_feasible_passes_unchanged(chain_6dof, monkeypatch):
     assert probed == run()
 
 
-def _count_steps(monkeypatch):
-    """A list whose length is the number of ADMM steps the current pass has yielded."""
-    steps = []
-    inner = cidgik.solver._admm_steps
-
-    def counting_steps(*args):
-        steps.clear()
-        for step in inner(*args):
-            steps.append(None)
-            yield step
-
-    monkeypatch.setattr(cidgik.solver, "_admm_steps", counting_steps)
-    return steps
-
-
 def test_probes_run_at_doubling_iterations(chain_6dof, monkeypatch):
     """A 2000-iteration feasible pass probes at iterations 100, 200, 400, 800 and 1600.
 
     Probing every 100 iterations, it paid for 20 failed polishes.
     """
-    steps = _count_steps(monkeypatch)
+    calls = _count_affine_projections(monkeypatch)
     probed = []
     inner = cidgik.solver._certificate_from_iterate
 
     def recording_probe(*args):
-        probed.append(len(steps))
+        probed.append(len(calls) - 1)
         return inner(*args)
 
     monkeypatch.setattr(cidgik.solver, "_certificate_from_iterate", recording_probe)
@@ -335,6 +330,65 @@ def test_probes_run_at_doubling_iterations(chain_6dof, monkeypatch):
     result = solve(instance, None, SolverSettings(max_iters=2000))
     assert (result.status, result.iterations) == ("max_iters", 2000)
     assert probed == [100, 200, 400, 800, 1600]
+
+
+def _reference_admm(instance, iterations):
+    """(Z, step sizes) after the given ADMM iterations of a cold C = I pass.
+
+    Written out from the two projections alone: over-relaxation 1.5, a
+    scaled dual, and every 100 iterations rho doubled (u halved) when the
+    primal residual exceeds 10x the dual change, or halved (u doubled) in
+    the opposite case, within [1e-4, 1e4].  The start is Z = I with the
+    inequality slacks that I leaves.
+    """
+    data = cidgik.solver._ConicData(instance)
+    space, D = data.space, data.D
+    z = np.zeros(D + data.n_ineq)
+    z[:D] = space.vec(np.eye(instance.side))
+    z[D:] = np.maximum(instance.ineq_rhs - data.unscaled_evaluation(z[:D])[data.n_eq :], 0.0)
+    c = np.zeros_like(z)
+    c[:D] = space.vec(np.eye(instance.side))
+    u = np.zeros_like(z)
+    rho = 1.0
+    rhos = [rho]
+    for k in range(1, iterations + 1):
+        x = data.project_affine(z - u - c / rho)
+        xr = 1.5 * x - 0.5 * z
+        z_new, _ = data.project_cone_min_eig(xr + u)
+        u = u + (xr - z_new)
+        if k % 100 == 0:
+            dual_change = rho * np.linalg.norm(z_new - z)
+            primal = np.linalg.norm(x - z_new)
+            if primal > 10.0 * dual_change and rho < 1e4:
+                rho, u = 2.0 * rho, 0.5 * u
+            elif dual_change > 10.0 * primal and rho > 1e-4:
+                rho, u = 0.5 * rho, 2.0 * u
+            rhos.append(rho)
+        z = z_new
+    return space.mat(z[:D]), rhos
+
+
+def test_admm_matches_reference_steps(chain_6dof, monkeypatch):
+    """solve() computes the reference ADMM's iterate bit for bit.
+
+    Unreachable key 0 without probes runs 800 iterations, long enough for
+    rho to change; octahedron key 0 carries inequality slacks and runs one
+    probe, at iteration 100, that finds nothing.
+    """
+    unreachable = lift(_unreachable_qcqp(chain_6dof, 0))
+    octahedron = lift(generate(chain_6dof, "octahedron", 0).qcqp)
+    Z, _ = _reference_admm(octahedron, 150)
+    result = solve(octahedron, None, SolverSettings(max_iters=150))
+    assert (result.status, result.iterations) == ("max_iters", 150)
+    assert octahedron.num_inequalities > 0
+    assert result.Z.tobytes() == Z.tobytes()
+
+    monkeypatch.setattr(cidgik.solver, "FIRST_PROBE", 10**9)
+    Z, rhos = _reference_admm(unreachable, 800)
+    result = solve(unreachable, None, SolverSettings(max_iters=800))
+    assert (result.status, result.iterations) == ("max_iters", 800)
+    assert len(set(rhos)) > 1
+    assert result.Z.tobytes() == Z.tobytes()
 
 
 def test_true_residuals_only_where_they_are_read(chain_6dof, monkeypatch):
