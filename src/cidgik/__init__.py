@@ -34,7 +34,6 @@ from .kinematics import (
     joint_points,
     load_robot,
     nominal_distances,
-    pose_error,
     reconstruct_angles,
 )
 from .lifting import (
@@ -111,7 +110,6 @@ __all__ = [
     "load_robot",
     "nominal_distances",
     "parse_sdpa",
-    "pose_error",
     "reconstruct_angles",
     "run_benchmark",
     "save_problem",

@@ -13,12 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import (
-    RobotModel,
-    joint_points,
-    structural_pairs,
-)
-from .workspace import AuxPoint, Plane, Sphere, WorkspaceSpec
+from .kinematics import RobotModel, joint_points, nominal_distances, structural_pairs
+from .workspace import AuxPoint, Plane, Sphere, WorkspaceSpec, add_aux_point, add_self_collision
 
 MERGE_TOL = 1e-9
 
@@ -50,7 +46,9 @@ class DistanceGraph:
     edges: list[Edge]  # tail < head, vertex ids: variables then anchors
     variable_labels: tuple[tuple, ...]
     anchor_labels: tuple[tuple, ...]
-    merged: dict = field(default_factory=dict)  # dropped label -> representative label
+    # per robot layout column, its vertex (merged columns share one), or -1
+    # for an end-effector point without a goal
+    column_vertex: np.ndarray
 
     @property
     def num_anchors(self) -> int:
@@ -178,8 +176,6 @@ def build_graph(robot: RobotModel, goals: list[Goal]) -> DistanceGraph:
     for a, b in structural_pairs(robot):
         if a in usable and b in usable:
             pairs.append((a, b))
-    from .kinematics import nominal_distances
-
     nominal = nominal_distances(robot)
     for a, b in pairs:
         if a in anchor_set and b in anchor_set:
@@ -215,7 +211,9 @@ def build_graph(robot: RobotModel, goals: list[Goal]) -> DistanceGraph:
 
     edge_list = [Edge(t, h, w) for (t, h), w in sorted(edges.items())]
 
-    merged = {c: find(c) for c in variable_cols if find(c) != c}
+    column_vertex = [
+        vid[c] if c in vid else vertex(c) if c in usable else -1 for c in layout.columns
+    ]
     graph = DistanceGraph(
         dim=d,
         num_variables=len(variables),
@@ -223,7 +221,7 @@ def build_graph(robot: RobotModel, goals: list[Goal]) -> DistanceGraph:
         edges=edge_list,
         variable_labels=tuple(variables),
         anchor_labels=tuple(anchors),
-        merged=merged,
+        column_vertex=np.array(column_vertex, dtype=int),
     )
     _check_graph(graph)
     return graph
@@ -287,9 +285,6 @@ def assemble_qcqp(
         robot=robot,
         goals=list(goals),
     )
-
-    from .workspace import add_aux_point, add_self_collision
-
     for i, j, eps in workspace.self_collision:
         instance = add_self_collision(instance, i, j, eps)
     if workspace.self_collision_eps is not None:

@@ -19,15 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import QcqpInstance, feasible_points, selection
-from .kinematics import (
-    Pose,
-    _cross,
-    _frames,
-    _points,
-    forward_kinematics,
-    pose_error,
-    reconstruct_angles,
-)
+from .kinematics import _cross, _frames, _points, joint_points, reconstruct_angles
 from .lifting import SdpInstance, evaluate, extract_points, lift, lift_points
 from .solver import (
     InfeasibilityCertificate,
@@ -123,9 +115,9 @@ class CidgikOptions:
 class _Residuals:
     """The residuals the refinement drives to zero, as functions of theta.
 
-    Every row reads points attached to joint frames: point c sits at
-    origins[o] + rotations[o] @ local[c] for its owner joint o, and moves
-    with each joint i among o's ancestors (o included) as a_i x (x - o_i).
+    Every row reads points attached to joint frames (see _points): a point
+    moves with each joint i among its owner's ancestors (the owner
+    included) as a_i x (x - o_i).
     The goal rows are P_pos - goal for each goal's tip point and, for a pose
     goal, P_dir - P_pos - direction for its direction point.  A hinged object
     (instance given) adds one row per inequality row k of the lift:
@@ -138,10 +130,11 @@ class _Residuals:
         robot = qcqp.robot
         self.robot = robot
         self.dim = d = robot.dimension
+        index = robot.layout.index
         goals = qcqp.goals
         pointed = [k for k, g in enumerate(goals) if g.direction is not None]
-        columns = [("ee", g.end_effector, "pos") for g in goals]
-        columns += [("ee", goals[k].end_effector, "dir") for k in pointed]
+        columns = [index["ee", g.end_effector, "pos"] for g in goals]
+        columns += [index["ee", goals[k].end_effector, "dir"] for k in pointed]
         self.num_goals, self.num_goal_points = len(goals), len(columns)
         self.pointed = np.array(pointed, dtype=int)
         self.positions = np.array([g.position for g in goals], dtype=float).reshape(-1, d)
@@ -151,24 +144,13 @@ class _Residuals:
             S = selection(qcqp)
             used = np.flatnonzero(S.any(axis=1))
             self.select = S[used]
-            columns += [robot.layout.columns[c] for c in used]
+            columns += list(used)
             self.mats = instance.ineq_mats
             self.rows = self.mats.reshape(len(self.mats), -1)  # tr(B_k Z) = rows[k] . Z.ravel()
             self.rhs = instance.ineq_rhs
-        # A q point sits one unit along its joint's axis, which the joint's
-        # own rotation fixes; the direction point one unit past the tip.
-        owner, local = [], []
-        for kind, k, *end in columns:
-            if kind == "ee":
-                tip = np.asarray(robot.end_effectors[k].tip, dtype=float)
-                owner.append(robot.end_effectors[k].parent)
-                local.append(tip if end == ["pos"] else tip + tip / np.linalg.norm(tip))
-            else:
-                owner.append(k)
-                local.append(robot.joints[k].axis if kind == "q" else np.zeros(3))
-        self.owner = np.array(owner, dtype=int)
-        self.local = np.array(local, dtype=float).reshape(-1, 3, 1)
-        self.moves = robot.ancestors[self.owner]
+        self.columns = np.array(columns, dtype=int)
+        owners, _ = robot._point_table
+        self.moves = robot.ancestors[owners[self.columns]]
 
     def __call__(self, theta) -> tuple[np.ndarray, tuple]:
         """(residuals, state) at theta.
@@ -178,8 +160,7 @@ class _Residuals:
         jacobian(state) reuses its points.
         """
         frames = _frames(self.robot, theta)
-        o = self.owner
-        P = frames.origins[o] + (frames.rotations[o] @ self.local)[..., 0]
+        P = _points(self.robot, frames, self.columns)
         d, g = self.dim, self.num_goals
         parts = [
             (P[:g, :d] - self.positions).ravel(),
@@ -422,21 +403,14 @@ class _PassGate:
 def _full_point_matrix(qcqp: QcqpInstance, X: np.ndarray) -> np.ndarray:
     """Assemble the layout-ordered point matrix from solved variables.
 
-    Anchor columns (anchored joints, goal points) take the graph's anchor
-    positions; end-effector columns without a goal (or without a direction
-    goal) stay NaN and are skipped during reconstruction.  Variables merged
-    away during graph construction are recovered from their representatives.
+    Each layout column reads its graph vertex (graph.column_vertex): a
+    variable, merged-away ones through their representative, or an anchor.
+    End-effector columns without a goal (or without a direction goal) read
+    the trailing NaN column and are skipped during reconstruction.
     """
     graph = qcqp.graph
-    layout = qcqp.robot.layout
-    known = dict(zip(graph.variable_labels, X.T))
-    known.update(zip(graph.anchor_labels, graph.anchors.T))
-    P = np.full((graph.dim, len(layout.columns)), np.nan)
-    for idx, col in enumerate(layout.columns):
-        rep = graph.merged.get(col, col)
-        if rep in known:
-            P[:, idx] = known[rep]
-    return P
+    vertices = [X[:, : graph.num_variables], graph.anchors, np.full((graph.dim, 1), np.nan)]
+    return np.hstack(vertices)[:, graph.column_vertex]
 
 
 @dataclass(frozen=True)
@@ -456,22 +430,23 @@ def verify_solution(qcqp: QcqpInstance, theta) -> VerificationReport:
     keep-out sphere up to 0.01 m of penetration depth (keep-in spheres are
     held to the same depth), each plane met to that depth at the point of its
     own graph vertex, and each self-collision pair (i, j, eps) no closer than
-    sqrt(eps) by more than that depth.
+    sqrt(eps) by more than that depth.  Every check reads the configuration's
+    joint points, the goal errors included: a goal's tip point, and the
+    direction from it to its direction point.
     """
-    robot = qcqp.robot
-    poses, frames = forward_kinematics(robot, theta)
+    P = joint_points(qcqp.robot, theta)
+    index = qcqp.robot.layout.index
     pos_err = 0.0
     dir_err = 0.0
     for g in qcqp.goals:
-        achieved = poses[g.end_effector]
-        direction = g.direction if g.direction is not None else achieved.direction
-        p, a = pose_error(achieved, Pose(position=np.asarray(g.position, float), direction=np.asarray(direction, float)))
-        pos_err = max(pos_err, p)
+        position = P[:, index["ee", g.end_effector, "pos"]]
+        pos_err = max(pos_err, float(np.linalg.norm(position - g.position)))
         if g.direction is not None:
-            dir_err = max(dir_err, a)
+            achieved = P[:, index["ee", g.end_effector, "dir"]] - position
+            cos = achieved @ g.direction / np.linalg.norm(achieved)
+            dir_err = max(dir_err, math.acos(float(np.clip(cos, -1.0, 1.0))))
 
     penetration = 0.0
-    P = _points(robot, frames)
     X = P @ selection(qcqp)
     points = np.hstack([P, X[:, qcqp.graph.num_variables :]])
     for i, j, eps in qcqp.self_collision:

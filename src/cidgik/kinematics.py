@@ -12,10 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -135,15 +133,6 @@ class PointLayout:
         return {c: i for i, c in enumerate(self.columns)}
 
 
-class _PointSources(NamedTuple):
-    """Where joint_points reads each layout column (see _points)."""
-
-    order: np.ndarray  # per column, its row among (origins, origins + axes, tips, directions)
-    owners: np.ndarray  # parent joint of each end effector
-    tips: np.ndarray  # (ee, 3, 1) tip offsets in the parent frame
-    units: np.ndarray  # (ee, 3, 1) the same, at unit length
-
-
 @dataclass(frozen=True, eq=False)
 class RobotModel:
     joints: tuple[Joint, ...]
@@ -222,17 +211,54 @@ class RobotModel:
         return PointLayout(columns=tuple(cols), num_variables=num_vars)
 
     @cached_property
-    def _point_sources(self) -> _PointSources:
-        n, ees = len(self.joints), self.end_effectors
-        first = {"p": 0, "q": n, "pos": 2 * n, "dir": 2 * n + len(ees)}
-        order = [first[col[-1] if col[0] == "ee" else col[0]] + col[1] for col in self.layout.columns]
-        units = [e.tip / np.linalg.norm(e.tip) for e in ees]
-        return _PointSources(
-            order=np.array(order, dtype=int),
-            owners=np.array([e.parent for e in ees], dtype=int),
-            tips=np.array([e.tip for e in ees], dtype=float).reshape(-1, 3, 1),
-            units=np.array(units, dtype=float).reshape(-1, 3, 1),
-        )
+    def _point_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(owner joint, (columns, 3, 1) offset in its frame) of every layout column.
+
+        p sits at its joint's origin and q one unit along its axis, which the
+        joint's own rotation fixes; an end effector's tip point sits at the
+        tip and its direction point one unit further along it.
+        """
+        owners, offsets = [], []
+        for kind, k, *end in self.layout.columns:
+            if kind == "ee":
+                tip = np.asarray(self.end_effectors[k].tip, dtype=float)
+                owners.append(self.end_effectors[k].parent)
+                offsets.append(tip if end == ["pos"] else tip + tip / np.linalg.norm(tip))
+            else:
+                owners.append(k)
+                offsets.append(self.joints[k].axis if kind == "q" else np.zeros(3))
+        return np.array(owners, dtype=int), np.array(offsets, dtype=float).reshape(-1, 3, 1)
+
+    @cached_property
+    def _references(self) -> tuple[tuple[tuple[int, np.ndarray], ...], ...]:
+        """Per joint, its reconstruction references: (layout column, offset) pairs.
+
+        The columns are the points below the joint in breadth-first order
+        (its own end effectors' points, then each child's p, q and
+        end-effector points, then deeper).  Each offset is the point's
+        position in the joint's frame before its own spin with every angle
+        below held at zero, so it is read off the zero configuration, where
+        that frame is the joint's frame.  The predictions are valid because
+        when a child's points sit on the joint's axis the child axis is
+        collinear, so deeper points still rotate rigidly with the joint's
+        angle.
+        """
+        index = self.layout.index
+        frames = _frames(self, np.zeros(len(self.joints)))
+        P0 = _points(self, frames)
+        attached = [[] for _ in self.joints]
+        for col in self.layout.columns:
+            if col[0] == "ee":
+                attached[self.end_effectors[col[1]].parent].append(index[col])
+        table = []
+        for i in range(len(self.joints)):
+            cols, below = list(attached[i]), list(self.children[i])
+            for c in below:  # grows as it goes: a breadth-first walk
+                cols += [index[col] for col in (("p", c), ("q", c)) if col in index] + attached[c]
+                below.extend(self.children[c])
+            offsets = (P0[cols] - frames.origins[i]) @ frames.rotations[i]
+            table.append(tuple(zip(cols, offsets)))
+        return tuple(table)
 
     @cached_property
     def reach(self) -> float:
@@ -452,24 +478,19 @@ def joint_points(robot: RobotModel, theta) -> np.ndarray:
     ||p_i - q_i|| = 1 for every configuration.  End-effector columns are the
     tip position and the point one unit along the pointing direction.
     """
-    return _points(robot, _frames(robot, _check_theta(robot, theta)))
+    frames = _frames(robot, _check_theta(robot, theta))
+    return np.ascontiguousarray(_points(robot, frames)[:, : robot.dimension].T)
 
 
-def _points(robot: RobotModel, frames: JointFrames) -> np.ndarray:
-    """joint_points from frames the walk has built.
+def _points(robot: RobotModel, frames: JointFrames, columns=slice(None)) -> np.ndarray:
+    """(columns, 3) world points of the given layout columns at the walk's frames.
 
-    Every candidate point is computed at once: each joint's origin (its p
-    point) and the point one unit along its world axis (q), and per end
-    effector the tip origin + R tip in its parent's frame and the direction
-    point one unit further along R tip.  One gather then lays them out.
+    Column c sits at origins[o] + rotations[o] @ offset for its owner joint o
+    and its offset in o's frame, both from robot._point_table.
     """
-    s = robot._point_sources
-    R = frames.rotations[s.owners]
-    tips = frames.origins[s.owners] + (R @ s.tips)[..., 0]
-    points = np.concatenate(
-        [frames.origins, frames.origins + frames.axes, tips, tips + (R @ s.units)[..., 0]]
-    )
-    return np.ascontiguousarray(points[s.order, : robot.dimension].T)
+    owners, offsets = robot._point_table
+    o = owners[columns]
+    return frames.origins[o] + (frames.rotations[o] @ offsets[columns])[..., 0]
 
 
 def structural_pairs(robot: RobotModel) -> list[tuple[tuple, tuple]]:
@@ -545,12 +566,12 @@ def reconstruct_angles(robot: RobotModel, points: np.ndarray) -> ReconstructionR
     recovered ancestor angles fix the joint's origin and world axis, and the
     angle is the atan2 between the zero-angle prediction and the observed
     position of a descendant reference point, both projected into the plane
-    orthogonal to the axis.  References are tried in breadth-first order
-    (child p then q, then attached end-effector points, then deeper); if
-    every one is on the axis the angle falls back to 0 and the joint is
-    reported.  NaN columns are skipped, so callers may leave unknown
-    end-effector direction points unfilled.  The residual is measured on the
-    points of the walk's own frames.
+    orthogonal to the axis.  References (robot._references) are tried in
+    breadth-first order (attached end-effector points, then child p and q,
+    then deeper); if every one is on the axis the angle falls back to 0 and
+    the joint is reported.  NaN columns are skipped, so callers may leave
+    unknown end-effector direction points unfilled.  The residual is
+    measured on the points of the walk's own frames.
     """
     layout = robot.layout
     points = np.asarray(points, dtype=float)
@@ -559,20 +580,19 @@ def reconstruct_angles(robot: RobotModel, points: np.ndarray) -> ReconstructionR
             f"expected point matrix of shape {(robot.dimension, len(layout.columns))}, "
             f"got {points.shape}"
         )
-    P3 = np.zeros((3, points.shape[1]))
-    P3[: robot.dimension] = points
-    index = layout.index
+    P3 = np.zeros((len(layout.columns), 3))
+    P3[:, : robot.dimension] = points.T
     known = np.all(np.isfinite(points), axis=0)
+    references = robot._references
     fallbacks = []
 
     def choose(i, R_pre, o, a):
-        for pred, col in _reference_candidates(robot, i, R_pre, o):
-            if not known[index[col]]:
+        for col, offset in references[i]:
+            if not known[col]:
                 continue
-            obs = P3[:, index[col]]
-            u0 = pred - o
+            u0 = R_pre @ offset
             u0 = u0 - (u0 @ a) * a
-            u1 = obs - o
+            u1 = P3[col] - o
             u1 = u1 - (u1 @ a) * a
             if np.linalg.norm(u0) < ON_AXIS_TOL or np.linalg.norm(u1) < ON_AXIS_TOL:
                 continue
@@ -581,43 +601,6 @@ def reconstruct_angles(robot: RobotModel, points: np.ndarray) -> ReconstructionR
         return 0.0
 
     theta = np.zeros(len(robot.joints))
-    rebuilt = _points(robot, _frames(robot, theta, choose))
+    rebuilt = _points(robot, _frames(robot, theta, choose))[:, : robot.dimension].T
     gaps = np.linalg.norm(rebuilt[:, known] - points[:, known], axis=0)
     return ReconstructionResult(theta, float(np.max(gaps, initial=0.0)), tuple(fallbacks))
-
-
-def _reference_candidates(robot: RobotModel, root: int, R_pre, o):
-    """Yield (predicted zero-angle world position, layout column) pairs.
-
-    Predictions hold the angles of `root` and of everything below it at zero;
-    they are valid references because when a child's points sit on the root's
-    axis the child axis is collinear, so deeper points still rotate rigidly
-    with the root's angle.
-    """
-    fixed = robot._fixed_rotations
-    queue = deque([(root, R_pre, o)])
-    first = True
-    while queue:
-        i, R, t = queue.popleft()
-        if not first:
-            yield t, ("p", i)
-            if robot.dimension == 3:
-                yield t + R @ robot.joints[i].axis, ("q", i)
-        for k, ee in enumerate(robot.end_effectors):
-            if ee.parent == i:
-                tip = t + R @ ee.tip
-                yield tip, ("ee", k, "pos")
-                yield tip + R @ (ee.tip / np.linalg.norm(ee.tip)), ("ee", k, "dir")
-        for c in robot.children[i]:
-            jc = robot.joints[c]
-            queue.append((c, R @ fixed[c], t + R @ jc.translation))
-        first = False
-
-
-def pose_error(achieved: Pose, goal: Pose) -> tuple[float, float]:
-    """(position error in meters, direction error in radians)."""
-    if achieved.position.shape != goal.position.shape:
-        raise ValueError("poses have different dimensions")
-    pos = float(np.linalg.norm(achieved.position - goal.position))
-    dot = float(np.clip(achieved.direction @ goal.direction, -1.0, 1.0))
-    return pos, math.acos(dot)

@@ -202,7 +202,8 @@ def test_merging_coincident_points():
     goals = pose_goals(robot, theta)
     graph = build_graph(robot, goals)
     # q_b and p_c merged into one vertex; no zero-weight edges survive
-    assert ("p", 2) in graph.merged or ("q", 1) in graph.merged
+    index = robot.layout.index
+    assert graph.column_vertex[index["p", 2]] == graph.column_vertex[index["q", 1]]
     assert all(e.weight > 1e-12 for e in graph.edges)
     qcqp = assemble_qcqp(robot, goals)
     assert lifted(qcqp, feasible_points(qcqp, theta))[0] < 1e-9

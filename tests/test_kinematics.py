@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 
 from cidgik import (
-    Pose,
+    Goal,
     RobotError,
+    assemble_qcqp,
+    evaluate,
     forward_kinematics,
     joint_points,
+    lift,
+    lift_points,
     load_robot,
     nominal_distances,
-    pose_error,
     reconstruct_angles,
 )
+from cidgik.graph import selection
 from cidgik.robots import (
     arm_6dof,
     planar_chain_document,
@@ -117,19 +121,20 @@ def test_frame_walk_matches_per_joint_rodrigues(name):
 
 
 def per_column_points(robot, frames):
-    """Reference point matrix: each layout column read off the frames on its own."""
+    """Reference point matrix: each layout column read off its owner's frame on its own."""
     d = robot.dimension
     P = np.empty((d, len(robot.layout.columns)))
     for c, col in enumerate(robot.layout.columns):
         if col[0] == "p":
             P[:, c] = frames.origins[col[1]][:d]
         elif col[0] == "q":
-            P[:, c] = (frames.origins[col[1]] + frames.axes[col[1]])[:d]
+            axis = robot.joints[col[1]].axis
+            P[:, c] = (frames.origins[col[1]] + frames.rotations[col[1]] @ axis)[:d]
         else:
             ee = robot.end_effectors[col[1]]
             R = frames.rotations[ee.parent]
-            pos = frames.origins[ee.parent] + R @ ee.tip
-            P[:, c] = (pos if col[2] == "pos" else pos + R @ (ee.tip / np.linalg.norm(ee.tip)))[:d]
+            offset = ee.tip if col[2] == "pos" else ee.tip + ee.tip / np.linalg.norm(ee.tip)
+            P[:, c] = (frames.origins[ee.parent] + R @ offset)[:d]
     return P
 
 
@@ -146,15 +151,58 @@ def test_joint_points_match_per_column_reference(name):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("make", [rpy_chain, branching_robot])
-def test_reconstruction_round_trip_rpy_and_branching(make):
+@pytest.mark.parametrize(
+    "make, fallbacks",
+    [
+        pytest.param(rpy_chain, (), id="rpy_chain"),
+        pytest.param(branching_robot, (), id="branching_robot"),
+        # each arm's last joint spins about its own tip, so no point reads its angle
+        pytest.param(lambda: two_arm_tree(math.pi / 4), (4, 8), id="two_arm_tree"),
+    ],
+)
+def test_reconstruction_round_trip_rpy_and_branching(make, fallbacks):
     robot = make()
     rng = np.random.Generator(np.random.Philox(key=78))
     for _ in range(10):
         theta = sample_angles(rng, robot.num_joints)
         rec = reconstruct_angles(robot, joint_points(robot, theta))
         assert rec.residual < 1e-6
-        assert rec.fallback_joints == ()
+        assert rec.fallback_joints == fallbacks
+
+
+def test_swung_children_of_an_end_effector_joint_break_a_lifted_row():
+    """Joint b carries an end effector and two child joints (c, d).
+
+    With a goal on b's end effector only, the cross pairs between that end
+    effector's points and c's and d's points are what hold the children in
+    b's frame: swinging c and d (with their end effectors) about b's axis
+    must break a lifted row.
+    """
+    robot = branching_robot()
+    index = robot.layout.index
+    theta = np.array([0.3, -0.7, 1.1, 0.4])
+    _, frames = forward_kinematics(robot, theta)
+    points = joint_points(robot, theta)
+    below = [  # c's and d's points and their end effectors'
+        index[c]
+        for c in robot.layout.columns
+        if (c[1] in (1, 2) if c[0] == "ee" else c[1] in (2, 3))
+    ]
+    tip, ahead = points[:, index["ee", 0, "pos"]], points[:, index["ee", 0, "dir"]]
+    qcqp = assemble_qcqp(robot, [Goal(end_effector=0, position=tip, direction=ahead - tip)])
+    x, y, z = frames.axes[1]
+    K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    origin = frames.origins[1][:, None]
+
+    def violation(angle):
+        spin = np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+        P = points.copy()
+        P[:, below] = origin + spin @ (P[:, below] - origin)
+        eq, _ = evaluate(lift(qcqp), lift_points(P @ selection(qcqp)))
+        return float(np.max(np.abs(eq)))
+
+    assert violation(0.0) < 1e-12
+    assert violation(0.5) > 0.1
 
 
 def test_load_minimal_planar_chain():
@@ -377,11 +425,3 @@ def test_reconstruction_perturbed_column(chain_6dof):
     rebuilt = joint_points(chain_6dof, rec.theta)
     assert abs(rec.residual - np.max(np.linalg.norm(rebuilt - P, axis=0))) <= 1e-15
 
-
-def test_pose_error_cases():
-    p = Pose(position=np.zeros(3), direction=np.array([1.0, 0.0, 0.0]))
-    assert pose_error(p, p) == (0.0, 0.0)
-    q = Pose(position=np.zeros(3), direction=np.array([0.0, 1.0, 0.0]))
-    assert pose_error(p, q)[1] == pytest.approx(math.pi / 2)
-    r = Pose(position=np.array([0.006, 0.008, 0.0]), direction=np.array([1.0, 0.0, 0.0]))
-    assert pose_error(p, r)[0] == pytest.approx(0.01)

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import cidgik.iteration as iteration
-from cidgik import Goal, WorkspaceSpec, assemble_qcqp, cidgik_solve, generate, joint_points
+from cidgik import (
+    Goal,
+    WorkspaceSpec,
+    assemble_qcqp,
+    cidgik_solve,
+    forward_kinematics,
+    generate,
+    joint_points,
+)
 from cidgik.bench import solve_one
 from cidgik.cli import main
 from cidgik.iteration import CidgikOptions, verify_solution
@@ -59,6 +67,21 @@ def test_plane_is_checked_at_its_own_vertex(free_problem):
     report = verify_solution(_with_plane(free_problem, 0, shifted), theta)
     assert report.failures == ("collision",)
     assert report.max_penetration == pytest.approx(0.05, abs=1e-12)
+
+
+@pytest.mark.parametrize("turn, failures", [(0.02, ("direction",)), (0.005, ())])
+def test_goal_direction_is_checked_to_its_angle(chain_6dof, turn, failures):
+    """A goal direction turned off the achieved one fails past 0.01 rad."""
+    theta = np.zeros(6)
+    pose = forward_kinematics(chain_6dof, theta)[0][0]
+    side = np.cross(pose.direction, [1.0, 0.0, 0.0])
+    side /= np.linalg.norm(side)
+    direction = np.cos(turn) * pose.direction + np.sin(turn) * side
+    goal = Goal(end_effector=0, position=pose.position, direction=direction)
+    report = verify_solution(assemble_qcqp(chain_6dof, [goal]), theta)
+    assert report.failures == failures
+    assert report.direction_error == pytest.approx(turn, abs=1e-9)
+    assert report.position_error == 0.0
 
 
 def test_library_cli_and_bench_report_one_verdict(tmp_path, monkeypatch, capsys):
