@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import functools
 import io
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import betainc
+import scipy
 
 from .generator import GenerationError, generate
 from .iteration import CidgikOptions, cidgik_solve
@@ -42,7 +41,9 @@ def jeffreys_interval(successes: int, trials: int, level: float = 0.95) -> tuple
     b = trials - successes + 0.5
 
     def quantile(q: float) -> float:
-        return float(brentq(lambda x: betainc(a, b, x) - q, 0.0, 1.0, xtol=1e-10))
+        return float(scipy.optimize.brentq(
+            lambda x: scipy.special.betainc(a, b, x) - q, 0.0, 1.0, xtol=1e-10
+        ))
 
     low = 0.0 if successes == 0 else quantile(tail)
     high = 1.0 if successes == trials else quantile(1.0 - tail)
@@ -254,7 +255,7 @@ def run_benchmark(
     if jobs == 1:
         rows = list(map(one, seeds))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(one, seeds))
     return BenchmarkReport(
         robot_name=robot_name,

@@ -2,8 +2,11 @@
 
 Exit codes for `solve`: 0 verified success, 1 no verified configuration (the
 pass cap was reached, or the refined configuration failed verify_solution),
-2 infeasible, 3 input error (a bad file or an out-of-range flag).  Set
-CIDGIK_LOG to error, info, or debug to control logging verbosity.
+2 infeasible, 3 input error (a bad file or an out-of-range flag).  Every
+subcommand exits 3 with an `error:` line when `--out` cannot be written: its
+directory is checked with the other inputs, before any solve or campaign
+runs, and a write that fails anyway ends the same way.  Set CIDGIK_LOG to
+error, info, or debug to control logging verbosity.
 """
 
 from __future__ import annotations
@@ -41,6 +44,24 @@ def _options(args) -> CidgikOptions:
     )
 
 
+def _check_out(path: str | None) -> None:
+    """Raise OSError unless `path` can be created or overwritten as a file."""
+    if path is None:
+        return
+    out = Path(path)
+    if out.is_dir():
+        raise IsADirectoryError(f"--out {path} is a directory")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"--out directory {out.parent} does not exist")
+    if not os.access(out.parent, os.W_OK):
+        raise PermissionError(f"--out directory {out.parent} is not writable")
+
+
+def _input_error(e: Exception) -> int:
+    print(f"error: {e}", file=sys.stderr)
+    return 3
+
+
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=int, default=10, help="convex iteration cap")
     parser.add_argument("--h-tol", type=float, default=1e-6, help="excess-rank threshold")
@@ -54,14 +75,17 @@ def cmd_solve(args) -> int:
     try:
         qcqp = load_problem(args.problem)
         options = _options(args)
+        _check_out(args.out)
     except (OSError, ProblemFormatError, RobotError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return _input_error(e)
 
     result = cidgik_solve(qcqp, options)
     text = json.dumps(result.to_json_dict(), sort_keys=True, indent=2)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            return _input_error(e)
     else:
         print(text)
     h = result.h if result.h is not None else float("nan")
@@ -81,9 +105,9 @@ def cmd_bench(args) -> int:
         check_campaign(
             robot, args.env, args.n, jobs=args.jobs, table_obstacles=args.table_obstacles
         )
+        _check_out(args.out)
     except (OSError, RobotError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return _input_error(e)
     report = run_benchmark(
         robot,
         args.env,
@@ -104,7 +128,10 @@ def cmd_bench(args) -> int:
     )
     if args.out:
         text = report.to_csv() if args.csv else report.to_json()
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            return _input_error(e)
         print(f"wrote {args.out}")
     elif args.csv:
         print(report.to_csv())
@@ -114,13 +141,13 @@ def cmd_bench(args) -> int:
 def cmd_gen(args) -> int:
     try:
         robot = load_robot(Path(args.robot).read_text())
+        _check_out(args.out)
         problem = generate(
             robot, args.env, args.seed, table_obstacles=args.table_obstacles
         )
+        sidecar = save_generated(args.out, problem)
     except (OSError, RobotError, GenerationError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    sidecar = save_generated(args.out, problem)
+        return _input_error(e)
     print(f"wrote {args.out} (ground truth: {sidecar})")
     return 0
 
@@ -128,10 +155,10 @@ def cmd_gen(args) -> int:
 def cmd_export_sdpa(args) -> int:
     try:
         qcqp = load_problem(args.problem)
+        _check_out(args.out)
+        Path(args.out).write_text(export_sdpa(lift(qcqp)))
     except (OSError, ProblemFormatError, RobotError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    Path(args.out).write_text(export_sdpa(lift(qcqp)))
+        return _input_error(e)
     print(f"wrote {args.out}")
     return 0
 

@@ -94,7 +94,7 @@ def test_bad_count_rejected_before_any_instance(chain_6dof, count, monkeypatch):
 def test_nonpositive_jobs_rejected(chain_6dof, jobs, monkeypatch):
     """Such job counts used to run the campaign serially; now no instance or worker starts."""
     monkeypatch.setattr("cidgik.bench.solve_one", None)  # must not be reached
-    monkeypatch.setattr("cidgik.bench.ProcessPoolExecutor", None)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
     with pytest.raises(ValueError, match="jobs"):
         run_benchmark(chain_6dof, "free", 2, 0, FAST, jobs=jobs)
 

@@ -318,3 +318,41 @@ def test_bench_command_csv(tmp_path):
     )
     assert code == 0
     assert out.read_text().startswith("seed,status")
+
+
+@pytest.mark.parametrize(
+    "command, unreached",
+    [
+        (["solve", "{problem}"], "cidgik_solve"),
+        (["gen", "--robot", str(ARM_JSON), "--env", "free", "--seed", "5"], "generate"),
+        (["export-sdpa", "{problem}"], "lift"),
+        (["bench", "--robot", str(ARM_JSON), "--env", "free", "--n", "2", "--seed", "3"],
+         "run_benchmark"),
+    ],
+    ids=["solve", "gen", "export-sdpa", "bench"],
+)
+def test_unwritable_out_exits_3_before_any_work(
+    command, unreached, toy_problem_file, tmp_path, monkeypatch, capsys
+):
+    """An --out in a missing directory used to end in a FileNotFoundError traceback."""
+    monkeypatch.setattr(f"cidgik.cli.{unreached}", None)  # must not be reached
+    missing = tmp_path / "missing"
+    argv = [arg.format(problem=toy_problem_file) for arg in command]
+    assert main([*argv, "--out", str(missing / "x")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not missing.exists()
+
+
+def test_out_that_is_a_directory_exits_3(toy_problem_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("cidgik.cli.cidgik_solve", None)  # must not be reached
+    assert main(["solve", str(toy_problem_file), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_failed_write_after_the_solve_exits_3(toy_problem_file, capsys):
+    """A write that fails past the directory check is an input error too, not exit 1."""
+    assert main(["solve", str(toy_problem_file), "--out", "/dev/full"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")

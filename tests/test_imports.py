@@ -3,9 +3,16 @@ and every top-level definition of the package is read outside the tests.
 
 Package __init__.py files are exempt from the import scan: their imports are
 re-exports.
+
+A fresh interpreter's `import cidgik, cidgik.cli` loads scipy.linalg, which
+every solve runs, and none of the modules only a benchmark campaign runs.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +89,63 @@ def test_package_definitions_are_read_outside_tests():
     sources = {path: path.read_text() for path in READERS}
     package = [sources[path] for path in PACKAGE]
     assert unread_definitions(package, list(sources.values())) == TEST_ONLY
+
+
+# Loaded on first use by jeffreys_interval (scipy.optimize, scipy.special) and
+# by a parallel campaign (the process pool), never by a solve.
+DEFERRED = ("scipy.optimize", "scipy.special", "concurrent.futures.process", "multiprocessing")
+WATCHED = (*DEFERRED, "scipy.linalg")
+PROBE = """
+import json, sys
+snapshots = []
+for statement in json.loads(sys.argv[1]):
+    exec(statement)
+    snapshots.append([name for name in json.loads(sys.argv[2]) if name in sys.modules])
+print(json.dumps(snapshots))
+"""
+
+
+def loaded_after(*statements: str) -> list[set[str]]:
+    """The WATCHED modules a fresh interpreter holds after each of `statements` in turn."""
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(statements), json.dumps(WATCHED)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return [set(names) for names in json.loads(done.stdout)]
+
+
+def cold_start_faults(loaded: set[str]) -> list[str]:
+    faults = [f"{name} is loaded" for name in DEFERRED if name in loaded]
+    if "scipy.linalg" not in loaded:
+        faults.append("scipy.linalg is not loaded")
+    return faults
+
+
+@pytest.mark.parametrize("module", DEFERRED)
+def test_cold_start_check_catches_an_eager_import(module):
+    (loaded,) = loaded_after(f"import cidgik, cidgik.cli, {module}")
+    assert f"{module} is loaded" in cold_start_faults(loaded)
+
+
+def test_cold_start_check_catches_a_lazy_solver_import():
+    (loaded,) = loaded_after("import json")
+    assert cold_start_faults(loaded) == ["scipy.linalg is not loaded"]
+
+
+def test_import_loads_only_what_a_solve_runs_and_first_use_loads_the_rest():
+    after_import, after_interval, after_campaign = loaded_after(
+        "import cidgik, cidgik.cli",
+        "low, high = cidgik.jeffreys_interval(5, 10)\n"
+        "assert 0.22 < low < 0.23 and abs(low + high - 1.0) < 1e-9",
+        "import cidgik.robots\n"
+        "options = cidgik.CidgikOptions(solver=cidgik.SolverSettings(max_iters=6000))\n"
+        "report = cidgik.run_benchmark(cidgik.robots.arm_6dof(), 'free', 2, 7, options, jobs=2)\n"
+        "assert [row.seed for row in report.rows] == [7, 8] and report.successes == 2",
+    )
+    assert cold_start_faults(after_import) == []
+    assert {"scipy.optimize", "scipy.special"} <= after_interval
+    assert "concurrent.futures.process" not in after_interval
+    assert {"concurrent.futures.process", "multiprocessing"} <= after_campaign
