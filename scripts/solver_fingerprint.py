@@ -2,7 +2,11 @@
 
     PYTHONPATH=src python3 scripts/solver_fingerprint.py > fingerprint.txt
 
-Each instance first gets a line with the SHA-1 of its lifted constraint data
+The output opens with one line per environment preset: the SHA-1 of the
+generated ground-truth thetas and of the goals (positions, then directions)
+of arm_6dof keys 0-39 (table with 25 obstacles), so a change to the
+generator's rejection or to its goal arithmetic shows up before any solve.
+Each instance then gets a line with the SHA-1 of its lifted constraint data
 (eq_mats, eq_rhs, ineq_mats, ineq_rhs) and of its export_sdpa text, so a change
 to the lift or the operator shows up before any solve runs.  Each pass line
 holds the pass's status, ADMM iterations, the SHA-1 of Z (the iterate the pass
@@ -41,6 +45,7 @@ import numpy as np  # noqa: E402
 import cidgik as ck  # noqa: E402
 import cidgik.iteration  # noqa: E402
 from cidgik.robots import arm_6dof, planar_two_link, random_coplanar_chain  # noqa: E402
+from cidgik.workspace import ENVIRONMENT_NAMES  # noqa: E402
 
 # Benchmark workloads (ikbench/run.py) and keys; table uses 25 obstacles.
 # "unreachable-table" puts the arm-unreachable goal among the table obstacles.
@@ -50,6 +55,7 @@ KEYS = {
     "unreachable": (0, 22),
     "unreachable-table": (0,),
 }
+GENERATE_KEYS = range(40)  # per environment preset, for the generate lines
 
 
 def _qcqp(robot, environment: str, key: int):
@@ -103,6 +109,15 @@ def _print_result(name: str, result) -> None:
                       "passes": result.iterations, "theta": theta}))
 
 
+def _print_generate(environment: str) -> None:
+    problems = [ck.generate(arm_6dof(), environment, key, table_obstacles=25)
+                for key in GENERATE_KEYS]
+    goals = [g for p in problems for g in p.qcqp.goals]
+    print(json.dumps({"generate": environment,
+                      "theta": _sha1(*(p.ground_truth for p in problems)),
+                      "goals": _sha1(*(g.position for g in goals), *(g.direction for g in goals))}))
+
+
 def _print_kinematics(name: str, robot) -> None:
     rng = np.random.Generator(np.random.Philox(key=2024))
     frames, points, theta = [], [], []
@@ -124,6 +139,8 @@ def main():
         return passes[-1]
 
     cidgik.iteration.solve = recording_solve
+    for environment in ENVIRONMENT_NAMES:
+        _print_generate(environment)
     options = ck.CidgikOptions(solver=ck.SolverSettings(max_iters=8000))
     for name, qcqp in _instances():
         passes.clear()

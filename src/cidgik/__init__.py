@@ -60,8 +60,8 @@ from .workspace import (
     WorkspaceSpec,
     add_aux_point,
     add_self_collision,
-    config_in_collision,
     environment,
+    penetration,
 )
 
 __all__ = [
@@ -93,7 +93,6 @@ __all__ = [
     "build_graph",
     "build_toy_instance",
     "cidgik_solve",
-    "config_in_collision",
     "direction_matrix",
     "environment",
     "evaluate",
@@ -110,6 +109,7 @@ __all__ = [
     "load_robot",
     "nominal_distances",
     "parse_sdpa",
+    "penetration",
     "reconstruct_angles",
     "run_benchmark",
     "save_problem",

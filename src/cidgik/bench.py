@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .generator import GenerationError, generate
+from .generator import GenerationError, _check_seed, generate
 from .iteration import CidgikOptions, cidgik_solve
 from .kinematics import RobotModel
 from .solver import _check_count
@@ -223,6 +223,7 @@ def check_campaign(
     robot: RobotModel,
     environment_name: str,
     count: int,
+    base_seed: int,
     *,
     jobs: int = 1,
     table_obstacles: int = 100,
@@ -230,6 +231,8 @@ def check_campaign(
     """Raise ValueError for a campaign that cannot run, before any instance or worker exists."""
     _check_count(count, "count")
     _check_count(jobs, "jobs")
+    _check_seed(base_seed)
+    _check_seed(int(base_seed) + count - 1)
     environment(environment_name, robot, table_obstacles=table_obstacles)
 
 
@@ -245,7 +248,9 @@ def run_benchmark(
     robot_name: str = "robot",
 ) -> BenchmarkReport:
     """Solve a seeded campaign; per-instance determinism holds for any job count."""
-    check_campaign(robot, environment_name, count, jobs=jobs, table_obstacles=table_obstacles)
+    check_campaign(
+        robot, environment_name, count, base_seed, jobs=jobs, table_obstacles=table_obstacles
+    )
     options = options or CidgikOptions()
     seeds = range(base_seed, base_seed + count)
     # One function over the seeds either way; a RobotModel pickles.

@@ -103,7 +103,8 @@ def cmd_bench(args) -> int:
         robot = load_robot(Path(args.robot).read_text())
         options = _options(args)
         check_campaign(
-            robot, args.env, args.n, jobs=args.jobs, table_obstacles=args.table_obstacles
+            robot, args.env, args.n, args.seed,
+            jobs=args.jobs, table_obstacles=args.table_obstacles,
         )
         _check_out(args.out)
     except (OSError, RobotError, ValueError) as e:

@@ -1,22 +1,25 @@
 """Feasible problem generation by rejection sampling over configurations.
 
 Instances follow the benchmark protocol: draw joint angles uniformly on
-(-pi, pi], reject configurations that collide with the workspace, and use the
-sampled configuration's end-effector poses as goals, so every generated
-instance is feasible with the sample as a witness.  The Philox counter-based
+(-pi, pi], reject the draw when workspace.penetration finds any depth above 0
+among its joint_points (every sphere and plane against every robot point, the
+end effectors' tip and direction points too, as ikbench's checker does), and
+read the goals off the same points, so every generated instance is feasible
+with the sample as a witness, bit for bit.  The Philox counter-based
 generator keeps instances reproducible from (robot, environment, seed) alone.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Goal, QcqpInstance, assemble_qcqp
-from .kinematics import RobotModel, forward_kinematics, joint_points
-from .workspace import WorkspaceSpec, config_in_collision, environment
+from .kinematics import RobotModel, _poses, joint_points
+from .workspace import environment, penetration
 
 logger = logging.getLogger("cidgik.generator")
 
@@ -35,22 +38,10 @@ class GeneratedProblem:
     environment: str
 
 
-def _sample_theta(rng: np.random.Generator, n: int) -> np.ndarray:
-    # uniform on (-pi, pi]: map [0, 2*pi) draws through pi - u
-    return np.pi - rng.uniform(0.0, 2.0 * np.pi, size=n)
-
-
-def _respects_planes(robot: RobotModel, theta, workspace: WorkspaceSpec) -> bool:
-    if not workspace.planes:
-        return True
-    P = joint_points(robot, theta)
-    for _, plane in workspace.planes:
-        vals = plane.normal @ P - plane.offset
-        if plane.relation == "above" and np.min(vals) < 0.0:
-            return False
-        if plane.relation == "on" and np.max(np.abs(vals)) > 1e-9:
-            return False
-    return True
+def _check_seed(seed) -> None:
+    """Reject anything but an integer Philox key in [0, 2**128) (bools included)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
 
 def generate(
@@ -61,24 +52,24 @@ def generate(
     table_obstacles: int = 100,
 ) -> GeneratedProblem:
     """Draw one feasible instance in the named environment preset."""
+    _check_seed(seed)
     workspace = environment(environment_name, robot, table_obstacles=table_obstacles)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    n = len(robot.joints)
+    planes = [plane for _, plane in workspace.planes]
     for attempt in range(REJECTION_CAP):
-        theta = _sample_theta(rng, n)
-        if config_in_collision(robot, theta, workspace.spheres):
+        # uniform on (-pi, pi]: map [0, 2*pi) draws through pi - u
+        theta = np.pi - rng.uniform(0.0, 2.0 * np.pi, size=len(robot.joints))
+        P = joint_points(robot, theta)
+        if penetration(P, workspace.spheres, planes) > 0.0:
             continue
-        if not _respects_planes(robot, theta, workspace):
-            continue
-        poses, _ = forward_kinematics(robot, theta)
         goals = [
-            Goal(end_effector=k, position=p.position, direction=p.direction)
-            for k, p in enumerate(poses)
+            Goal(end_effector=k, position=pose.position, direction=pose.direction)
+            for k, pose in enumerate(_poses(robot, P))
         ]
         qcqp = assemble_qcqp(robot, goals, workspace)
         logger.debug("seed %d accepted after %d draws", seed, attempt + 1)
         return GeneratedProblem(
-            qcqp=qcqp, ground_truth=theta, seed=seed, environment=environment_name
+            qcqp=qcqp, ground_truth=theta, seed=int(seed), environment=environment_name
         )
     raise GenerationError(
         f"no collision-free configuration in {REJECTION_CAP} draws; "

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import QcqpInstance, feasible_points, selection
-from .kinematics import _cross, _frames, _points, joint_points, reconstruct_angles
+from .kinematics import _cross, _frames, _points, _poses, joint_points, reconstruct_angles
 from .lifting import SdpInstance, evaluate, extract_points, lift, lift_points
 from .solver import (
     InfeasibilityCertificate,
@@ -28,6 +28,7 @@ from .solver import (
     _constraint_tolerance,
     solve,
 )
+from .workspace import penetration
 
 logger = logging.getLogger("cidgik.iteration")
 
@@ -426,54 +427,46 @@ def verify_solution(qcqp: QcqpInstance, theta) -> VerificationReport:
     """Check a configuration against the instance's goals and workspace.
 
     Success requires every goal position within 0.01 m, every specified goal
-    direction within 0.01 rad, every joint point and aux point clear of every
-    keep-out sphere up to 0.01 m of penetration depth (keep-in spheres are
-    held to the same depth), each plane met to that depth at the point of its
-    own graph vertex, and each self-collision pair (i, j, eps) no closer than
-    sqrt(eps) by more than that depth.  Every check reads the configuration's
-    joint points, the goal errors included: a goal's tip point, and the
-    direction from it to its direction point.
+    direction within 0.01 rad, a workspace.penetration depth under 0.01 m for
+    the spheres over every joint point and aux point and for each plane at the
+    point of its own graph vertex, and each self-collision pair (i, j, eps) no
+    closer than sqrt(eps) by more than that depth.  Every check reads the
+    configuration's joint points, the goal errors included: a goal's tip
+    point, and the direction from it to its direction point.
     """
     P = joint_points(qcqp.robot, theta)
-    index = qcqp.robot.layout.index
+    poses = _poses(qcqp.robot, P)
     pos_err = 0.0
     dir_err = 0.0
     for g in qcqp.goals:
-        position = P[:, index["ee", g.end_effector, "pos"]]
-        pos_err = max(pos_err, float(np.linalg.norm(position - g.position)))
+        achieved = poses[g.end_effector]
+        pos_err = max(pos_err, float(np.linalg.norm(achieved.position - g.position)))
         if g.direction is not None:
-            achieved = P[:, index["ee", g.end_effector, "dir"]] - position
-            cos = achieved @ g.direction / np.linalg.norm(achieved)
+            cos = achieved.direction @ g.direction / np.linalg.norm(achieved.direction)
             dir_err = max(dir_err, math.acos(float(np.clip(cos, -1.0, 1.0))))
 
-    penetration = 0.0
     X = P @ selection(qcqp)
     points = np.hstack([P, X[:, qcqp.graph.num_variables :]])
-    for i, j, eps in qcqp.self_collision:
-        depth = math.sqrt(eps) - float(np.linalg.norm(X[:, i] - X[:, j]))
-        penetration = max(penetration, depth)
-    for s in qcqp.spheres:
-        dist = np.linalg.norm(points - s.center[:, None], axis=0)
-        if s.sense == "keep_out":
-            depth = float(np.max(s.radius - dist))
-        else:
-            depth = float(np.max(dist - s.radius))
-        penetration = max(penetration, depth, 0.0)
+    depth = penetration(points, qcqp.spheres)
+    vertices = {}  # each plane's own vertices: one call per plane, not per row
     for vertex, plane in qcqp.planes:
-        val = float(plane.normal @ X[:, vertex] - plane.offset)
-        penetration = max(penetration, -val if plane.relation == "above" else abs(val))
+        vertices.setdefault(plane, []).append(vertex)
+    for plane, columns in vertices.items():
+        depth = max(depth, penetration(X[:, columns], planes=[plane]))
+    for i, j, eps in qcqp.self_collision:
+        depth = max(depth, math.sqrt(eps) - float(np.linalg.norm(X[:, i] - X[:, j])))
 
     failures = []
     if pos_err >= POSITION_TOL:
         failures.append("position")
     if dir_err >= DIRECTION_TOL:
         failures.append("direction")
-    if penetration >= PENETRATION_TOL:
+    if depth >= PENETRATION_TOL:
         failures.append("collision")
     return VerificationReport(
         success=not failures,
         position_error=pos_err,
         direction_error=dir_err,
-        max_penetration=penetration,
+        max_penetration=depth,
         failures=tuple(failures),
     )

@@ -458,17 +458,19 @@ def _check_coplanarity(robot: RobotModel) -> None:
 
 
 def forward_kinematics(robot: RobotModel, theta) -> tuple[list[Pose], JointFrames]:
-    """World pose of every end effector plus all joint frames."""
-    theta = _check_theta(robot, theta)
-    frames = _frames(robot, theta)
-    d = robot.dimension
+    """World pose of every end effector, read off the point table, plus all joint frames."""
+    frames = _frames(robot, _check_theta(robot, theta))
+    return _poses(robot, _points(robot, frames)[:, : robot.dimension].T), frames
+
+
+def _poses(robot: RobotModel, P: np.ndarray) -> list[Pose]:
+    """Per end effector, its tip column of P and the step from it to its direction column."""
+    index = robot.layout.index
     poses = []
-    for ee in robot.end_effectors:
-        R = frames.rotations[ee.parent]
-        pos = frames.origins[ee.parent] + R @ ee.tip
-        direction = R @ (ee.tip / np.linalg.norm(ee.tip))
-        poses.append(Pose(position=pos[:d].copy(), direction=direction[:d].copy()))
-    return poses, frames
+    for k in range(len(robot.end_effectors)):
+        position = P[:, index["ee", k, "pos"]]
+        poses.append(Pose(position=position, direction=P[:, index["ee", k, "dir"]] - position))
+    return poses
 
 
 def joint_points(robot: RobotModel, theta) -> np.ndarray:

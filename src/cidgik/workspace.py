@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import RobotModel, joint_points
+from .kinematics import RobotModel
 
 ENVIRONMENT_NAMES = ("free", "octahedron", "cube", "icosahedron", "table")
 
@@ -77,17 +77,23 @@ class WorkspaceSpec:
     self_collision_eps: float | None = None  # global eps for non-adjacent pairs
 
 
-def config_in_collision(robot: RobotModel, theta, spheres) -> bool:
-    """True iff any joint point (any joint_points column) violates a keep-out sphere."""
-    keep_out = [s for s in spheres if s.sense == "keep_out"]
-    if not keep_out:
-        return False
-    P = joint_points(robot, theta)
-    for s in keep_out:
-        d2 = np.sum((P - s.center[:, None]) ** 2, axis=0)
-        if np.any(d2 < s.radius**2):
-            return True
-    return False
+def penetration(points: np.ndarray, spheres=(), planes=()) -> float:
+    """Deepest violation of any region over the columns of points, 0 when all hold.
+
+    A keep-out sphere is violated by r - |x - c|, a keep-in sphere by
+    |x - c| - r, an "above" plane by offset - n.x and an "on" plane by
+    |n.x - offset|.  generate and verify_solution both judge clearance by it.
+    """
+    depth = 0.0
+    for s in spheres:
+        dist = np.linalg.norm(points - s.center[:, None], axis=0)
+        gap = s.radius - dist if s.sense == "keep_out" else dist - s.radius
+        depth = max(depth, float(np.max(gap, initial=0.0)))
+    for plane in planes:
+        vals = plane.normal @ points - plane.offset
+        gap = -vals if plane.relation == "above" else np.abs(vals)
+        depth = max(depth, float(np.max(gap, initial=0.0)))
+    return depth
 
 
 def add_self_collision(instance, i: int, j: int, eps: float):

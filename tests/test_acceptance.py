@@ -123,7 +123,7 @@ def test_criterion_3_lift_correctness():
         ]
         for _ in range(8):
             theta = sample_angles(rng, n_joints)
-            if ck.config_in_collision(robot, theta, spheres):
+            if ck.penetration(ck.joint_points(robot, theta), spheres) > 0.0:
                 continue
             poses, _ = ck.forward_kinematics(robot, theta)
             goals = [

@@ -95,6 +95,18 @@ def test_bench_bad_numeric_flag(flags, monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("seed,n", [("-1", "2"), (str(2**128 - 2), "3")])
+def test_bench_seed_out_of_range_exits_3(seed, n, monkeypatch, capsys):
+    """--seed -1 used to end in numpy's Philox traceback with exit 1."""
+    monkeypatch.setattr("cidgik.cli.run_benchmark", None)  # must not be reached
+    robot_path = Path(__file__).parent.parent / "robots" / "arm_6dof.json"
+    argv = ["bench", "--robot", str(robot_path), "--env", "free", "--seed", seed, "--n", n]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: seed must be an integer")
+    assert captured.out == ""
+
+
 ARM_JSON = Path(__file__).parent.parent / "robots" / "arm_6dof.json"
 
 

@@ -263,6 +263,25 @@ def test_fk_straight_and_quarter_turn(planar_2r):
     np.testing.assert_allclose(poses[0].position, [0.0, 2.0], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "robot", [planar_two_link(), arm_6dof(), random_coplanar_chain(7, 1), two_arm_tree()],
+    ids=["planar", "arm", "chain7", "tree"],
+)
+def test_fk_poses_are_joint_points_columns(robot):
+    """Bit for bit: each pose is its tip column and the step to its direction column."""
+    rng = np.random.Generator(np.random.Philox(key=12))
+    index = robot.layout.index
+    for _ in range(10):
+        theta = sample_angles(rng, robot.num_joints)
+        poses, _ = forward_kinematics(robot, theta)
+        P = joint_points(robot, theta)
+        assert len(poses) == len(robot.end_effectors)
+        for k, pose in enumerate(poses):
+            position = P[:, index["ee", k, "pos"]]
+            assert np.array_equal(pose.position, position)
+            assert np.array_equal(pose.direction, P[:, index["ee", k, "dir"]] - position)
+
+
 def test_fk_reach_bound(planar_2r):
     rng = np.random.Generator(np.random.Philox(key=11))
     for _ in range(50):

@@ -10,10 +10,11 @@ from cidgik import (
     add_aux_point,
     add_self_collision,
     assemble_qcqp,
-    config_in_collision,
     evaluate,
+    joint_points,
     lift,
     lift_points,
+    penetration,
     solve,
 )
 from cidgik.graph import feasible_points
@@ -76,18 +77,48 @@ def chain_instance(position=(2.2, 1.2), direction=None):
 
 
 def test_config_in_collision(planar_2r):
-    assert not config_in_collision(planar_2r, [0.3, -0.2], [])
+    def depth(theta, spheres):
+        return penetration(joint_points(planar_2r, theta), spheres)
+
+    assert not depth([0.3, -0.2], []) > 0.0
     on_elbow = Sphere(center=np.array([1.0, 0.0]), radius=0.5)
-    assert config_in_collision(planar_2r, [0.0, 0.0], [on_elbow])
-    assert not config_in_collision(planar_2r, [np.pi / 2, 0.0], [on_elbow])
+    assert depth([0.0, 0.0], [on_elbow]) > 0.0
+    assert not depth([np.pi / 2, 0.0], [on_elbow]) > 0.0
 
 
 def test_collision_implies_positive_residual(toy_qcqp, planar_2r):
     theta = np.array([0.0, 0.0])  # elbow at (1, 0), inside the keep-out disc
-    assert config_in_collision(planar_2r, theta, toy_qcqp.spheres)
+    assert penetration(joint_points(planar_2r, theta), toy_qcqp.spheres) > 0.0
     X = feasible_points(toy_qcqp, theta)
     _, slack = evaluate(lift(toy_qcqp), lift_points(X))
     assert -np.min(slack) > 0.0
+
+
+# Columns (0, 0, 0), (1, 0, 0) and (3, 0, 0).
+LINE = np.array([[0.0, 1.0, 3.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+X_AXIS = np.array([1.0, 0.0, 0.0])
+
+
+def test_penetration_of_each_region_kind():
+    keep_out = Sphere(center=np.zeros(3), radius=2.0)
+    keep_in = Sphere(center=np.zeros(3), radius=2.0, sense="keep_in")
+    above = Plane(normal=X_AXIS, offset=0.5)
+    on = Plane(normal=X_AXIS, offset=1.0, relation="on")
+    assert penetration(LINE, [keep_out]) == 2.0  # r - |x - c| at the center
+    assert penetration(LINE, [keep_in]) == 1.0  # |x - c| - r at (3, 0, 0)
+    assert penetration(LINE, planes=[above]) == 0.5  # offset - n.x at the origin
+    assert penetration(LINE, planes=[on]) == 2.0  # |n.x - offset| at (3, 0, 0)
+    assert penetration(LINE, [keep_in, keep_out], [above, on]) == 2.0  # the deepest
+
+
+def test_penetration_is_zero_where_every_region_holds():
+    clear = Sphere(center=np.array([1.5, 0.0, 0.0]), radius=0.25)
+    around = Sphere(center=np.zeros(3), radius=3.5, sense="keep_in")
+    below = Plane(normal=X_AXIS, offset=-1.0)
+    on = Plane(normal=np.array([0.0, 0.0, 1.0]), offset=0.0, relation="on")
+    assert penetration(LINE, [clear, around], [below, on]) == 0.0
+    assert penetration(LINE) == 0.0
+    assert penetration(np.zeros((3, 0)), [Sphere(center=np.zeros(3), radius=1.0)], [below]) == 0.0
 
 
 def test_aux_point_midpoint():
