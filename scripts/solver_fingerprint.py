@@ -14,14 +14,17 @@ stopped on) and the SHA-1 of the certificate's y and mu.  The instance's result
 line holds the cidgik_solve status, its pass count and the SHA-1 of theta (null
 without one).  The instances are the arm_6dof benchmark keys below, an
 unreachable goal among the 25 table obstacles (whose certificate carries
-inequality multipliers mu), the planar two-link toy with its keep-out disc and
-the fully stretched planar two-link.  Two more pass lines follow: the 3x3 toy
-SDP ("toy") and a warm-started rank-direction pass ("warm-octahedron-0":
-octahedron key 0, a 4000-iteration C = I pass, then one 4000-iteration pass
-with that iterate's direction_matrix as the cost and the iterate as the warm
-start, which stops at its cap, so its Z is its last iterate), since every
-benchmark key closes in its first pass.  Last come two kinematics lines, for
-arm_6dof and random_coplanar_chain(7, 1) at 50 seeded configurations: the
+inequality multipliers mu), two goals inside the workspace's inner boundary
+("inner": 3 cm from joint 1's origin, certified in pass 1 and in pass 2, so
+their certificates come from a cold and from a warm-started pass), the planar
+two-link toy with its keep-out disc and the fully stretched planar two-link.
+Two more pass lines follow: the 3x3 toy SDP ("toy") and a warm-started
+rank-direction pass ("warm-octahedron-0": octahedron key 0, a 4000-iteration
+C = I pass, then one 4000-iteration pass with that iterate's direction_matrix
+as the cost and the iterate as the warm start, which stops at its cap, so its
+Z is its last iterate), since every benchmark key closes in its first pass.
+Last come two kinematics lines, for arm_6dof and random_coplanar_chain(7, 1)
+at 50 seeded configurations: the
 SHA-1 of the forward_kinematics frames (rotations, origins, axes), of
 joint_points, and of the theta reconstruct_angles reads back from those
 points.  BLAS runs on one thread, so the
@@ -48,22 +51,29 @@ from cidgik.robots import arm_6dof, planar_two_link, random_coplanar_chain  # no
 from cidgik.workspace import ENVIRONMENT_NAMES  # noqa: E402
 
 # Benchmark workloads (ikbench/run.py) and keys; table uses 25 obstacles.
-# "unreachable-table" puts the arm-unreachable goal among the table obstacles.
+# "unreachable-table" puts the arm-unreachable goal among the table obstacles;
+# "inner" puts the goal 3 cm from joint 1's origin, inside the inner boundary.
 KEYS = {
     "octahedron": (0, 1, 2, 13, 20),
     "table": (0, 1, 11, 22),
     "unreachable": (0, 22),
     "unreachable-table": (0,),
+    "inner": (6, 12),
 }
+JOINT_1_ORIGIN = np.array([0.0, 0.0, 0.15])  # arm_6dof's, the center of the inner goals
 GENERATE_KEYS = range(40)  # per environment preset, for the generate lines
 
 
 def _qcqp(robot, environment: str, key: int):
-    if not environment.startswith("unreachable"):
+    if environment in ENVIRONMENT_NAMES:
         return ck.generate(robot, environment, key, table_obstacles=25).qcqp
     direction = np.random.Generator(np.random.Philox(key=key)).standard_normal(3)
     direction /= np.linalg.norm(direction)
-    goal = ck.Goal(end_effector=0, position=1.5 * robot.reach * direction, direction=direction)
+    if environment == "inner":
+        position = JOINT_1_ORIGIN + 0.03 * direction
+    else:
+        position = 1.5 * robot.reach * direction
+    goal = ck.Goal(end_effector=0, position=position, direction=direction)
     if environment == "unreachable-table":
         workspace = ck.environment("table", robot, table_obstacles=25)
     else:

@@ -83,26 +83,30 @@ def save_problem(path, robot: RobotModel, goals, workspace=None) -> None:
 
 
 def save_generated(path, problem: GeneratedProblem) -> Path:
-    """Write the problem JSON plus a ground-truth sidecar; returns the sidecar path."""
+    """Write the problem JSON plus a ground-truth sidecar; returns the sidecar path.
+
+    The sidecar's JSON is built first, and save_problem builds the problem's
+    before it writes, so a sidecar that cannot be serialized leaves no
+    problem file behind.
+    """
     path = Path(path)
     qcqp = problem.qcqp
     workspace = WorkspaceSpec(
         spheres=list(qcqp.spheres),
         planes=[(v, p) for v, p in qcqp.planes],
     )
+    truth = json.dumps(
+        {
+            "seed": problem.seed,
+            "environment": problem.environment,
+            "theta": [float(t) for t in problem.ground_truth],
+        },
+        sort_keys=True,
+        indent=2,
+    )
     save_problem(path, qcqp.robot, qcqp.goals, workspace)
     sidecar = path.with_suffix(".truth.json")
-    sidecar.write_text(
-        json.dumps(
-            {
-                "seed": problem.seed,
-                "environment": problem.environment,
-                "theta": [float(t) for t in problem.ground_truth],
-            },
-            sort_keys=True,
-            indent=2,
-        )
-    )
+    sidecar.write_text(truth)
     return sidecar
 
 

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from cidgik import Goal, Sphere, WorkspaceSpec
+from cidgik import Goal, Sphere, WorkspaceSpec, generate
 from cidgik.problemio import (
     ProblemFormatError,
     dumps_problem,
     load_problem,
     parse_problem,
+    save_generated,
     save_problem,
 )
 from cidgik.robots import planar_two_link
@@ -61,3 +62,21 @@ def test_malformed_problem():
         parse_problem("{ nope")
     with pytest.raises(ProblemFormatError):
         parse_problem(json.dumps({"robot": 17, "goals": []}))
+
+
+def test_unserializable_sidecar_leaves_no_problem_file(tmp_path):
+    """Both texts are built before either file is written.
+
+    The problem file used to be written first, so a sidecar whose JSON
+    failed left it behind without its ground truth.
+    """
+    problem = generate(planar_two_link(), "free", 3)
+    problem.seed = object()  # json.dumps cannot hold it
+    path = tmp_path / "p.json"
+    with pytest.raises(TypeError):
+        save_generated(path, problem)
+    assert list(tmp_path.iterdir()) == []
+    problem.seed = 3
+    sidecar = save_generated(path, problem)
+    assert json.loads(sidecar.read_text())["seed"] == 3
+    assert load_problem(path).robot.num_joints == 2

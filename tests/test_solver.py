@@ -168,15 +168,17 @@ def test_unreachable_goal_among_obstacles_certified(chain_6dof):
     """Inequality rows give the certificate multipliers mu >= 0 that must hold too.
 
     Key 0 among the 25 table obstacles (260 inequality rows) certifies at
-    iteration 800; with 20 polish rounds per probe it certified at 1400,
-    and the raw probe multipliers first verified at 2600.
+    iteration 400 with the Anderson-mixed polish; the relaxed polish alone
+    hit its round cap at 200 and 400 and certified at 800, with 20 polish
+    rounds per probe it certified at 1400, and the raw probe multipliers
+    first verified at 2600.
     """
     table = environment("table", chain_6dof, table_obstacles=25)
     instance = lift(_unreachable_qcqp(chain_6dof, 0, table))
     assert instance.num_inequalities == 260
     result = solve(instance, None, SolverSettings(max_iters=8000))
     assert result.status == "infeasible"
-    assert result.iterations <= 800
+    assert result.iterations <= 400
     cert = result.certificate
     assert cert.mu.size == 260 and cert.mu.min() >= 0.0
     assert _verify_certificate(instance, cert.y, cert.mu) is not None
@@ -422,7 +424,9 @@ def test_failed_polish_stops_once_its_value_turns(chain_6dof, monkeypatch):
     certificate, and its polish stops well before CERT_POLISH_ROUNDS.  The
     stop reads the relaxed multipliers, so the test records the y of every
     h.y the polish takes, and checks each against the relaxation of the
-    projections' raw multipliers.
+    projections' raw multipliers from the y the round before moved on with
+    (the y it sends through G^T).  That y is the round's relaxed step, or
+    an Anderson-mixed candidate whose h.y is still negative.
     """
     probes = []
     inner_probe = cidgik.solver._certificate_from_iterate
@@ -452,7 +456,15 @@ def test_failed_polish_stops_once_its_value_turns(chain_6dof, monkeypatch):
             read.append(y.copy())
             return np.asarray(self) @ y
 
+    moved = []  # the y each round moves on with: the probe's, then each polish round's
+    inner_adjoint = cidgik.solver._ConicData.adjoint
+
+    def recording_adjoint(self, y):
+        moved.append(y.copy())
+        return inner_adjoint(self, y)
+
     monkeypatch.setattr(cidgik.solver._ConicData, "multipliers", recording_multipliers)
+    monkeypatch.setattr(cidgik.solver._ConicData, "adjoint", recording_adjoint)
     data.h = data.h.view(RecordingRow)
     assert inner_probe(data, w, iteration) is None
     h = np.asarray(data.h)
@@ -460,23 +472,31 @@ def test_failed_polish_stops_once_its_value_turns(chain_6dof, monkeypatch):
     assert len(read) == len(solved) - 1  # one stopping test per polish round
     assert float(h @ read[-1]) >= 0.0
     assert all(float(h @ y) < 0.0 for y in read[:-1])
+    # The last round stops before it moves on.
+    assert len(moved) == len(read)
+    assert moved[0].tobytes() == solved[0].tobytes()
     # The first round is unrelaxed; each later one moves POLISH_RELAXATION
     # times its step toward the round's projection.
     relaxation = cidgik.solver.POLISH_RELAXATION
     assert read[0].tobytes() == solved[1].tobytes()
-    for prev, y, y_new in zip(read, read[1:], solved[2:]):
+    for prev, y, y_new in zip(moved[1:], read[1:], solved[2:]):
         assert y.tobytes() == (prev + relaxation * (y_new - prev)).tobytes()
         assert not np.array_equal(y, y_new)
+    # Each round moves on with its relaxed step or with a mixed candidate
+    # whose h.y is still negative.
+    mixed = [y for y, relaxed in zip(moved[1:], read) if y.tobytes() != relaxed.tobytes()]
+    assert mixed and all(float(h @ y) < 0.0 for y in mixed)
 
 
 @pytest.mark.parametrize("key", [0, 22])
 def test_relaxed_polish_certifies_within_its_round_budget(chain_6dof, monkeypatch, key):
-    """Keys 0 and 22 certify in their first pass within 120 polish rounds in total.
+    """Keys 0 and 22 certify in their first pass within 30 polish rounds in total.
 
     Unrelaxed (POLISH_RELAXATION = 1), key 0 took 187 rounds and key 22 took
-    162; at 1.8 they take 103 and 88.  The goal among the table obstacles
-    still certifies by iteration 800 with mu >= 0
-    (test_unreachable_goal_among_obstacles_certified).
+    162; relaxed by 1.8 they took 103 and 88, and with Anderson mixing on
+    top they take 7 and 18 (10 in a failed probe at iteration 100, then 8).
+    The goal among the table obstacles certifies by iteration 400 with
+    mu >= 0 (test_unreachable_goal_among_obstacles_certified).
     """
     passes = _record_passes(monkeypatch)
     rounds = []
@@ -492,8 +512,34 @@ def test_relaxed_polish_certifies_within_its_round_budget(chain_6dof, monkeypatc
     result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
     assert result.status == "infeasible"
     assert [(warm is None, r.status) for warm, r in passes] == [(True, "infeasible")]
-    assert 0 < len(rounds) <= 120
+    assert 0 < len(rounds) <= 30
     assert _verify_certificate(lift(qcqp), result.certificate.y, result.certificate.mu) is not None
+
+
+# The ADMM iteration at which unreachable keys 0-15 certified in pass 1
+# with the relaxed polish alone, before Anderson mixing: each at the first probe.
+RELAXED_POLISH_CERTIFIED_AT = [100] * 16
+
+
+def test_mixed_polish_certifies_where_the_relaxed_polish_did(chain_6dof, monkeypatch):
+    """Unreachable keys 0-15 each end infeasible in pass 1, at the same iteration as before.
+
+    The mixing only speeds up a polish that would verify anyway: a mixed
+    candidate is taken while its h.y is negative, and otherwise the round
+    takes its relaxed step and forgets the older rounds.  Without that
+    safeguard, or with the mixing's sign flipped, probes that verified stop
+    verifying.
+    """
+    passes = _record_passes(monkeypatch)
+    options = CidgikOptions(solver=SolverSettings(max_iters=8000))
+    certified_at = []
+    for key in range(16):
+        passes.clear()
+        result = cidgik_solve(_unreachable_qcqp(chain_6dof, key), options)
+        assert result.status == "infeasible"
+        assert [r.status for _, r in passes] == ["infeasible"]
+        certified_at.append(passes[0][1].iterations)
+    assert certified_at == RELAXED_POLISH_CERTIFIED_AT
 
 
 def test_probes_are_logged(chain_6dof, monkeypatch, caplog):
@@ -514,7 +560,7 @@ def test_probes_are_logged(chain_6dof, monkeypatch, caplog):
     [line] = probe_lines(unreachable, 100)
     prefix = "Farkas probe at iteration 100: verified after "
     assert line.startswith(prefix) and line.endswith(" polish rounds")
-    assert 0 < int(line[len(prefix) :].split()[0]) <= 120
+    assert 0 < int(line[len(prefix) :].split()[0]) <= 30
     monkeypatch.setattr(cidgik.solver, "CERT_POLISH_ROUNDS", 3)
     assert probe_lines(unreachable, 100) == [
         "Farkas probe at iteration 100: round cap after 3 polish rounds"
