@@ -2,7 +2,10 @@
 
     PYTHONPATH=src python3 scripts/solver_fingerprint.py > fingerprint.txt
 
-The output opens with one line per environment preset: the SHA-1 of the
+The output opens with one line naming numpy's version and the BLAS and LAPACK
+libraries it was built against: the solver's factorizations and
+eigendecompositions all run in numpy's LAPACK, so every Z, certificate and
+theta hash depends on it.  One line per environment preset follows: the SHA-1 of the
 generated ground-truth thetas and of the goals (positions, then directions)
 of arm_6dof keys 0-39 (table with 25 obstacles), so a change to the
 generator's rejection or to its goal arithmetic shows up before any solve.
@@ -128,6 +131,14 @@ def _print_generate(environment: str) -> None:
                       "goals": _sha1(*(g.position for g in goals), *(g.direction for g in goals))}))
 
 
+def _print_numpy() -> None:
+    dependencies = np.show_config(mode="dicts")["Build Dependencies"]
+    print(json.dumps({"numpy": np.__version__, **{
+        kind: f"{dependencies[kind]['name']} {dependencies[kind]['version']}"
+        for kind in ("blas", "lapack")
+    }}))
+
+
 def _print_kinematics(name: str, robot) -> None:
     rng = np.random.Generator(np.random.Philox(key=2024))
     frames, points, theta = [], [], []
@@ -149,6 +160,7 @@ def main():
         return passes[-1]
 
     cidgik.iteration.solve = recording_solve
+    _print_numpy()
     for environment in ENVIRONMENT_NAMES:
         _print_generate(environment)
     options = ck.CidgikOptions(solver=ck.SolverSettings(max_iters=8000))

@@ -6,13 +6,15 @@ The built-in method is an operator-splitting (ADMM) scheme on
 
 with inequality slacks appended.  The affine projection eliminates the
 slacks and solves in the D = side (side + 1) / 2 dimensions of svec(Z), on
-factors of a D x D matrix and of the equality rows' Schur complement taken
-once per pass (`_ConicData`), so a projection costs O(rows x D) however many
-inequality rows there are.  One ADMM step pairs that projection onto the
-affine constraint set with a projection onto the PSD x nonnegative cone,
-with over-relaxation and scaled dual updates.  The cone projection is one
-eigendecomposition by LAPACK dsyevd, called directly on a buffer each pass
-allocates once; the ADMM and the certificate polish share it.  Each step
+the inverses of a D x D matrix and of the equality rows' Schur complement,
+taken once per pass (`_ConicData`), so a projection costs O(rows x D)
+however many inequality rows there are.  One ADMM step pairs that
+projection onto the affine constraint set with a projection onto the PSD x
+nonnegative cone, with over-relaxation and scaled dual updates.  The cone
+projection is one eigendecomposition by LAPACK dsyevd, through numpy's
+eigh_lo gufunc on a buffer each pass allocates once; the ADMM and the
+certificate polish share it.  The solver needs numpy alone: its inverses
+and eigendecompositions all run in numpy's LAPACK.  Each step
 tests only its dual residual; the split and the true constraint residuals
 are computed only once the cheaper tests before them pass.  One loop in
 `solve` runs the splitting and owns its iterate, dual variable and step
@@ -42,8 +44,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd, dtrtri
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from .lifting import SdpInstance
 
@@ -157,8 +158,11 @@ class _ConicData:
     the inequality rows in original units and c their right-hand side, so
     the projection (_reduce) eliminates them and works in D dimensions on
     H = I + B^T B and the Schur complement S = E H^-1 E^T of the equality
-    rows.  Both are factored here, once per pass.  Without inequality rows
-    H = I is neither formed nor solved, and S = E E^T.
+    rows.  Both are inverted here, once per pass, by numpy's LU inverse, so
+    each projection's solves are matvecs; a singular S (dependent equality
+    rows, which its Cholesky test finds) takes its eigh pseudo-inverse
+    instead.  Without inequality rows H = I is neither formed nor inverted,
+    and S = E E^T.
     """
 
     def __init__(self, instance: SdpInstance):
@@ -169,15 +173,21 @@ class _ConicData:
         self.n_ineq = instance.num_inequalities
         self._cone_buf = np.empty((instance.side, instance.side))  # project_cone_min_eig's scatter
 
-        mats = np.concatenate([instance.eq_mats, instance.ineq_mats])
-        # The fancy-indexed view is strided; without a contiguous copy the row
-        # norms sum in another order and the scaled rows change in their last bits.
-        rows = np.ascontiguousarray(mats[:, self.space.rows, self.space.cols])
+        # Each block's svec rows are gathered straight into one contiguous
+        # array, with no stacked copy of the matrices: a strided gather would
+        # sum the row norms in another order and change the scaled rows in
+        # their last bits.  (Mode "clip" writes into out unbuffered; every
+        # index is in range.)
+        rows = np.empty((self.n_eq + self.n_ineq, D))
+        blocks = ((instance.eq_mats, rows[: self.n_eq]), (instance.ineq_mats, rows[self.n_eq :]))
+        for mats, out in blocks:
+            flat = mats.reshape(len(out), instance.side**2)
+            np.take(flat, self.space.upper, axis=1, out=out, mode="clip")
         rows *= self.space.weights
         rhs = np.concatenate([instance.eq_rhs, instance.ineq_rhs])
         norms = np.linalg.norm(rows, axis=1)
-        if np.any(norms == 0.0):
-            raise ValueError("constraint matrices must be nonzero")
+        if not np.all((norms > 0.0) & (norms < math.inf)):  # NaN fails too
+            raise ValueError("constraint matrices must be finite and nonzero")
         self.scale = 1.0 / norms
         self.row_norms = norms
         self.A = rows * self.scale[:, None]  # the scaled rows: G without its slack columns
@@ -191,45 +201,31 @@ class _ConicData:
         if self.n_ineq:
             H = self.B.T @ self.B
             H.flat[:: D + 1] += 1.0
-            # H >= I, so its Cholesky factor fails only on non-finite rows.  The
-            # explicit inverse turns each projection's H solve into one matvec,
-            # several times faster than two triangular solves at this size.
-            L, info = dpotrf(H, lower=1, clean=1)
-            if not info:
-                L_inv, info = dtrtri(L, lower=1)
-            if info:
-                raise NumericalBreakdownError(f"factoring I + B^T B failed with info={info}")
-            W = L_inv @ self.E.T
-            self._h_inv = L_inv.T @ L_inv
-            self.M = L_inv.T @ W  # H^-1 E^T
-            S = W.T @ W
+            # H >= I is well conditioned, and its explicit inverse turns each
+            # projection's H solve into one matvec.  The LU inverse is
+            # symmetric only up to rounding; the projections use its exactly
+            # symmetric part, without which the certificate polish of an
+            # unreachable goal among obstacles needs more rounds.
+            h_inv = np.linalg.inv(H)
+            self._h_inv = 0.5 * (h_inv + h_inv.T)
+            self.M = self._h_inv @ self.E.T  # H^-1 E^T
         else:
             self.M = self.E.T
-            S = self.E @ self.M
-        self._cho = self._pinv = None
+        S = self.E @ self.M
         try:
-            # Without equality rows S is empty, and so is its pseudo-inverse.
-            self._cho = scipy.linalg.cho_factor(S) if self.n_eq else None
-        except scipy.linalg.LinAlgError:
-            pass
-        if self._cho is None:
+            # S is positive definite exactly when the equality rows are independent.
+            np.linalg.cholesky(S)
+            self._s_inv = np.linalg.inv(S)
+        except np.linalg.LinAlgError:
             lam, V = np.linalg.eigh(S)
             inv = np.zeros_like(lam)
             keep = lam > 1e-12 * max(float(np.max(lam, initial=0.0)), 1.0)
             inv[keep] = 1.0 / lam[keep]
-            self._pinv = (V, inv)
+            self._s_inv = (V * inv) @ V.T
 
     def _solve_schur(self, r: np.ndarray) -> np.ndarray:
-        if self._cho is not None:
-            # LAPACK on the cached factor, without cho_solve's checks: solve()
-            # rejects non-finite input and checks every iterate.
-            c, lower = self._cho
-            x, info = dpotrs(c, r, lower=lower)
-            if info:
-                raise NumericalBreakdownError(f"dpotrs failed with info={info}")
-            return x
-        V, inv = self._pinv
-        return V @ (inv * (V.T @ r))
+        """S^-1 r, or pinv(S) r for a singular S: one matvec on the inverse taken once per pass."""
+        return self._s_inv @ r
 
     def _reduce(self, w: np.ndarray, homogeneous: bool) -> tuple[np.ndarray, np.ndarray]:
         """(u, lam) for the projection of w onto G x = h, or onto G x = 0 if homogeneous.
@@ -284,19 +280,22 @@ class _ConicData:
     def project_cone_min_eig(self, w: np.ndarray) -> tuple[np.ndarray, float]:
         """proj_K(w), plus the least eigenvalue of mat(w[:D]) that it costs anyway.
 
-        LAPACK dsyevd on the lower triangle, called directly on the buffer
-        this pass allocated: np.linalg.eigh calls the same routine and gets
-        the same eigenpairs, but its wrapper costs about a quarter of the
-        call.  The rebuild keeps every column, zero eigenvalues included, so
-        it rounds as it always did.  Neither scans for NaN: a NaN that
-        dsyevd returns reaches the output and the solve loop's finiteness
-        check, and where dsyevd fails on one (info > 0, where eigh raised
-        LinAlgError) this raises NumericalBreakdownError.
+        One LAPACK dsyevd on the lower triangle of the buffer this pass
+        allocated, through numpy's eigh_lo gufunc: np.linalg.eigh calls the
+        same gufunc and gets the same eigenpairs, but its wrapper costs about
+        a quarter of the call.  The rebuild keeps every column, zero
+        eigenvalues included, so it rounds as it always did.  Neither scans
+        for NaN: a NaN that dsyevd returns reaches the output and the solve
+        loop's finiteness check, and where dsyevd fails on one (the gufunc
+        flags it invalid, where eigh raised LinAlgError) this raises
+        NumericalBreakdownError.
         """
         M = self.space.mat(w[: self.D], out=self._cone_buf)
-        lam, V, info = dsyevd(M, compute_v=1, lower=1)
-        if info:
-            raise NumericalBreakdownError(f"dsyevd failed with info={info}")
+        try:
+            with np.errstate(invalid="raise"):
+                lam, V = _eigh_lo(M)
+        except FloatingPointError as error:
+            raise NumericalBreakdownError("dsyevd failed on the cone's input") from error
         lam_min = float(lam[0])
         np.maximum(lam, 0.0, out=lam)
         out = np.empty_like(w)
@@ -382,7 +381,7 @@ def _certificate_from_iterate(
     alone to 8 (at most 28).  The slack columns of G are diag(scale) > 0,
     so G^T y lies in the cone exactly when S(y) is PSD and mu >= 0: the
     rounds walk toward the set of certificates.  Each round's cone
-    projection (one LAPACK dsyevd) also gives lambda_min(S), which with a.y
+    projection (one dsyevd) also gives lambda_min(S), which with a.y
     and the sign of mu screens the multipliers the round moves on with: the
     cone condition asks S PSD and mu >= 0.  Only those that pass the screen
     get the full check, _verify_certificate, which alone decides.
@@ -516,9 +515,9 @@ def solve(
     C = np.asarray(C, dtype=float)
     if C.shape != (instance.side, instance.side):
         raise ValueError("objective matrix side does not match the instance")
-    # The LAPACK calls of the loop (dpotrs, dsyevd) skip scipy's finiteness
-    # scan; finite input plus the per-iteration check on the dual residual
-    # keep NaN from going unnoticed.
+    # The loop's matvecs and its eigh_lo calls scan for no NaN; finite input
+    # plus the per-iteration check on the dual residual keep NaN from going
+    # unnoticed.
     if not np.all(np.isfinite(C)):
         raise ValueError("objective matrix must be finite")
     if np.max(np.abs(C - C.T)) > 1e-12 * max(1.0, float(np.max(np.abs(C)))):

@@ -4,8 +4,9 @@ and every top-level definition of the package is read outside the tests.
 Package __init__.py files are exempt from the import scan: their imports are
 re-exports.
 
-A fresh interpreter's `import cidgik, cidgik.cli` loads scipy.linalg, which
-every solve runs, and none of the modules only a benchmark campaign runs.
+A fresh interpreter's `import cidgik, cidgik.cli` loads none of scipy.linalg
+and the modules only a benchmark campaign runs, and a solve loads none of them
+either: the solver runs on numpy's LAPACK alone.
 """
 
 import ast
@@ -94,7 +95,8 @@ def test_package_definitions_are_read_outside_tests():
 # Loaded on first use by jeffreys_interval (scipy.optimize, scipy.special) and
 # by a parallel campaign (the process pool), never by a solve.
 DEFERRED = ("scipy.optimize", "scipy.special", "concurrent.futures.process", "multiprocessing")
-WATCHED = (*DEFERRED, "scipy.linalg")
+# Not loaded by an import or a solve: the solver needs numpy alone.
+WATCHED = ("scipy.linalg", *DEFERRED)
 PROBE = """
 import json, sys
 snapshots = []
@@ -118,34 +120,30 @@ def loaded_after(*statements: str) -> list[set[str]]:
 
 
 def cold_start_faults(loaded: set[str]) -> list[str]:
-    faults = [f"{name} is loaded" for name in DEFERRED if name in loaded]
-    if "scipy.linalg" not in loaded:
-        faults.append("scipy.linalg is not loaded")
-    return faults
+    return [f"{name} is loaded" for name in WATCHED if name in loaded]
 
 
-@pytest.mark.parametrize("module", DEFERRED)
+@pytest.mark.parametrize("module", WATCHED)
 def test_cold_start_check_catches_an_eager_import(module):
     (loaded,) = loaded_after(f"import cidgik, cidgik.cli, {module}")
     assert f"{module} is loaded" in cold_start_faults(loaded)
 
 
-def test_cold_start_check_catches_a_lazy_solver_import():
-    (loaded,) = loaded_after("import json")
-    assert cold_start_faults(loaded) == ["scipy.linalg is not loaded"]
-
-
 def test_import_loads_only_what_a_solve_runs_and_first_use_loads_the_rest():
-    after_import, after_interval, after_campaign = loaded_after(
+    after_import, after_solve, after_interval, after_campaign = loaded_after(
         "import cidgik, cidgik.cli",
+        "import cidgik.robots\n"
+        "problem = cidgik.generate(cidgik.robots.arm_6dof(), 'octahedron', 0)\n"
+        "result = cidgik.cidgik_solve(problem.qcqp)\n"
+        "assert result.status == 'converged' and result.verified",
         "low, high = cidgik.jeffreys_interval(5, 10)\n"
         "assert 0.22 < low < 0.23 and abs(low + high - 1.0) < 1e-9",
-        "import cidgik.robots\n"
         "options = cidgik.CidgikOptions(solver=cidgik.SolverSettings(max_iters=6000))\n"
         "report = cidgik.run_benchmark(cidgik.robots.arm_6dof(), 'free', 2, 7, options, jobs=2)\n"
         "assert [row.seed for row in report.rows] == [7, 8] and report.successes == 2",
     )
     assert cold_start_faults(after_import) == []
+    assert cold_start_faults(after_solve) == []
     assert {"scipy.optimize", "scipy.special"} <= after_interval
     assert "concurrent.futures.process" not in after_interval
     assert {"concurrent.futures.process", "multiprocessing"} <= after_campaign

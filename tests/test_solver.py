@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +285,23 @@ def test_nonfinite_warm_start_rejected(toy_qcqp):
     warm = np.full((instance.side, instance.side), np.inf)
     with pytest.raises(ValueError):
         solve(instance, warm_start=warm)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_nonfinite_or_zero_constraint_rows_rejected(toy_qcqp, bad):
+    instance = lift(toy_qcqp)
+    eq_mats = instance.eq_mats.copy()
+    eq_mats[0] = bad
+    broken = SdpInstance(
+        side=instance.side,
+        dim=instance.dim,
+        eq_mats=eq_mats,
+        eq_rhs=instance.eq_rhs,
+        ineq_mats=instance.ineq_mats,
+        ineq_rhs=instance.ineq_rhs,
+    )
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        solve(broken)
 
 
 def test_probe_leaves_feasible_passes_unchanged(chain_6dof, monkeypatch):
@@ -634,14 +654,16 @@ def test_cone_projection_matches_eigh_reference(chain_6dof, monkeypatch, case):
         assert lam_min == want_min
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cone_projection_nan(chain_6dof, monkeypatch):
     """NaN goes through the kernel as it went through eigh, and solve still stops on it.
 
     A NaN on the diagonal of a diagonal matrix, or in the slack block,
     reaches the output.  A NaN in a dense matrix makes dsyevd fail, where
-    eigh raised LinAlgError; the kernel raises NumericalBreakdownError.  A
-    NaN put into a solve's affine point, either in the matrix or in a slack,
-    ends the solve with NumericalBreakdownError.
+    eigh raised LinAlgError; the gufunc flags it invalid and the kernel
+    raises NumericalBreakdownError.  A NaN put into a solve's affine point,
+    either in the matrix or in a slack, ends the solve with
+    NumericalBreakdownError.  No RuntimeWarning escapes on the way.
     """
     instance = lift(generate(chain_6dof, "table", 0, table_obstacles=25).qcqp)
     data = cidgik.solver._ConicData(instance)
@@ -673,6 +695,47 @@ def test_cone_projection_nan(chain_6dof, monkeypatch):
         monkeypatch.setattr(cidgik.solver._ConicData, "project_affine", poisoned_affine)
         with pytest.raises(NumericalBreakdownError):
             solve(instance, None, SolverSettings(max_iters=100))
+
+
+NUMPY_ONLY_SOLVES = """
+import sys
+
+import numpy as np
+
+
+class RefuseScipyLinalg:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.linalg" or name.startswith("scipy.linalg."):
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipyLinalg())
+import cidgik
+from cidgik.robots import arm_6dof
+from cidgik.solver import _verify_certificate
+
+robot = arm_6dof()
+result = cidgik.cidgik_solve(cidgik.generate(robot, "octahedron", 0).qcqp)
+assert result.status == "converged" and result.verified, result.status
+direction = np.random.Generator(np.random.Philox(key=0)).standard_normal(3)
+direction /= np.linalg.norm(direction)
+goal = cidgik.Goal(end_effector=0, position=1.5 * robot.reach * direction, direction=direction)
+qcqp = cidgik.assemble_qcqp(robot, [goal], cidgik.WorkspaceSpec())
+result = cidgik.cidgik_solve(qcqp)
+assert result.status == "infeasible", result.status
+cert = result.certificate
+assert _verify_certificate(cidgik.lift(qcqp), cert.y, cert.mu) is not None
+"""
+
+
+def test_solves_without_scipy_linalg():
+    """With scipy.linalg refused, octahedron key 0 converges and unreachable key 0 certifies."""
+    subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_SOLVES],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+        check=True,
+    )
 
 
 def _dense_operator(instance):
@@ -730,7 +793,8 @@ def test_projection_matches_dense_reference(chain_6dof, case):
     if case == "unreachable":
         assert data.n_ineq == 0  # H = I is never formed
     if case == "duplicated-equality":
-        assert data._cho is None  # the pseudo-inverse of a singular S
+        # The pseudo-inverse of a singular S: rank one short of the equality rows.
+        assert np.linalg.matrix_rank(data._s_inv) == data.n_eq - 1
     normal_pinv = np.linalg.pinv(G @ G.T)
     rng = np.random.Generator(np.random.Philox(key=58))
     for homogeneous in (False, True):
