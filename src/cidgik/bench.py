@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .generator import GenerationError, _check_seed, generate
 from .iteration import CidgikOptions, cidgik_solve
@@ -36,6 +35,9 @@ def jeffreys_interval(successes: int, trials: int, level: float = 0.95) -> tuple
         raise ValueError("successes must lie in [0, trials]")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
+    import scipy.optimize
+    import scipy.special
+
     tail = (1.0 - level) / 2.0
     a = successes + 0.5
     b = trials - successes + 0.5

@@ -43,7 +43,7 @@ class DistanceGraph:
     dim: int
     num_variables: int
     anchors: np.ndarray  # (d, m) anchor positions
-    edges: list[Edge]  # tail < head, vertex ids: variables then anchors
+    edges: list[Edge]  # tail < head and tail a variable; vertex ids: variables then anchors
     variable_labels: tuple[tuple, ...]
     anchor_labels: tuple[tuple, ...]
     # per robot layout column, its vertex (merged columns share one), or -1
@@ -96,7 +96,8 @@ def build_graph(robot: RobotModel, goals: list[Goal]) -> DistanceGraph:
     pose goals) the point one unit along the target direction.  Edge weights
     come straight from the zero-configuration structural distances.  Points
     that coincide at zero configuration (possible with intersecting axes) are
-    merged, and zero-length edges dropped.
+    merged.  Pairs whose merged ends coincide or are both anchors, as when a
+    variable point merges onto an anchor, state nothing and give no edge.
     """
     if not goals:
         raise GraphError("at least one goal is required")
@@ -198,12 +199,10 @@ def build_graph(robot: RobotModel, goals: list[Goal]) -> DistanceGraph:
 
     edges: dict[tuple[int, int], float] = {}
     for a, b in pairs:
-        if a in anchor_set and b in anchor_set:
+        u, v = vertex(a), vertex(b)
+        if u == v or min(u, v) >= len(variables):
             continue
         w = nominal[(a, b)]
-        u, v = vertex(a), vertex(b)
-        if u == v:
-            continue  # zero-length edge collapsed by a merge
         key = (min(u, v), max(u, v))
         if key in edges and abs(edges[key] - w) <= 1e-12 * max(1.0, w):
             continue
@@ -235,6 +234,8 @@ def _check_graph(graph: DistanceGraph) -> None:
             raise GraphError(f"edge {e} has invalid weight")
         if not e.tail < e.head:
             raise GraphError(f"edge {e} is not oriented low-to-high")
+        if e.tail >= graph.num_variables:
+            raise GraphError(f"edge {e} joins two anchors")
     # Every variable must reach an anchor through the (undirected) edge set.
     nv = graph.num_variables
     adj = [[] for _ in range(nv + graph.num_anchors)]

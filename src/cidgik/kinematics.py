@@ -18,7 +18,6 @@ from functools import cached_property
 import numpy as np
 
 ON_AXIS_TOL = 1e-9
-COPLANARITY_TOL = 1e-9
 
 
 class RobotError(ValueError):
@@ -326,10 +325,9 @@ def load_robot(document: str | dict) -> RobotModel:
                      "rotation_rpy": [r,p,y], "axis": [x,y,z]}, ...],
          "end_effectors": [{"parent": name, "tip": [x,y,z]}, ...]}
 
-    Angles are radians, lengths meters.  Joints must be listed parents-first.
-    Consecutive joints must have coplanar (parallel or intersecting) axes,
-    checked at the zero configuration; planar robots must keep everything in
-    the z=0 plane with all axes along z.
+    Angles are radians, lengths meters.  Joints must be listed parents-first;
+    any revolute tree loads, whatever its axes.  Planar robots must keep
+    everything in the z=0 plane with all axes along z.
     """
     if isinstance(document, str):
         try:
@@ -415,14 +413,12 @@ def load_robot(document: str | dict) -> RobotModel:
             raise RobotError("planar end-effector tips must have zero z component")
         ees.append(EndEffector(parent=name_to_index[parent_name], tip=tip))
 
-    robot = RobotModel(
+    return RobotModel(
         joints=tuple(joints),
         end_effectors=tuple(ees),
         dimension=dim,
         document=doc,
     )
-    _check_coplanarity(robot)
-    return robot
 
 
 def _vector3(value, what: str) -> np.ndarray:
@@ -435,26 +431,6 @@ def _vector3(value, what: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise RobotError(f"{what} must be finite")
     return v
-
-
-def _check_coplanarity(robot: RobotModel) -> None:
-    """Consecutive axes must be parallel or intersecting at zero configuration.
-
-    Skew axes would make the six pairwise distances insufficient to pin the
-    relative joint pose (the four points form a chiral tetrahedron).
-    """
-    frames = _frames(robot, np.zeros(len(robot.joints)))
-    for i, j in enumerate(robot.joints):
-        if j.parent < 0:
-            continue
-        p = j.parent
-        offset = frames.origins[i] - frames.origins[p]
-        triple = np.dot(_cross(frames.axes[p], frames.axes[i]), offset)
-        if abs(triple) > COPLANARITY_TOL * max(1.0, np.linalg.norm(offset)):
-            raise RobotError(
-                f"non-coplanar axes between joints {robot.joints[p].name!r} "
-                f"and {j.name!r}"
-            )
 
 
 def forward_kinematics(robot: RobotModel, theta) -> tuple[list[Pose], JointFrames]:

@@ -223,19 +223,16 @@ class _ConicData:
             inv[keep] = 1.0 / lam[keep]
             self._s_inv = (V * inv) @ V.T
 
-    def _solve_schur(self, r: np.ndarray) -> np.ndarray:
-        """S^-1 r, or pinv(S) r for a singular S: one matvec on the inverse taken once per pass."""
-        return self._s_inv @ r
-
     def _reduce(self, w: np.ndarray, homogeneous: bool) -> tuple[np.ndarray, np.ndarray]:
         """(u, lam) for the projection of w onto G x = h, or onto G x = 0 if homogeneous.
 
         With w = (a, b), the projection x = (z, c - B z) minimizes
         ||z - a||^2 + ||c - B z - b||^2 subject to E z = e, so
         z = u - H^-1 E^T lam with u = H^-1 (a + B^T (c - b)) and lam from
-        S lam = E u - e.  A singular S (dependent equality rows) takes its
-        pseudo-inverse, which projects onto G x = proj_range(G) h.  Both
-        project_affine and multipliers read the projection off (u, lam).
+        S lam = E u - e, one matvec on the inverse of S taken once per pass.
+        A singular S (dependent equality rows) takes its pseudo-inverse,
+        which projects onto G x = proj_range(G) h.  Both project_affine and
+        multipliers read the projection off (u, lam).
         """
         D = self.D
         if self.n_ineq:
@@ -246,7 +243,7 @@ class _ConicData:
         r = self.E @ u
         if not homogeneous:
             r -= self.e
-        return u, self._solve_schur(r)
+        return u, self._s_inv @ r
 
     def project_affine(self, w: np.ndarray) -> np.ndarray:
         """The projection x = (z, c - B z) of w onto G x = h."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cidgik import Goal, Sphere, WorkspaceSpec, assemble_qcqp
-from cidgik.robots import arm_6dof, planar_two_link
+from cidgik.robots import arm_6dof, arm_6dof_document, planar_two_link
 from cidgik.kinematics import load_robot
 
 
@@ -108,3 +108,68 @@ def two_arm_tree(mount_turn: float = 0.0):
             ],
         }
     )
+
+
+def dh_chain_document(rows, tip):
+    """Serial chain from modified-DH rows (a, d, alpha), one joint per row.
+
+    Joint i sits at Rx(alpha) Tx(a) Tz(d) in joint i-1's frame: translation
+    (a, -d sin alpha, d cos alpha), rotation (alpha, 0, 0), spin about its z
+    axis.  Consecutive axes are skew wherever a and alpha are both nonzero.
+    """
+    joints = [
+        {
+            "name": f"j{i + 1}",
+            "parent": "base" if i == 0 else f"j{i}",
+            "translation": [float(a), float(-d * np.sin(alpha)), float(d * np.cos(alpha))],
+            "rotation_rpy": [float(alpha), 0.0, 0.0],
+            "axis": [0.0, 0.0, 1.0],
+        }
+        for i, (a, d, alpha) in enumerate(rows)
+    ]
+    return {
+        "dimension": 3,
+        "joints": joints,
+        "end_effectors": [{"parent": f"j{len(rows)}", "tip": list(tip)}],
+    }
+
+
+def panda_like_document():
+    """A 7-joint arm from Franka's published modified-DH values (not checked
+    against an offline source, hence "like"); j3-j4, j4-j5 and j6-j7 are skew,
+    and j2's origin coincides with j1's, an anchor."""
+    half = np.pi / 2
+    rows = [
+        (0.0, 0.333, 0.0),
+        (0.0, 0.0, -half),
+        (0.0, 0.316, half),
+        (0.0825, 0.0, half),
+        (-0.0825, 0.384, -half),
+        (0.0, 0.0, half),
+        (0.088, 0.0, half),
+    ]
+    return dh_chain_document(rows, (0.05, 0.0, 0.107))
+
+
+def random_dh_chain_document(num_joints, seed):
+    """Random modified-DH chain with tip (0, 0, 0.1): joint 1 draws d ~ U[0.05, 0.3]
+    with a = alpha = 0, and each later joint draws a ~ U[0, 0.15], d ~ U[0.05, 0.3]
+    and alpha ~ U(-pi, pi), in that order."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rows = [(0.0, rng.uniform(0.05, 0.3), 0.0)]
+    for _ in range(num_joints - 1):
+        rows.append((rng.uniform(0.0, 0.15), rng.uniform(0.05, 0.3), rng.uniform(-np.pi, np.pi)))
+    return dh_chain_document(rows, (0.0, 0.0, 0.1))
+
+
+# Philox seed 100 n + s for n = 6, 7, 8 joints and s = 0..3.
+DH_CHAINS = [(n, 100 * n + s) for n in (6, 7, 8) for s in range(4)]
+
+
+def coincident_arm_document():
+    """arm_6dof with j1 raised to j2's height and j2 on j1's origin, so that
+    j2's unanchored point p merges onto j1's anchored one."""
+    document = arm_6dof_document()
+    document["joints"][0]["translation"] = [0.0, 0.0, 0.27]
+    document["joints"][1]["translation"] = [0.0, 0.0, 0.0]
+    return document

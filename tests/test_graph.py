@@ -10,12 +10,13 @@ from cidgik import (
     build_graph,
     evaluate,
     forward_kinematics,
+    generate,
     lift,
     lift_points,
 )
-from cidgik.graph import feasible_points, selection
+from cidgik.graph import Edge, _check_graph, feasible_points, selection
 from cidgik.kinematics import joint_points, load_robot
-from conftest import sample_angles, two_arm_tree
+from conftest import coincident_arm_document, sample_angles, two_arm_tree
 
 
 def lifted(qcqp, X):
@@ -207,6 +208,32 @@ def test_merging_coincident_points():
     assert all(e.weight > 1e-12 for e in graph.edges)
     qcqp = assemble_qcqp(robot, goals)
     assert lifted(qcqp, feasible_points(qcqp, theta))[0] < 1e-9
+
+
+def test_point_merged_onto_an_anchor_leaves_no_anchor_edge():
+    """j2's origin sits on j1's anchored one, so p2 merges onto the anchor p1.
+
+    The pairs from p2 to j1's anchored points then join two anchors; kept as
+    edges, they would land in the lift's identity corner and no ground truth
+    would satisfy the lift.
+    """
+    robot = load_robot(coincident_arm_document())
+    index = robot.layout.index
+    for key in range(10):
+        problem = generate(robot, "free", key)
+        graph = problem.qcqp.graph
+        assert graph.column_vertex[index["p", 1]] == graph.column_vertex[index["p", 0]]
+        assert all(e.tail < graph.num_variables for e in graph.edges)
+        X = feasible_points(problem.qcqp, problem.ground_truth)
+        assert lifted(problem.qcqp, X)[0] < 1e-9
+
+
+def test_anchor_to_anchor_edge_rejected(chain_6dof):
+    graph = build_graph(chain_6dof, pose_goals(chain_6dof, np.zeros(6)))
+    nv = graph.num_variables
+    graph.edges.append(Edge(nv, nv + 1, 1.0))
+    with pytest.raises(GraphError, match="two anchors"):
+        _check_graph(graph)
 
 
 @pytest.mark.parametrize("mount_turn", [0.0, np.pi / 4])

@@ -26,9 +26,10 @@ from cidgik import (
 )
 from cidgik.graph import feasible_points
 from cidgik.iteration import CidgikOptions, _Residuals, refine_configuration
+from cidgik.kinematics import load_robot
 from cidgik.robots import arm_6dof, planar_two_link, random_coplanar_chain
 from cidgik.solver import SolverSettings
-from conftest import two_arm_tree
+from conftest import coincident_arm_document, panda_like_document, two_arm_tree
 
 FAST = CidgikOptions(solver=SolverSettings(max_iters=6000))
 
@@ -512,5 +513,22 @@ def test_two_arm_tree_key_6_converges():
     """Free-space key 6 of the two-arm tree ran 10 passes to max_iterations while
     its arms could swing apart in the lift; rigid, it converges and verifies."""
     result = cidgik_solve(generate(two_arm_tree(), "free", 6).qcqp)
+    assert result.status == "converged"
+    assert result.verified
+
+
+@pytest.mark.parametrize("key", range(5))
+def test_panda_like_arm_converges(key):
+    """Skew consecutive axes: the lift pins each skew link only up to a mirror,
+    and the forward-kinematics check picks the configuration."""
+    result = cidgik_solve(generate(load_robot(panda_like_document()), "free", key).qcqp)
+    assert result.status == "converged"
+    assert result.verified
+
+
+def test_point_merged_onto_an_anchor_converges():
+    """Key 0 of the arm whose j2 point merges onto j1's anchor: certified
+    infeasible while the merged pair stayed in the lift as an anchor-anchor row."""
+    result = cidgik_solve(generate(load_robot(coincident_arm_document()), "free", 0).qcqp)
     assert result.status == "converged"
     assert result.verified

@@ -24,7 +24,13 @@ from cidgik.robots import (
     planar_two_link,
     random_coplanar_chain,
 )
-from conftest import sample_angles, two_arm_tree
+from conftest import (
+    DH_CHAINS,
+    panda_like_document,
+    random_dh_chain_document,
+    sample_angles,
+    two_arm_tree,
+)
 
 
 def _joint(name, parent, translation, axis, rpy=(0.0, 0.0, 0.0)):
@@ -158,6 +164,16 @@ def test_joint_points_match_per_column_reference(name):
         pytest.param(branching_robot, (), id="branching_robot"),
         # each arm's last joint spins about its own tip, so no point reads its angle
         pytest.param(lambda: two_arm_tree(math.pi / 4), (4, 8), id="two_arm_tree"),
+        # skew consecutive axes; the DH chains' last joint spins about its own tip too
+        pytest.param(lambda: load_robot(panda_like_document()), (), id="panda_like"),
+    ]
+    + [
+        pytest.param(
+            lambda n=n, seed=seed: load_robot(random_dh_chain_document(n, seed)),
+            (n - 1,),
+            id=f"dh{n}-{seed}",
+        )
+        for n, seed in DH_CHAINS
     ],
 )
 def test_reconstruction_round_trip_rpy_and_branching(make, fallbacks):
@@ -218,7 +234,14 @@ def test_self_parent_is_rejected():
         load_robot(doc)
 
 
-def test_skew_axes_rejected():
+def test_skew_axes_load_and_lift_exactly():
+    """Skew consecutive axes load, and every lifted row holds at any angles.
+
+    Both points of every structural pair are fixed in one joint's frame, so
+    the lift is exact whatever the axes.  The six distances between two skew
+    axes' points fix them only up to a mirror image, which the
+    forward-kinematics check settles.
+    """
     # axis lines z-through-origin and y-through-(1,0,0): triple product is -1
     doc = {
         "dimension": 3,
@@ -240,8 +263,15 @@ def test_skew_axes_rejected():
         ],
         "end_effectors": [{"parent": "b", "tip": [0.1, 0.0, 0.0]}],
     }
-    with pytest.raises(RobotError, match="non-coplanar"):
-        load_robot(doc)
+    robot = load_robot(doc)
+    rng = np.random.Generator(np.random.Philox(key=221))
+    for _ in range(10):
+        theta = sample_angles(rng, 2)
+        poses, _ = forward_kinematics(robot, theta)
+        goal = Goal(end_effector=0, position=poses[0].position, direction=poses[0].direction)
+        qcqp = assemble_qcqp(robot, [goal])
+        eq, _ = evaluate(lift(qcqp), lift_points(joint_points(robot, theta) @ selection(qcqp)))
+        assert np.max(np.abs(eq)) < 1e-12
 
 
 def test_schema_violations():

@@ -21,8 +21,9 @@ from cidgik import (
     lift_points,
 )
 from cidgik.graph import feasible_points
+from cidgik.kinematics import load_robot
 from cidgik.robots import planar_two_link, random_coplanar_chain
-from conftest import sample_angles
+from conftest import DH_CHAINS, panda_like_document, random_dh_chain_document, sample_angles
 from test_iteration import _hinged_instance
 
 A0 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
@@ -78,6 +79,21 @@ def test_lift_of_feasible_points(seed, n):
     eq, slack = evaluate(instance, lift_points(X))
     assert np.max(np.abs(eq)) < 1e-10
     assert slack.size == 0 or np.min(slack) >= -1e-10
+
+
+@pytest.mark.parametrize(
+    "document",
+    [pytest.param(panda_like_document(), id="panda_like")]
+    + [pytest.param(random_dh_chain_document(n, seed), id=f"dh{n}-{seed}") for n, seed in DH_CHAINS],
+)
+def test_lift_of_ground_truths_with_skew_axes(document):
+    """Every structural pair sits in one joint's frame, so skew axes keep the lift exact."""
+    robot = load_robot(document)
+    for key in range(6):
+        problem = generate(robot, "free", key)
+        X = feasible_points(problem.qcqp, problem.ground_truth)
+        eq, _ = evaluate(lift(problem.qcqp), lift_points(X))
+        assert np.max(np.abs(eq)) < 1e-9
 
 
 def test_lift_no_obstacles_no_inequalities(planar_2r):
