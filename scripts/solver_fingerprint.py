@@ -32,9 +32,16 @@ SHA-1 of the forward_kinematics frames (rotations, origins, axes), of
 joint_points, and of the theta reconstruct_angles reads back from those
 points.  BLAS runs on one thread, so the
 output does not depend on the caller's environment.  Run it at two commits
-and diff the output: a refactor of the solve path must leave every lift and
-pass line byte-identical; a theta hash may change when only the rounding of
-the local refinement does.
+and compare the outputs with
+
+    python3 scripts/fingerprint_diff.py OLD NEW
+
+which prints every line whose status, iterations or passes differ, counts
+the lines that differ in hashes only, and exits 1 on any difference beyond
+the hashes.  A refactor of the solve path that keeps its arithmetic must
+leave every line byte-identical; one that only changes rounding (of the
+projection, say, or of the local refinement) may change Z, certificate and
+theta hashes, but nothing else.
 """
 
 import os

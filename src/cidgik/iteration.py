@@ -251,7 +251,6 @@ class CidgikResult:
     trace: IterationTrace
     X: np.ndarray | None = None
     theta: np.ndarray | None = None
-    gram_gap: float | None = None
     position_error: float | None = None
     direction_error: float | None = None
     max_penetration: float | None = None
@@ -291,8 +290,8 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     pass offers it the live iterate at ADMM iterations 10, 20, 40, ... and
     the iterate the pass stops on.  The first refined configuration whose
     exact lift has h below h_tol and lifted residuals within the solver
-    tolerance ends the iteration `converged`, with X, gram_gap and h read
-    off that lift.  That configuration is checked once, by verify_solution,
+    tolerance ends the iteration `converged`, with X and h read off that
+    lift.  That configuration is checked once, by verify_solution,
     and `verified` holds its verdict.  An SDP infeasibility ends the
     iteration with only the certificate and the h-trace; reaching the pass
     cap gives `max_iterations` with only the h-trace.  h is measured on the
@@ -326,7 +325,7 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
         if result.status == "accepted":
             out.status = "converged"
             out.h, Zr, out.theta = result.accepted
-            out.X, out.gram_gap = extract_points(Zr, dim=dim)
+            out.X, _ = extract_points(Zr, dim=dim)
             break
         C = direction_matrix(result.Z, dim)
         warm = result.Z

@@ -4,7 +4,11 @@ The built-in method is an operator-splitting (ADMM) scheme on
 
     min tr(C Z)  s.t.  tr(A_k Z) = a_k,  tr(B_j Z) <= b_j,  Z PSD,
 
-with inequality slacks appended.  The affine projection eliminates the
+with one slack per inequality row, so the affine constraint set is
+G x = h with G = [[E, 0], [B, I]]: the equality and inequality rows of
+svec(Z) as the lift states them, unscaled, and an identity on the slacks.
+The multipliers of a projection onto that set are therefore the Farkas
+certificate's y and mu as they stand.  The affine projection eliminates the
 slacks and solves in the D = side (side + 1) / 2 dimensions of svec(Z), on
 the inverses of a D x D matrix and of the equality rows' Schur complement,
 taken once per pass (`_ConicData`), so a projection costs O(rows x D)
@@ -151,18 +155,18 @@ class _ConicData:
     """Preprocessed constraint system shared by the solve loop and certificates.
 
     The iterate is (z, s): z = svec(Z) in D dimensions and one slack per
-    inequality row.  Each row is scaled to unit norm, so the constraint
-    operator is G = [[E, 0], [B_s, diag(scale_in)]] with right-hand side h:
-    E the scaled equality rows, B_s the scaled inequality rows.  G is never
-    formed.  On the affine set G x = h the slacks are s = c - B z, with B
-    the inequality rows in original units and c their right-hand side, so
-    the projection (_reduce) eliminates them and works in D dimensions on
-    H = I + B^T B and the Schur complement S = E H^-1 E^T of the equality
-    rows.  Both are inverted here, once per pass, by numpy's LU inverse, so
-    each projection's solves are matvecs; a singular S (dependent equality
-    rows, which its Cholesky test finds) takes its eigh pseudo-inverse
-    instead.  Without inequality rows H = I is neither formed nor inverted,
-    and S = E E^T.
+    inequality row.  The constraint operator is G = [[E, 0], [B, I]] with
+    right-hand side h = (e, c), all in the lift's own units: E and e the
+    equality rows and their right-hand side, B and c the inequality rows
+    and theirs.  G is never formed; `rows` holds its svec block [E; B].  On
+    the affine set G x = h the slacks are s = c - B z, so the projection
+    (_reduce) eliminates them and works in D dimensions on H = I + B^T B
+    and the Schur complement S = E H^-1 E^T of the equality rows.  Both are
+    inverted here, once per pass, by numpy's LU inverse, so each
+    projection's solves are matvecs; a singular S (dependent equality rows,
+    which its Cholesky test finds) takes its eigh pseudo-inverse instead.
+    Without inequality rows H = I is neither formed nor inverted, and
+    S = E E^T.
     """
 
     def __init__(self, instance: SdpInstance):
@@ -174,28 +178,23 @@ class _ConicData:
         self._cone_buf = np.empty((instance.side, instance.side))  # project_cone_min_eig's scatter
 
         # Each block's svec rows are gathered straight into one contiguous
-        # array, with no stacked copy of the matrices: a strided gather would
-        # sum the row norms in another order and change the scaled rows in
-        # their last bits.  (Mode "clip" writes into out unbuffered; every
-        # index is in range.)
+        # array, with no stacked copy of the matrices.  (Mode "clip" writes
+        # into out unbuffered; every index is in range.)
         rows = np.empty((self.n_eq + self.n_ineq, D))
         blocks = ((instance.eq_mats, rows[: self.n_eq]), (instance.ineq_mats, rows[self.n_eq :]))
         for mats, out in blocks:
             flat = mats.reshape(len(out), instance.side**2)
             np.take(flat, self.space.upper, axis=1, out=out, mode="clip")
         rows *= self.space.weights
-        rhs = np.concatenate([instance.eq_rhs, instance.ineq_rhs])
         norms = np.linalg.norm(rows, axis=1)
         if not np.all((norms > 0.0) & (norms < math.inf)):  # NaN fails too
             raise ValueError("constraint matrices must be finite and nonzero")
-        self.scale = 1.0 / norms
-        self.row_norms = norms
-        self.A = rows * self.scale[:, None]  # the scaled rows: G without its slack columns
-        self.h = rhs * self.scale
+        self.rows = rows  # G without its slack columns
+        self.h = np.concatenate([instance.eq_rhs, instance.ineq_rhs])
         self.D = D
 
-        self.E = self.A[: self.n_eq]
-        self.e = self.h[: self.n_eq]
+        self.E = rows[: self.n_eq]
+        self.e = instance.eq_rhs
         self.B = rows[self.n_eq :]
         self.c = instance.ineq_rhs
         if self.n_ineq:
@@ -257,22 +256,17 @@ class _ConicData:
         """y with w - x = G^T y, x the projection of w onto G x = h (G x = 0 if homogeneous).
 
         lam for the equality rows, and for each inequality row its slack gap
-        b - s = b - c + B z over the row's scale.  Without inequality rows
-        this is lam alone, and the projected point is never formed.
+        b - s = b - c + B z, since G's slack columns are the identity.
         """
         u, lam = self._reduce(w, homogeneous)
-        if not self.n_ineq:
-            return lam
         gap = w[self.D :] + self.B @ (u - self.M @ lam)
         if not homogeneous:
             gap -= self.c
-        return np.concatenate([lam, gap * self.row_norms[self.n_eq :]])
+        return np.concatenate([lam, gap])
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """G^T y, without forming G."""
-        if not self.n_ineq:
-            return self.A.T @ y
-        return np.concatenate([self.A.T @ y, y[self.n_eq :] * self.scale[self.n_eq :]])
+        return np.concatenate([self.rows.T @ y, y[self.n_eq :]])
 
     def project_cone_min_eig(self, w: np.ndarray) -> tuple[np.ndarray, float]:
         """proj_K(w), plus the least eigenvalue of mat(w[:D]) that it costs anyway.
@@ -311,10 +305,6 @@ class _ConicData:
         resid = np.zeros(len(self.h))
         resid[: self.n_eq] = self.e - self.E @ x[: self.D]
         return resid, float(np.max(np.abs(resid))) if resid.size else 0.0
-
-    def unscaled_evaluation(self, z_mat_part: np.ndarray) -> np.ndarray:
-        """tr(A_k Z) for every constraint row, in original units."""
-        return (self.A @ z_mat_part) * self.row_norms
 
 
 def _constraint_tolerance(instance: SdpInstance, settings: SolverSettings) -> float:
@@ -356,12 +346,13 @@ def _certificate_from_iterate(
     w - proj_affine(w) = G^T y, with y the multipliers of the projection
     (_ConicData.multipliers).  When the affine set and the cone are disjoint,
     the gap of the ADMM iterate tends to the closest-pair direction, which
-    lies in the dual cone and makes y (in original units) a Farkas witness
-    (Banjac, Goulart, Stellato and Boyd, JOTA 2019).
+    lies in the dual cone and makes y a Farkas witness (Banjac, Goulart,
+    Stellato and Boyd, JOTA 2019): its first n_eq entries are the equality
+    multipliers and the rest mu.
 
     Long before the gap itself is PSD enough to verify, its a.y is already
-    well below zero, so multipliers that fail the check are polished by
-    alternating projections between the cone and range(G^T):
+    well below zero, so the multipliers are polished by alternating
+    projections between the cone and range(G^T):
     v = proj_K(G^T y), then y_new the multipliers of the projection of v
     onto G x = 0, whose gap G^T y_new is the part of v in range(G^T).  The
     rounds converge linearly, so after the first each one is over-relaxed,
@@ -375,17 +366,19 @@ def _certificate_from_iterate(
     rounds.
     Over keys 0-159 of the benchmark's unreachable goals that cuts a
     certificate's polish from a median of 92 rounds (at most 151) relaxed
-    alone to 8 (at most 28).  The slack columns of G are diag(scale) > 0,
-    so G^T y lies in the cone exactly when S(y) is PSD and mu >= 0: the
-    rounds walk toward the set of certificates.  Each round's cone
-    projection (one dsyevd) also gives lambda_min(S), which with a.y
-    and the sign of mu screens the multipliers the round moves on with: the
-    cone condition asks S PSD and mu >= 0.  Only those that pass the screen
-    get the full check, _verify_certificate, which alone decides.
+    alone to 8 (at most 28).  The slack columns of G are the identity, so
+    G^T y = (svec S(y), mu) lies in the cone exactly when S(y) is PSD and
+    mu >= 0: the rounds walk toward the set of certificates.  Each round's
+    cone projection (one dsyevd) also gives lambda_min(S), which with a.y
+    and the sign of mu screens the multipliers the round moves on with.
+    Only those that pass the screen get the full check, _verify_certificate,
+    which alone decides.  The probe's multipliers are not checked before
+    round 1: when G^T y already lies in the cone it is its own projection,
+    and round 1 checks that same y.
 
     The polish runs until it decides: a screened round verifies, or a
-    round's a.y + b.mu (the scaled h.y of its relaxed y, the one h.y each
-    round computes) reaches zero, which no certificate can have, or
+    round's a.y + b.mu (h.y of its relaxed y, the one h.y each round
+    computes) reaches zero, which no certificate can have, or
     CERT_POLISH_ROUNDS rounds have run.  On a feasible instance a.y + b.mu
     rises through zero within tens of rounds and stays there; on an
     unreachable goal it stays negative until the certificate verifies.  Each
@@ -393,74 +386,59 @@ def _certificate_from_iterate(
     rounds and how it ended.
     """
     y = data.multipliers(w)
-    certificate = _verify_certificate(data.instance, *_multipliers(data, y))
-    rounds, outcome = 0, "verified"
-    if certificate is None:
-        outcome = "round cap"
-        v = data.project_cone_min_eig(data.adjoint(y))[0]
-        history = []  # (relaxed step, relaxed y, its h.y) of the latest rounds after the first
-        for rounds in range(1, CERT_POLISH_ROUNDS + 1):
-            y_new = data.multipliers(v, homogeneous=True)
-            if rounds == 1:
-                y = y_new
-            else:
-                step = POLISH_RELAXATION * (y_new - y)
-                y = y + step
-            value = float(data.h @ y)
-            if value >= 0.0:
-                outcome = "value turned nonnegative"
+    certificate, outcome = None, "round cap"
+    v = data.project_cone_min_eig(data.adjoint(y))[0]
+    history = []  # (relaxed step, relaxed y, its h.y) of the latest rounds after the first
+    for rounds in range(1, CERT_POLISH_ROUNDS + 1):
+        y_new = data.multipliers(v, homogeneous=True)
+        if rounds == 1:
+            y = y_new
+        else:
+            step = POLISH_RELAXATION * (y_new - y)
+            y = y + step
+        value = float(data.h @ y)
+        if value >= 0.0:
+            outcome = "value turned nonnegative"
+            break
+        if rounds > 1:
+            history.append(np.concatenate([step, y, [value]]))
+            del history[:-POLISH_MEMORY - 1]
+            if len(history) > 1:
+                # The combination of the kept rounds whose steps cancel
+                # best; h.y is linear, so the value mixes with the y.
+                n = len(y)
+                diffs = np.diff(history, axis=0)
+                gamma = np.linalg.lstsq(diffs[:, :n].T, step, rcond=None)[0]
+                mixed = history[-1][n:] - gamma @ diffs[:, n:]
+                if mixed[-1] < 0.0:
+                    y, value = mixed[:-1], float(mixed[-1])
+                else:
+                    del history[:-1]
+        g = data.adjoint(y)
+        v, lam_min = data.project_cone_min_eig(g)
+        # Both tests of _verify_certificate, up to its normalization, and
+        # mu >= 0: the slack block of G^T y is mu.
+        tol = CERT_TOL * float(np.linalg.norm(y))
+        if (
+            lam_min >= -tol
+            and value <= -tol
+            and float(np.min(g[data.D :], initial=0.0)) >= -tol
+        ):
+            certificate = _verify_certificate(data.instance, y[: data.n_eq], y[data.n_eq :])
+            if certificate is not None:
+                outcome = "verified"
                 break
-            if rounds > 1:
-                history.append(np.concatenate([step, y, [value]]))
-                del history[:-POLISH_MEMORY - 1]
-                if len(history) > 1:
-                    # The combination of the kept rounds whose steps cancel
-                    # best; h.y is linear, so the value mixes with the y.
-                    n = len(y)
-                    diffs = np.diff(history, axis=0)
-                    gamma = np.linalg.lstsq(diffs[:, :n].T, step, rcond=None)[0]
-                    mixed = history[-1][n:] - gamma @ diffs[:, n:]
-                    if mixed[-1] < 0.0:
-                        y, value = mixed[:-1], float(mixed[-1])
-                    else:
-                        del history[:-1]
-            g = data.adjoint(y)
-            v, lam_min = data.project_cone_min_eig(g)
-            # Both tests of _verify_certificate, up to its normalization, and
-            # mu >= 0: the slack block of G^T y is mu in original units.
-            tol = CERT_TOL * float(np.linalg.norm(y * data.scale))
-            if (
-                lam_min >= -tol
-                and value <= -tol
-                and float(np.min(g[data.D :], initial=0.0)) >= -tol
-            ):
-                certificate = _verify_certificate(data.instance, *_multipliers(data, y))
-                if certificate is not None:
-                    outcome = "verified"
-                    break
     logger.debug(
         "Farkas probe at iteration %d: %s after %d polish rounds", iteration, outcome, rounds
     )
     return certificate
 
 
-def _multipliers(data: _ConicData, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(y, mu) in original units from the multipliers of the scaled rows."""
-    y = y * data.scale
-    return y[: data.n_eq], y[data.n_eq :]
-
-
 def _true_residuals(data: _ConicData, x_vec):
     """(equality residual inf-norm, inequality violation inf-norm) of an iterate."""
-    instance = data.instance
-    evaluation = data.unscaled_evaluation(x_vec[: data.D])
-    eq_res = (
-        float(np.max(np.abs(evaluation[: data.n_eq] - instance.eq_rhs)))
-        if data.n_eq
-        else 0.0
-    )
-    slacks = instance.ineq_rhs - evaluation[data.n_eq :]
-    ineq_viol = float(np.max(np.maximum(-slacks, 0.0))) if data.n_ineq else 0.0
+    r = data.rows @ x_vec[: data.D] - data.h
+    eq_res = float(np.max(np.abs(r[: data.n_eq]), initial=0.0))
+    ineq_viol = float(np.max(r[data.n_eq :], initial=0.0))
     return eq_res, ineq_viol
 
 
@@ -521,6 +499,8 @@ def solve(
         raise ValueError("objective matrix must be symmetric")
     if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=float)
+        if warm_start.shape != (instance.side, instance.side):
+            raise ValueError("warm start side does not match the instance")
         if not np.all(np.isfinite(warm_start)):
             raise ValueError("warm start must be finite")
 
@@ -532,7 +512,7 @@ def solve(
     resid, resid_inf = data.affine_least_squares_residual()
     if resid_inf > 1e-9 * (1.0 + float(np.max(np.abs(data.h)))):
         # The equality system alone is contradictory.
-        cert = _verify_certificate(instance, *_multipliers(data, -resid))
+        cert = _verify_certificate(instance, -resid[: data.n_eq], -resid[data.n_eq :])
         status = "infeasible" if cert is not None else "max_iters"
         return SolveResult(
             status=status,
@@ -552,9 +532,7 @@ def solve(
         x0[:D] = space.vec(warm_start)
     else:
         x0[:D] = space.vec(np.eye(instance.side))
-    if data.n_ineq:
-        ev = data.unscaled_evaluation(x0[:D])
-        x0[D:] = np.maximum(instance.ineq_rhs - ev[data.n_eq :], 0.0)
+    x0[D:] = np.maximum(data.c - data.B @ x0[:D], 0.0)
 
     tol_con = _constraint_tolerance(instance, settings)
     dual_tol = settings.eps + settings.eps

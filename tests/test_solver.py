@@ -287,6 +287,15 @@ def test_nonfinite_warm_start_rejected(toy_qcqp):
         solve(instance, warm_start=warm)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (3, 6), (2, 2), (9,)])
+def test_misshapen_warm_start_rejected(toy_qcqp, shape):
+    """Only a side x side warm start is read: larger, smaller or 1-D ones raise ValueError."""
+    instance = lift(toy_qcqp)
+    assert instance.side == 3
+    with pytest.raises(ValueError, match="warm start"):
+        solve(instance, warm_start=np.ones(shape))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
 def test_nonfinite_or_zero_constraint_rows_rejected(toy_qcqp, bad):
     instance = lift(toy_qcqp)
@@ -367,7 +376,7 @@ def _reference_admm(instance, iterations):
     space, D = data.space, data.D
     z = np.zeros(D + data.n_ineq)
     z[:D] = space.vec(np.eye(instance.side))
-    z[D:] = np.maximum(instance.ineq_rhs - data.unscaled_evaluation(z[:D])[data.n_eq :], 0.0)
+    z[D:] = np.maximum(data.c - data.B @ z[:D], 0.0)
     c = np.zeros_like(z)
     c[:D] = space.vec(np.eye(instance.side))
     u = np.zeros_like(z)
@@ -534,6 +543,38 @@ def test_relaxed_polish_certifies_within_its_round_budget(chain_6dof, monkeypatc
     assert [(warm is None, r.status) for warm, r in passes] == [(True, "infeasible")]
     assert 0 < len(rounds) <= 30
     assert _verify_certificate(lift(qcqp), result.certificate.y, result.certificate.mu) is not None
+
+
+@pytest.mark.parametrize("obstacles", [0, 25])
+def test_probe_in_the_cone_verifies_in_one_polish_round(chain_6dof, caplog, obstacles):
+    """A probe whose gap already lies in the cone verifies that gap's multipliers in round 1.
+
+    The probe checks its multipliers only once polished: when G^T y is in
+    the cone it is its own projection, so round 1 returns y itself.  y is
+    unreachable key 0's certificate (among 25 table obstacles, mu included),
+    first carried by alternating projections until lambda_min(S(y)) >=
+    -1e-11: the solver's certificate only has to pass -1e-6, and key 0's
+    lambda_min of -2e-8 moves y by 5e-8 in round 1.  The probe sits at
+    w = project_affine(0) + G^T y, whose gap to the affine set is G^T y.
+    """
+    table = environment("table", chain_6dof, table_obstacles=25) if obstacles else None
+    instance = lift(_unreachable_qcqp(chain_6dof, 0, table))
+    cert = solve(instance, None, SolverSettings(max_iters=8000)).certificate
+    data = cidgik.solver._ConicData(instance)
+    y = np.concatenate([cert.y, cert.mu])
+    for _ in range(100):
+        v, lam_min = data.project_cone_min_eig(data.adjoint(y))
+        if lam_min >= -1e-11:
+            break
+        y = data.multipliers(v, homogeneous=True)
+    assert lam_min >= -1e-11
+    y /= np.linalg.norm(y)
+    w = data.project_affine(np.zeros(data.D + data.n_ineq)) + data.adjoint(y)
+    with caplog.at_level("DEBUG", logger="cidgik.solver"):
+        probed = cidgik.solver._certificate_from_iterate(data, w, 0)
+    assert caplog.messages == ["Farkas probe at iteration 0: verified after 1 polish rounds"]
+    np.testing.assert_allclose(probed.y, y[: data.n_eq], rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(probed.mu, y[data.n_eq :], rtol=0.0, atol=1e-9)
 
 
 # The ADMM iteration at which unreachable keys 0-15 certified in pass 1
@@ -738,17 +779,25 @@ def test_solves_without_scipy_linalg():
     )
 
 
-def _dense_operator(instance):
-    """(G, h): the scaled constraint rows with their slack columns, as a dense matrix."""
+def _dense_operator(instance, normalized=False):
+    """(G, h): the constraint rows with unit slack columns, as a dense matrix.
+
+    normalized scales each row of G and h by 1 / ||row||, so the slack
+    columns become diag(1 / ||row||): the same affine set in the same
+    (z, s) coordinates.
+    """
     space = cidgik.solver._SvecSpace(instance.side)
     mats = np.concatenate([instance.eq_mats, instance.ineq_mats])
     rows = mats[:, space.rows, space.cols] * space.weights
-    scale = 1.0 / np.linalg.norm(rows, axis=1)
     n_eq, n_ineq = instance.num_equalities, instance.num_inequalities
     G = np.zeros((n_eq + n_ineq, space.dim + n_ineq))
-    G[:, : space.dim] = rows * scale[:, None]
-    G[n_eq + np.arange(n_ineq), space.dim + np.arange(n_ineq)] = scale[n_eq:]
-    return G, np.concatenate([instance.eq_rhs, instance.ineq_rhs]) * scale
+    G[:, : space.dim] = rows
+    G[n_eq + np.arange(n_ineq), space.dim + np.arange(n_ineq)] = 1.0
+    h = np.concatenate([instance.eq_rhs, instance.ineq_rhs])
+    if normalized:
+        scale = 1.0 / np.linalg.norm(rows, axis=1)
+        return G * scale[:, None], h * scale
+    return G, h
 
 
 def _duplicated_row_instance(chain_6dof):
@@ -783,7 +832,9 @@ def test_projection_matches_dense_reference(chain_6dof, case):
     The dense operator G (slack columns included) and its m x m normal
     matrix are built here only; the solver never forms them.  The
     multipliers of the homogeneous projection (h = 0), which the
-    certificate polish reads, must give its gap too.
+    certificate polish reads, must give its gap too.  The projection also
+    matches the one onto the row-normalized operator, which states the same
+    affine set in the same coordinates.
     """
     instance = PROJECTION_CASES[case](chain_6dof)
     data = cidgik.solver._ConicData(instance)
@@ -796,6 +847,8 @@ def test_projection_matches_dense_reference(chain_6dof, case):
         # The pseudo-inverse of a singular S: rank one short of the equality rows.
         assert np.linalg.matrix_rank(data._s_inv) == data.n_eq - 1
     normal_pinv = np.linalg.pinv(G @ G.T)
+    Gn, hn = _dense_operator(instance, normalized=True)
+    normalized_pinv = np.linalg.pinv(Gn @ Gn.T)
     rng = np.random.Generator(np.random.Philox(key=58))
     for homogeneous in (False, True):
         rhs = 0.0 * h if homogeneous else h
@@ -806,6 +859,8 @@ def test_projection_matches_dense_reference(chain_6dof, case):
             if not homogeneous:
                 x = data.project_affine(w)
                 assert np.linalg.norm(x - want) <= 1e-9 * scale
+                normalized = w - Gn.T @ (normalized_pinv @ (Gn @ w - hn))
+                assert np.linalg.norm(x - normalized) <= 1e-9 * scale
             y = data.multipliers(w, homogeneous)
             assert np.linalg.norm(w - want - G.T @ y) <= 1e-9 * scale
             np.testing.assert_allclose(
