@@ -47,6 +47,9 @@ LM_MAX_STEPS = 40
 LM_SLOW_STEPS = 3
 LM_SLOW_CUT = 1e-3
 
+# A stalled plain LM makes the gate decline its next STALL_BACKOFF offers.
+STALL_BACKOFF = 2
+
 
 def excess_rank(Z: np.ndarray, dim: int) -> float:
     """Sum of the eigenvalues of Z beyond the dim largest (zero iff rank <= dim)."""
@@ -288,7 +291,11 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     under the full iteration cap.  Only the refinement gate closes an
     instance, and only as a pass's acceptance callback (see _PassGate): each
     pass offers it the live iterate at ADMM iterations 10, 20, 40, ... and
-    the iterate the pass stops on.  The first refined configuration whose
+    the iterate the pass stops on.  When some goal position lies farther
+    from the base than robot.reach by more than LM's own tolerance
+    LM_TOL * sqrt(d), no configuration puts a tip there, so no pass gets a
+    gate; offers only read the iterate, so the passes run exactly as with
+    a gate that declines them all.  The first refined configuration whose
     exact lift has h below h_tol and lifted residuals within the solver
     tolerance ends the iteration `converged`, with X and h read off that
     lift.  That configuration is checked once, by verify_solution,
@@ -302,6 +309,8 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     instance = lift(qcqp)
     dim = instance.dim
     tol_con = _constraint_tolerance(instance, options.solver)
+    reach = qcqp.robot.reach + LM_TOL * math.sqrt(dim)
+    in_reach = all(float(np.linalg.norm(g.position)) <= reach for g in qcqp.goals)
 
     out = CidgikResult(status="max_iterations", trace=IterationTrace())
     C = np.eye(instance.side)
@@ -312,7 +321,7 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     )
     t0 = time.perf_counter()
     for k in range(options.max_iterations):
-        gate = _PassGate(qcqp, instance, tol_con, options.h_tol)
+        gate = _PassGate(qcqp, instance, tol_con, options.h_tol) if in_reach else None
         result = solve(instance, C, settings, warm_start=warm, accept=gate)
         infeasible = result.status == "infeasible"
         h = float("nan") if infeasible else excess_rank(result.Z, dim)
@@ -358,12 +367,14 @@ class _PassGate:
     accepted offer is a certified feasible rank-d point, not a guess; the
     gate returns (h, lifted Z, theta) for it.
 
-    An instance that never closes, such as an unreachable goal, would pay
-    one Levenberg-Marquardt run for every offer, so the first offer whose
-    plain LM stalls ends the gate's offers for the pass: later ones are
-    declined unseen.  A converged LM that the gate rejects (a collision, or
-    h above h_tol) does not count as a stall, since a later iterate can
-    reconstruct to a configuration that passes.
+    An instance that never closes would pay one Levenberg-Marquardt run for
+    every offer, so an offer whose plain LM stalls makes the gate decline
+    the next STALL_BACKOFF offers unseen (the iterate the pass stops on
+    counts as one); a further stall restarts the count.  Later iterates
+    still get their turn, since one nearer the feasible set can reconstruct
+    to angles from which LM closes.  A converged LM that the gate rejects
+    (a collision, or h above h_tol) does not count as a stall, since a
+    later iterate can reconstruct to a configuration that passes.
     """
 
     def __init__(self, qcqp: QcqpInstance, instance, tol_con: float, h_tol: float):
@@ -373,10 +384,11 @@ class _PassGate:
         self.h_tol = h_tol
         self.plain = _Residuals(qcqp)
         self.hinged = _Residuals(qcqp, instance) if instance.num_inequalities else None
-        self.stalled = False
+        self.declining = 0  # offers still to decline after the last stall
 
     def __call__(self, Z):
-        if self.stalled:
+        if self.declining:
+            self.declining -= 1
             return None
         qcqp, hinged = self.qcqp, self.hinged
         X0, _ = extract_points(Z, dim=self.instance.dim)
@@ -385,7 +397,7 @@ class _PassGate:
         if theta is None:
             theta = refine_configuration(self.plain, theta0)
             if theta is None:
-                self.stalled = True
+                self.declining = STALL_BACKOFF
                 return None
             if hinged is not None:
                 theta = refine_configuration(hinged, theta)

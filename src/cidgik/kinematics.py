@@ -261,7 +261,12 @@ class RobotModel:
 
     @cached_property
     def reach(self) -> float:
-        """Upper bound on the distance from the base to any robot point."""
+        """Upper bound on the distance from the base to a joint origin or an end-effector tip.
+
+        It sums every joint's translation and adds the longest tip.  A q
+        point and a direction point sit one unit from their joint origin and
+        tip, so they can lie up to one unit beyond it.
+        """
         total = sum(float(np.linalg.norm(j.translation)) for j in self.joints)
         tip = max(
             (float(np.linalg.norm(e.tip)) for e in self.end_effectors), default=0.0

@@ -186,8 +186,8 @@ class _ConicData:
             flat = mats.reshape(len(out), instance.side**2)
             np.take(flat, self.space.upper, axis=1, out=out, mode="clip")
         rows *= self.space.weights
-        norms = np.linalg.norm(rows, axis=1)
-        if not np.all((norms > 0.0) & (norms < math.inf)):  # NaN fails too
+        squared = np.einsum("ij,ij->i", rows, rows)  # row norms squared, with no m x D temporary
+        if not np.all((squared > 0.0) & (squared < math.inf)):  # NaN fails too
             raise ValueError("constraint matrices must be finite and nonzero")
         self.rows = rows  # G without its slack columns
         self.h = np.concatenate([instance.eq_rhs, instance.ineq_rhs])

@@ -29,7 +29,12 @@ from cidgik.iteration import CidgikOptions, _Residuals, refine_configuration
 from cidgik.kinematics import load_robot
 from cidgik.robots import arm_6dof, planar_two_link, random_coplanar_chain
 from cidgik.solver import SolverSettings
-from conftest import coincident_arm_document, panda_like_document, two_arm_tree
+from conftest import (
+    coincident_arm_document,
+    panda_like_document,
+    random_dh_chain_document,
+    two_arm_tree,
+)
 
 FAST = CidgikOptions(solver=SolverSettings(max_iters=6000))
 
@@ -386,6 +391,52 @@ def test_warm_started_second_pass_closes(chain_6dof, environment, monkeypatch):
         first["result"].status,
         "accepted",
     ]
+
+
+def test_a_stall_declines_the_next_offers_and_a_further_stall_restarts_the_count(chain_6dof, monkeypatch):
+    """With every LM stalling, the gate runs LM on every (STALL_BACKOFF + 1)-th offer."""
+    runs = []
+
+    def stalling_refine(*args):
+        runs.append(args)
+        return None
+
+    monkeypatch.setattr(cidgik.iteration, "refine_configuration", stalling_refine)
+    problem = generate(chain_6dof, "octahedron", 0)
+    instance = lift(problem.qcqp)
+    gate = cidgik.iteration._PassGate(problem.qcqp, instance, 1e-6, 1e-6)
+    Z = lift_points(feasible_points(problem.qcqp, problem.ground_truth))
+    offered = []
+    for _ in range(7):
+        before = len(runs)
+        assert gate(Z) is None
+        offered.append(len(runs) > before)
+    assert offered == [k % (cidgik.iteration.STALL_BACKOFF + 1) == 0 for k in range(7)]
+
+
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        pytest.param(lambda: random_coplanar_chain(5, 4), 1, id="chain5-4-key1"),
+        pytest.param(lambda: random_coplanar_chain(5, 4), 6, id="chain5-4-key6"),
+        pytest.param(lambda: random_coplanar_chain(6, 2), 5, id="chain6-2-key5"),
+        pytest.param(lambda: load_robot(random_dh_chain_document(6, 602)), 0, id="dh6-602-key0"),
+        pytest.param(lambda: load_robot(random_dh_chain_document(7, 701)), 3, id="dh7-701-key3"),
+        pytest.param(lambda: two_arm_tree(np.pi / 4), 3, id="two_arm_tree-key3"),
+        pytest.param(lambda: two_arm_tree(np.pi / 4), 17, id="two_arm_tree-key17"),
+    ],
+)
+def test_refinement_after_a_stall_closes_in_pass_1(make, key):
+    """Feasible keys whose first plain LM stalls close on a later offer of pass 1.
+
+    While a stall closed the gate for the rest of the pass, the chain and
+    DH-chain keys ran 10 passes to max_iterations and the two-arm tree's
+    keys closed in pass 2.
+    """
+    result = cidgik_solve(generate(make(), "free", key).qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
+    assert result.status == "converged"
+    assert result.verified
+    assert result.iterations == 1
 
 
 def _hinged_instance(robot):

@@ -320,6 +320,25 @@ def test_fk_reach_bound(planar_2r):
         assert np.linalg.norm(poses[0].position) <= 2.0 + 1e-12
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(arm_6dof, id="arm"),
+        pytest.param(lambda: random_coplanar_chain(7, 1), id="chain7"),
+        pytest.param(lambda: two_arm_tree(math.pi / 4), id="two_arm_tree"),
+        pytest.param(lambda: load_robot(panda_like_document()), id="panda_like"),
+    ],
+)
+def test_reach_bounds_joint_origins_and_tips(make):
+    """robot.reach bounds every joint origin's and end-effector tip's distance from the base."""
+    robot = make()
+    rng = np.random.Generator(np.random.Philox(key=19))
+    for _ in range(200):
+        poses, frames = forward_kinematics(robot, sample_angles(rng, robot.num_joints))
+        points = np.vstack([frames.origins] + [pose.position for pose in poses])
+        assert np.max(np.linalg.norm(points, axis=1)) <= robot.reach
+
+
 def test_unit_axis_pairs_everywhere(chain_6dof):
     rng = np.random.Generator(np.random.Philox(key=5))
     layout = chain_6dof.layout

@@ -195,8 +195,9 @@ def test_unreachable_goal_certified_in_first_pass(chain_6dof, monkeypatch):
     assert [(warm is None, r.status) for warm, r in passes] == [(True, "infeasible")]
 
 
-def test_unreachable_goal_stops_probing_after_one_stall(chain_6dof, monkeypatch):
-    """The gate's first LM stall ends its offers for the pass; the Farkas probe still certifies."""
+def test_out_of_reach_goal_runs_no_refinement(chain_6dof, monkeypatch):
+    """A goal beyond robot.reach gets no gate: no LM runs, and the pass's
+    certificate is, byte for byte, the one a solve with no callback finds."""
     calls = []
     inner = cidgik.iteration.refine_configuration
 
@@ -208,8 +209,12 @@ def test_unreachable_goal_stops_probing_after_one_stall(chain_6dof, monkeypatch)
     qcqp = _unreachable_qcqp(chain_6dof, 0)
     result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
     assert result.status == "infeasible"
-    assert 0 < len(calls) <= len(result.trace)
+    assert calls == []
+    plain = solve(lift(qcqp), None, SolverSettings(max_iters=8000))
+    assert plain.status == "infeasible"
     cert = result.certificate
+    assert cert.y.tobytes() == plain.certificate.y.tobytes()
+    assert cert.mu.tobytes() == plain.certificate.mu.tobytes()
     assert _verify_certificate(lift(qcqp), cert.y, cert.mu) is not None
 
 
