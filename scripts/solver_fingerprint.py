@@ -21,11 +21,15 @@ inequality multipliers mu), two goals inside the workspace's inner boundary
 ("inner": 3 cm from joint 1's origin, certified in pass 1 and in pass 2, so
 their certificates come from a cold and from a warm-started pass), the planar
 two-link toy with its keep-out disc and the fully stretched planar two-link.
-Two more pass lines follow: the 3x3 toy SDP ("toy") and a warm-started
+More pass lines follow: the 3x3 toy SDP ("toy"), a warm-started
 rank-direction pass ("warm-octahedron-0": octahedron key 0, a 4000-iteration
 C = I pass, then one 4000-iteration pass with that iterate's direction_matrix
 as the cost and the iterate as the warm start, which stops at its cap, so its
-Z is its last iterate), since every benchmark key closes in its first pass.
+Z is its last iterate), since every benchmark key closes in its first pass,
+and a cold 4000-iteration C = I pass on each goal beyond reach
+("cold-unreachable-0", "cold-unreachable-22", "cold-unreachable-table-0"),
+since cidgik_solve certifies those from a structural path before any pass
+and so prints no pass line for them.
 Last come two kinematics lines, for arm_6dof and random_coplanar_chain(7, 1)
 at 50 seeded configurations: the
 SHA-1 of the forward_kinematics frames (rotations, origins, axes), of
@@ -184,6 +188,10 @@ def main():
     first = ck.solve(sdp, None, settings)
     C = ck.direction_matrix(first.Z, sdp.dim)
     _print_pass("warm-octahedron-0", 1, ck.solve(sdp, C, settings, warm_start=first.Z))
+    for environment in ("unreachable", "unreachable-table"):
+        for key in KEYS[environment]:
+            sdp = ck.lift(_qcqp(arm_6dof(), environment, key))
+            _print_pass(f"cold-{environment}-{key}", 0, ck.solve(sdp, None, settings))
     _print_kinematics("arm_6dof", arm_6dof())
     _print_kinematics("chain7", random_coplanar_chain(7, 1))
 

@@ -20,12 +20,13 @@ import numpy as np
 
 from .graph import QcqpInstance, feasible_points, selection
 from .kinematics import _cross, _frames, _points, _poses, joint_points, reconstruct_angles
-from .lifting import SdpInstance, evaluate, extract_points, lift, lift_points
+from .lifting import SdpInstance, _path_multipliers, evaluate, extract_points, lift, lift_points
 from .solver import (
     InfeasibilityCertificate,
     SolverSettings,
     _check_count,
     _constraint_tolerance,
+    _verify_certificate,
     solve,
 )
 from .workspace import penetration
@@ -260,7 +261,7 @@ class CidgikResult:
     # verify_solution's verdict on theta; the CLI and the bench report it as is
     verified: bool = False
     certificate: InfeasibilityCertificate | None = None
-    solve_time: float = 0.0  # the pass loop's wall time; lift and verification excluded
+    solve_time: float = 0.0  # path bound and pass loop wall time; lift and verification excluded
     h: float | None = None
 
     @property
@@ -293,9 +294,13 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     pass offers it the live iterate at ADMM iterations 10, 20, 40, ... and
     the iterate the pass stops on.  When some goal position lies farther
     from the base than robot.reach by more than LM's own tolerance
-    LM_TOL * sqrt(d), no configuration puts a tip there, so no pass gets a
-    gate; offers only read the iterate, so the passes run exactly as with
-    a gate that declines them all.  The first refined configuration whose
+    LM_TOL * sqrt(d), no configuration puts a tip there.  Before any pass,
+    such an instance ends `infeasible` with one `path_bound` trace record
+    when _verify_certificate accepts the multipliers of a structural path
+    shorter than its anchors' gap (lifting._path_multipliers).  Otherwise no
+    pass gets a gate; offers only read the iterate, so the passes run
+    exactly as with a gate that declines them all.  The first refined
+    configuration whose
     exact lift has h below h_tol and lifted residuals within the solver
     tolerance ends the iteration `converged`, with X and h read off that
     lift.  That configuration is checked once, by verify_solution,
@@ -313,13 +318,21 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     in_reach = all(float(np.linalg.norm(g.position)) <= reach for g in qcqp.goals)
 
     out = CidgikResult(status="max_iterations", trace=IterationTrace())
+    t0 = time.perf_counter()
+    y = None if in_reach else _path_multipliers(qcqp, instance)
+    if y is not None:
+        certificate = _verify_certificate(instance, y, np.zeros(instance.num_inequalities))
+        if certificate is not None:
+            out.status, out.certificate = "infeasible", certificate
+            out.trace.records.append(IterationRecord(h=float("nan"), solver_status="path_bound"))
+            out.solve_time = time.perf_counter() - t0
+            return out
     C = np.eye(instance.side)
     warm = None
     settings = dataclasses.replace(
         options.solver,
         max_iters=min(options.solver.max_iters, options.first_solve_budget),
     )
-    t0 = time.perf_counter()
     for k in range(options.max_iterations):
         gate = _PassGate(qcqp, instance, tol_con, options.h_tol) if in_reach else None
         result = solve(instance, C, settings, warm_start=warm, accept=gate)

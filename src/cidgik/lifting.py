@@ -12,11 +12,15 @@ problem are solutions of the original one.
 
 from __future__ import annotations
 
+import heapq
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import QcqpInstance
+
+logger = logging.getLogger("cidgik.lifting")
 
 
 @dataclass(eq=False)
@@ -215,6 +219,59 @@ def lift(qcqp: QcqpInstance) -> SdpInstance:
     return SdpInstance(
         side=side, dim=d, eq_mats=eq_mats, eq_rhs=eq_rhs, ineq_mats=ineq_mats, ineq_rhs=ineq_rhs
     )
+
+
+def _path_multipliers(qcqp: QcqpInstance, instance: SdpInstance) -> np.ndarray | None:
+    """Farkas multipliers y (mu = 0) from a structural path shorter than its anchors' gap, or None.
+
+    Steps e_i of lengths l_i from anchor a to anchor b through variable points,
+    with L = sum l_i < D = ||b - a|| and c = (b - a) / L, give tr(S Z) =
+    sum_i ||e_i - l_i c||^2 / l_i = L - D^2 / L < 0 on the constraints, with
+    S = sum_i g_i g_i^T / l_i PSD.  So y is 1/l_i on the path's edge rows (lift's
+    first rows) and the identity-corner rows take the rest of S.  The path is
+    the first such pair's shortest, from one Dijkstra search per anchor.
+    """
+    graph = qcqp.graph
+    n, nv = graph.num_variables, qcqp.num_variables
+    lengths = np.sqrt([e.weight for e in graph.edges])
+    adjacent = [[] for _ in range(n + graph.num_anchors)]
+    for k, e in enumerate(graph.edges):
+        adjacent[e.tail].append((e.head, k))
+        adjacent[e.head].append((e.tail, k))
+    points = np.zeros((instance.side, len(adjacent)))  # each vertex as a vector g_i reads
+    points[np.arange(n), np.arange(n)] = 1.0
+    points[nv:, n:] = graph.anchors
+    gaps = np.linalg.norm(points[nv:, :, None] - points[nv:, None, :], axis=0)
+    for a in range(n, len(adjacent) - 1):
+        dist, via, heap = {a: 0.0}, {}, [(0.0, a)]
+        while heap:
+            L, v = heapq.heappop(heap)
+            if L > dist[v] or (v >= n and v != a):  # stale, or an anchor a path ends at
+                continue
+            for w, k in adjacent[v]:
+                if L + lengths[k] < dist.get(w, np.inf):
+                    dist[w], via[w] = L + lengths[k], k
+                    heapq.heappush(heap, (dist[w], w))
+        farther = (b for b in range(a + 1, len(adjacent)) if dist.get(b, np.inf) < gaps[a, b])
+        b = next(farther, None)
+        if b is None:
+            continue
+        path, walk = [], [b]  # edges and vertices from b back to a
+        while walk[-1] != a:
+            path.append(via[walk[-1]])
+            walk.append(graph.edges[path[-1]].tail + graph.edges[path[-1]].head - walk[-1])
+        L, D, l = dist[b], gaps[a, b], lengths[path]
+        G = points[:, walk[:-1]] - points[:, walk[1:]]
+        G[nv:] -= np.outer(points[nv:, b] - points[nv:, a], l / L)
+        y = np.zeros(instance.num_equalities)
+        y[path] = 1.0 / l
+        R = (G * y[path]) @ G.T - np.tensordot(y[path], instance.eq_mats[path], 1)
+        r, s = np.triu_indices(graph.dim)
+        y[len(lengths) + np.arange(len(r))] = R[nv + r, nv + s] * np.where(r == s, 1.0, 2.0)
+        logger.info("path bound: anchors %d and %d, L=%.6g < D=%.6g, L - D^2/L=%.3e",
+                    a - n, b - n, L, D, L - D * D / L)
+        return y
+    return None
 
 
 def lift_points(X: np.ndarray) -> np.ndarray:

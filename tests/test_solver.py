@@ -25,7 +25,11 @@ from cidgik import (
     parse_sdpa,
     solve,
 )
+from cidgik.kinematics import load_robot
+from cidgik.lifting import _path_multipliers
+from cidgik.robots import arm_6dof, random_coplanar_chain
 from cidgik.solver import NumericalBreakdownError, SolverSettings, _verify_certificate
+from conftest import panda_like_document
 
 GOLDEN = Path(__file__).parent / "data" / "toy_identity.dat-s"
 
@@ -187,17 +191,23 @@ def test_unreachable_goal_among_obstacles_certified(chain_6dof):
     assert _verify_certificate(instance, cert.y, cert.mu) is not None
 
 
-def test_unreachable_goal_certified_in_first_pass(chain_6dof, monkeypatch):
-    passes = _record_passes(monkeypatch)
-    qcqp = _unreachable_qcqp(chain_6dof, 22)
-    result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
+def _first_pass(qcqp):
+    """cidgik_solve's first SDP pass, run alone: cold, no callback, capped at
+    first_solve_budget.  It is the ADMM Farkas path that out-of-reach goals
+    reach when no structural path certifies them (_path_multipliers)."""
+    return solve(lift(qcqp), None, SolverSettings(max_iters=CidgikOptions().first_solve_budget))
+
+
+def test_unreachable_goal_certified_in_first_pass(chain_6dof):
+    result = _first_pass(_unreachable_qcqp(chain_6dof, 22))
     assert result.status == "infeasible"
-    assert [(warm is None, r.status) for warm, r in passes] == [(True, "infeasible")]
+    assert result.certificate is not None
 
 
 def test_out_of_reach_goal_runs_no_refinement(chain_6dof, monkeypatch):
-    """A goal beyond robot.reach gets no gate: no LM runs, and the pass's
-    certificate is, byte for byte, the one a solve with no callback finds."""
+    """A goal beyond robot.reach gets no gate: when no structural path
+    certifies it, no LM runs, and the pass's certificate is, byte for byte,
+    the one a solve with no callback finds."""
     calls = []
     inner = cidgik.iteration.refine_configuration
 
@@ -206,6 +216,7 @@ def test_out_of_reach_goal_runs_no_refinement(chain_6dof, monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(cidgik.iteration, "refine_configuration", counting_refine)
+    monkeypatch.setattr(cidgik.iteration, "_path_multipliers", lambda qcqp, instance: None)
     qcqp = _unreachable_qcqp(chain_6dof, 0)
     result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
     assert result.status == "infeasible"
@@ -216,6 +227,90 @@ def test_out_of_reach_goal_runs_no_refinement(chain_6dof, monkeypatch):
     assert cert.y.tobytes() == plain.certificate.y.tobytes()
     assert cert.mu.tobytes() == plain.certificate.mu.tobytes()
     assert _verify_certificate(lift(qcqp), cert.y, cert.mu) is not None
+
+
+def _path_bound_cases():
+    """(robot, workspace, keys) per case; each key's goal lies at 1.5x reach."""
+    arm, chain7, panda = arm_6dof(), random_coplanar_chain(7, 1), load_robot(panda_like_document())
+    table = environment("table", arm, table_obstacles=25)
+    return [
+        pytest.param(arm, None, range(160), id="arm_6dof"),
+        pytest.param(arm, table, range(4), id="arm_6dof-table25"),
+        pytest.param(chain7, None, range(20), id="chain7"),
+        pytest.param(panda, None, range(20), id="panda_like"),
+        pytest.param(panda, environment("table", panda, table_obstacles=25), range(4),
+                     id="panda_like-table25"),
+    ]
+
+
+@pytest.mark.parametrize("robot, workspace, keys", _path_bound_cases())
+def test_out_of_reach_goal_certified_by_a_structural_path(robot, workspace, keys, monkeypatch):
+    """A goal beyond robot.reach ends infeasible before any SDP pass or LM run.
+
+    The certificate is checked here from its definition, not through
+    _verify_certificate: S = sum y_k A_k is PSD, a.y is negative and no
+    inequality multiplier is used.  The trace holds one path_bound record.
+    """
+    passes = _record_passes(monkeypatch)
+    refines = []
+    monkeypatch.setattr(cidgik.iteration, "refine_configuration", lambda *a: refines.append(a))
+    for key in keys:
+        qcqp = _unreachable_qcqp(robot, key, workspace)
+        result = cidgik_solve(qcqp)
+        assert result.status == "infeasible"
+        [record] = result.trace.records
+        assert record.solver_status == "path_bound" and np.isnan(record.h)
+        assert result.solve_time > 0.0
+        instance, cert = lift(qcqp), result.certificate
+        S = np.tensordot(cert.y, instance.eq_mats, 1)
+        assert np.linalg.eigvalsh(S)[0] >= -1e-9
+        assert float(instance.eq_rhs @ cert.y) <= -1e-6
+        assert cert.mu.shape == (instance.num_inequalities,) and not cert.mu.any()
+    assert passes == [] and refines == []
+
+
+@pytest.mark.parametrize("goal", [(3.0, 0.0), (1.0, 2.0)])
+def test_planar_goal_beyond_reach_certified_by_a_structural_path(planar_2r, goal, monkeypatch):
+    passes = _record_passes(monkeypatch)
+    qcqp = assemble_qcqp(planar_2r, [Goal(end_effector=0, position=np.array(goal))])
+    result = cidgik_solve(qcqp)
+    assert result.status == "infeasible"
+    assert [r.solver_status for r in result.trace.records] == ["path_bound"]
+    assert passes == []
+    instance, cert = lift(qcqp), result.certificate
+    assert np.linalg.eigvalsh(np.tensordot(cert.y, instance.eq_mats, 1))[0] >= -1e-9
+    assert float(instance.eq_rhs @ cert.y) <= -1e-6
+
+
+def test_path_bound_is_logged(chain_6dof, caplog):
+    with caplog.at_level("INFO", logger="cidgik.lifting"):
+        cidgik_solve(_unreachable_qcqp(chain_6dof, 0))
+    [line] = caplog.messages
+    assert line.startswith("path bound: anchors ") and "L - D^2/L=-" in line
+
+
+@pytest.mark.parametrize("environment_name", ["octahedron", "table"])
+def test_goal_in_reach_runs_no_path_search(chain_6dof, environment_name, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cidgik.iteration, "_path_multipliers", lambda *a: calls.append(a))
+    problem = generate(chain_6dof, environment_name, 0, table_obstacles=25)
+    assert cidgik_solve(problem.qcqp).status == "converged"
+    assert calls == []
+
+
+def test_dropping_a_path_multiplier_fails_verification(chain_6dof):
+    """Every path edge's multiplier is needed: without one, S is not PSD."""
+    qcqp = _unreachable_qcqp(chain_6dof, 0)
+    instance = lift(qcqp)
+    y = _path_multipliers(qcqp, instance)
+    mu = np.zeros(instance.num_inequalities)
+    assert _verify_certificate(instance, y, mu) is not None
+    path = np.flatnonzero(y[: len(qcqp.graph.edges)])
+    assert len(path) >= 2
+    for k in path:
+        dropped = y.copy()
+        dropped[k] = 0.0
+        assert _verify_certificate(instance, dropped, mu) is None
 
 
 def test_declined_offers_leave_the_pass_unchanged(chain_6dof):
@@ -532,7 +627,6 @@ def test_relaxed_polish_certifies_within_its_round_budget(chain_6dof, monkeypatc
     The goal among the table obstacles certifies by iteration 400 with
     mu >= 0 (test_unreachable_goal_among_obstacles_certified).
     """
-    passes = _record_passes(monkeypatch)
     rounds = []
     inner = cidgik.solver._ConicData.multipliers
 
@@ -543,9 +637,8 @@ def test_relaxed_polish_certifies_within_its_round_budget(chain_6dof, monkeypatc
 
     monkeypatch.setattr(cidgik.solver._ConicData, "multipliers", counting_multipliers)
     qcqp = _unreachable_qcqp(chain_6dof, key)
-    result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
+    result = _first_pass(qcqp)
     assert result.status == "infeasible"
-    assert [(warm is None, r.status) for warm, r in passes] == [(True, "infeasible")]
     assert 0 < len(rounds) <= 30
     assert _verify_certificate(lift(qcqp), result.certificate.y, result.certificate.mu) is not None
 
@@ -587,7 +680,7 @@ def test_probe_in_the_cone_verifies_in_one_polish_round(chain_6dof, caplog, obst
 RELAXED_POLISH_CERTIFIED_AT = [100] * 16
 
 
-def test_mixed_polish_certifies_where_the_relaxed_polish_did(chain_6dof, monkeypatch):
+def test_mixed_polish_certifies_where_the_relaxed_polish_did(chain_6dof):
     """Unreachable keys 0-15 each end infeasible in pass 1, at the same iteration as before.
 
     The mixing only speeds up a polish that would verify anyway: a mixed
@@ -596,15 +689,11 @@ def test_mixed_polish_certifies_where_the_relaxed_polish_did(chain_6dof, monkeyp
     safeguard, or with the mixing's sign flipped, probes that verified stop
     verifying.
     """
-    passes = _record_passes(monkeypatch)
-    options = CidgikOptions(solver=SolverSettings(max_iters=8000))
     certified_at = []
     for key in range(16):
-        passes.clear()
-        result = cidgik_solve(_unreachable_qcqp(chain_6dof, key), options)
+        result = _first_pass(_unreachable_qcqp(chain_6dof, key))
         assert result.status == "infeasible"
-        assert [r.status for _, r in passes] == ["infeasible"]
-        certified_at.append(passes[0][1].iterations)
+        certified_at.append(result.iterations)
     assert certified_at == RELAXED_POLISH_CERTIFIED_AT
 
 
