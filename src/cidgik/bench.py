@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import functools
-import io
 import json
 import logging
 import time
@@ -14,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import GenerationError, _check_seed, generate
-from .iteration import CidgikOptions, cidgik_solve
+from .iteration import CidgikOptions, CidgikResult, IterationTrace, cidgik_solve
 from .kinematics import RobotModel
 from .solver import _check_count
 from .workspace import environment
@@ -52,30 +50,14 @@ def jeffreys_interval(successes: int, trials: int, level: float = 0.95) -> tuple
     return low, high
 
 
-@dataclass(frozen=True)
-class InstanceRow:
-    seed: int
-    status: str
-    success: bool
-    setup_time_s: float
-    position_error: float | None = None
-    direction_error: float | None = None
-    max_penetration: float | None = None
-    h_trace: tuple[float, ...] = ()
-    iterations: int = 0
-    solve_time_s: float = 0.0
-    theta: tuple[float, ...] | None = None
-    certified_infeasible: bool = False
-    error: str | None = None
-
-
 @dataclass(eq=False)
 class BenchmarkReport:
     robot_name: str
     environment: str
     base_seed: int
-    rows: list[InstanceRow]
-    h_tol: float
+    # One dict per instance: the solve's own to_json_dict() plus seed,
+    # setup_time_s and error (see solve_one).
+    rows: list[dict]
 
     @property
     def trials(self) -> int:
@@ -83,7 +65,7 @@ class BenchmarkReport:
 
     @property
     def successes(self) -> int:
-        return sum(r.success for r in self.rows)
+        return sum(r["verified"] for r in self.rows)
 
     @property
     def success_rate(self) -> float:
@@ -92,84 +74,33 @@ class BenchmarkReport:
     def aggregate(self) -> dict:
         low, high = jeffreys_interval(self.successes, self.trials)
         # Rows whose generation or solve raised carry no solve time.
-        times = [r.solve_time_s for r in self.rows if r.error is None]
+        times = [r["solve_time_s"] for r in self.rows if r["error"] is None]
+        p50, p95 = (float(p) for p in np.percentile(times, [50, 95])) if times else (None, None)
         statuses = {}
         for r in self.rows:
-            statuses[r.status] = statuses.get(r.status, 0) + 1
+            statuses[r["status"]] = statuses.get(r["status"], 0) + 1
         return {
             "trials": self.trials,
             "successes": self.successes,
             "success_rate": self.success_rate,
             "jeffreys_95": [low, high],
-            "mean_solve_time_s": float(np.mean(times)) if times else None,
-            "stddev_solve_time_s": float(np.std(times)) if times else None,
+            "p50_solve_time_s": p50,
+            "p95_solve_time_s": p95,
             "statuses": statuses,
-            "certified_infeasible": sum(r.certified_infeasible for r in self.rows),
-        }
-
-    def to_json_dict(self) -> dict:
-        return {
-            "robot": self.robot_name,
-            "environment": self.environment,
-            "base_seed": self.base_seed,
-            "h_tol": self.h_tol,
-            "aggregate": self.aggregate(),
-            "rows": [
-                {
-                    "seed": r.seed,
-                    "status": r.status,
-                    "success": r.success,
-                    "position_error": r.position_error,
-                    "direction_error": r.direction_error,
-                    "max_penetration": r.max_penetration,
-                    "h_trace": [h if np.isfinite(h) else None for h in r.h_trace],
-                    "iterations": r.iterations,
-                    "setup_time_s": r.setup_time_s,
-                    "solve_time_s": r.solve_time_s,
-                    "theta": None if r.theta is None else list(r.theta),
-                    "certified_infeasible": r.certified_infeasible,
-                    "error": r.error,
-                }
-                for r in self.rows
-            ],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            [
-                "seed",
-                "status",
-                "success",
-                "position_error",
-                "direction_error",
-                "max_penetration",
-                "iterations",
-                "setup_time_s",
-                "solve_time_s",
-                "h_trace",
-            ]
+        return json.dumps(
+            {
+                "robot": self.robot_name,
+                "environment": self.environment,
+                "base_seed": self.base_seed,
+                "aggregate": self.aggregate(),
+                "rows": self.rows,
+            },
+            sort_keys=True,
+            indent=2,
         )
-        for r in self.rows:
-            writer.writerow(
-                [
-                    r.seed,
-                    r.status,
-                    int(r.success),
-                    r.position_error,
-                    r.direction_error,
-                    r.max_penetration,
-                    r.iterations,
-                    r.setup_time_s,
-                    r.solve_time_s,
-                    "|".join(f"{h:.3e}" for h in r.h_trace),
-                ]
-            )
-        return buf.getvalue()
 
 
 def solve_one(
@@ -179,46 +110,30 @@ def solve_one(
     options: CidgikOptions,
     *,
     table_obstacles: int = 100,
-) -> InstanceRow:
+) -> dict:
     """Generate and solve one instance; failures become rows, not raises.
 
-    `success` is the solve's own `verified` verdict.
+    The row is the solve's own `CidgikResult.to_json_dict()` plus `seed`,
+    `setup_time_s` and `error`.  A row whose generation or solve raised
+    carries the values of a solve that never ran, so every row has the same
+    keys.
     """
     t0 = time.perf_counter()
+    error = None
     try:
         problem = generate(
             robot, environment_name, seed, table_obstacles=table_obstacles
         )
     except GenerationError as e:
-        return InstanceRow(
-            seed=seed,
-            status="generation_error",
-            success=False,
-            setup_time_s=time.perf_counter() - t0,
-            error=str(e),
-        )
+        result, error = CidgikResult("generation_error", IterationTrace()), str(e)
     setup = time.perf_counter() - t0
-    try:
-        result = cidgik_solve(problem.qcqp, options)
-    except Exception as e:  # per-instance errors must not abort the campaign
-        logger.warning("seed %d failed: %s", seed, e)
-        return InstanceRow(
-            seed=seed, status="error", success=False, setup_time_s=setup, error=str(e)
-        )
-    return InstanceRow(
-        seed=seed,
-        status=result.status,
-        success=result.verified,
-        setup_time_s=setup,
-        position_error=result.position_error,
-        direction_error=result.direction_error,
-        max_penetration=result.max_penetration,
-        h_trace=tuple(result.trace.h_values),
-        iterations=result.iterations,
-        solve_time_s=result.solve_time,
-        theta=None if result.theta is None else tuple(float(t) for t in result.theta),
-        certified_infeasible=result.certificate is not None,
-    )
+    if error is None:
+        try:
+            result = cidgik_solve(problem.qcqp, options)
+        except Exception as e:  # per-instance errors must not abort the campaign
+            logger.warning("seed %d failed: %s", seed, e)
+            result, error = CidgikResult("error", IterationTrace()), str(e)
+    return {**result.to_json_dict(), "seed": seed, "setup_time_s": setup, "error": error}
 
 
 def check_campaign(
@@ -269,5 +184,4 @@ def run_benchmark(
         environment=environment_name,
         base_seed=base_seed,
         rows=rows,
-        h_tol=options.h_tol,
     )

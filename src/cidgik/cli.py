@@ -39,7 +39,6 @@ def _options(args) -> CidgikOptions:
     """Options from the solver flags; raises ValueError on an out-of-range value."""
     return CidgikOptions(
         max_iterations=args.max_iter,
-        h_tol=args.h_tol,
         solver=SolverSettings(eps=args.eps, max_iters=args.solver_iters),
     )
 
@@ -64,7 +63,6 @@ def _input_error(e: Exception) -> int:
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=int, default=10, help="convex iteration cap")
-    parser.add_argument("--h-tol", type=float, default=1e-6, help="excess-rank threshold")
     parser.add_argument("--eps", type=float, default=1e-7, help="SDP solver tolerance")
     parser.add_argument(
         "--solver-iters", type=int, default=50000, help="SDP solver iteration cap"
@@ -121,21 +119,18 @@ def cmd_bench(args) -> int:
     )
     agg = report.aggregate()
     low, high = agg["jeffreys_95"]
-    mean = agg["mean_solve_time_s"]
+    p50 = agg["p50_solve_time_s"]
     print(
         f"{args.env}: {agg['successes']}/{agg['trials']} solved "
         f"({100 * agg['success_rate']:.1f}%, 95% Jeffreys [{100 * low:.1f}, {100 * high:.1f}]%), "
-        f"mean solve {'n/a' if mean is None else f'{mean:.2f}s'}"
+        f"p50 solve {'n/a' if p50 is None else f'{p50:.2f}s'}"
     )
     if args.out:
-        text = report.to_csv() if args.csv else report.to_json()
         try:
-            Path(args.out).write_text(text)
+            Path(args.out).write_text(report.to_json())
         except OSError as e:
             return _input_error(e)
         print(f"wrote {args.out}")
-    elif args.csv:
-        print(report.to_csv())
     return 0
 
 
@@ -183,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n", required=True, type=int, help="instance count")
     p_bench.add_argument("--seed", required=True, type=int)
     p_bench.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p_bench.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
     p_bench.add_argument("--out", help="report path")
     p_bench.add_argument("--table-obstacles", type=int, default=100)
     _add_solver_flags(p_bench)

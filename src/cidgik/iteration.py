@@ -347,7 +347,7 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
         if result.status == "accepted":
             out.status = "converged"
             out.h, Zr, out.theta = result.accepted
-            out.X, _ = extract_points(Zr, dim=dim)
+            out.X = extract_points(Zr, dim=dim)
             break
         C = direction_matrix(result.Z, dim)
         warm = result.Z
@@ -404,7 +404,7 @@ class _PassGate:
             self.declining -= 1
             return None
         qcqp, hinged = self.qcqp, self.hinged
-        X0, _ = extract_points(Z, dim=self.instance.dim)
+        X0 = extract_points(Z, dim=self.instance.dim)
         theta0 = reconstruct_angles(qcqp.robot, _full_point_matrix(qcqp, X0)).theta
         theta = None if hinged is None else refine_configuration(hinged, theta0)
         if theta is None:

@@ -301,17 +301,11 @@ def evaluate(instance: SdpInstance, Z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return eq, slack
 
 
-def extract_points(Z: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
-    """Read the point matrix off the lifted variable's X block.
-
-    Returns (X, gram_gap) where gram_gap = ||Z_gram - X^T X||_F vanishes
-    exactly when Z is a rank-d lift with the identity corner.
-    """
+def extract_points(Z: np.ndarray, dim: int) -> np.ndarray:
+    """Read the point matrix X off the lifted variable's X block."""
     Z = np.asarray(Z, dtype=float)
     nv = Z.shape[0] - dim
-    X = Z[nv:, :nv].copy()
-    gap = float(np.linalg.norm(Z[:nv, :nv] - X.T @ X))
-    return X, gap
+    return Z[nv:, :nv].copy()
 
 
 def build_toy_instance() -> SdpInstance:

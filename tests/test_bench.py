@@ -8,8 +8,9 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from cidgik import jeffreys_interval, run_benchmark
-from cidgik.bench import BenchmarkReport, InstanceRow, solve_one
-from cidgik.iteration import CidgikOptions
+from cidgik.bench import BenchmarkReport, solve_one
+from cidgik.generator import GenerationError, generate
+from cidgik.iteration import CidgikOptions, CidgikResult, IterationTrace, cidgik_solve
 from cidgik.solver import SolverSettings
 
 FAST = CidgikOptions(solver=SolverSettings(max_iters=6000))
@@ -106,12 +107,15 @@ def test_bad_table_obstacles_rejected_before_the_campaign(chain_6dof, count, mon
         run_benchmark(chain_6dof, "table", 2, 0, FAST, table_obstacles=count)
 
 
+TIME_KEYS = ("setup_time_s", "solve_time_s")
+
+
 def _strip_times(payload):
     for row in payload["rows"]:
-        row.pop("setup_time_s")
-        row.pop("solve_time_s")
-    payload["aggregate"].pop("mean_solve_time_s")
-    payload["aggregate"].pop("stddev_solve_time_s")
+        for key in TIME_KEYS:
+            row.pop(key)
+    payload["aggregate"].pop("p50_solve_time_s")
+    payload["aggregate"].pop("p95_solve_time_s")
     return payload
 
 
@@ -123,7 +127,7 @@ def test_benchmark_reports_are_reproducible(chain_6dof):
     assert ja == jb
     assert a.trials == 3
     agg = a.aggregate()
-    assert agg["successes"] == sum(r.success for r in a.rows)
+    assert agg["successes"] == sum(r["verified"] for r in a.rows)
     low, high = agg["jeffreys_95"]
     assert low <= agg["success_rate"] <= high
 
@@ -136,35 +140,68 @@ def test_benchmark_parallel_matches_serial(chain_6dof):
     assert ja == jb
 
 
+def _raise(*args, **kwargs):
+    raise RuntimeError("synthetic failure")
+
+
+def _raise_generation(*args, **kwargs):
+    raise GenerationError("synthetic generation failure")
+
+
 def test_benchmark_row_failure_capture(chain_6dof, monkeypatch):
-    import cidgik.bench as bench_mod
-
-    def boom(*args, **kwargs):
-        raise RuntimeError("synthetic failure")
-
-    monkeypatch.setattr(bench_mod, "cidgik_solve", boom)
+    monkeypatch.setattr("cidgik.bench.cidgik_solve", _raise)
     row = solve_one(chain_6dof, "free", 3, FAST)
-    assert row.status == "error"
-    assert not row.success
-    assert "synthetic failure" in row.error
+    assert row["status"] == "error"
+    assert not row["verified"]
+    assert "synthetic failure" in row["error"]
+
+
+def test_bench_row_is_the_solve_json_plus_seed_setup_and_error(chain_6dof):
+    """A row is the solve's own to_json_dict(), not a hand copy of some of its fields."""
+    row = solve_one(chain_6dof, "free", 3, FAST)
+    solved = cidgik_solve(generate(chain_6dof, "free", 3).qcqp, FAST).to_json_dict()
+    assert row.keys() == {*solved, "seed", "setup_time_s", "error"}
+    for key in TIME_KEYS:
+        row.pop(key)
+        solved.pop(key, None)
+    assert row == {**solved, "seed": 3, "error": None}
+
+
+def test_every_bench_row_has_the_same_keys(chain_6dof, monkeypatch):
+    solved = solve_one(chain_6dof, "free", 3, FAST)
+    monkeypatch.setattr("cidgik.bench.cidgik_solve", _raise)
+    failed = solve_one(chain_6dof, "free", 3, FAST)
+    monkeypatch.setattr("cidgik.bench.generate", _raise_generation)
+    ungenerated = solve_one(chain_6dof, "free", 3, FAST)
+    assert (failed["status"], ungenerated["status"]) == ("error", "generation_error")
+    assert solved.keys() == failed.keys() == ungenerated.keys()
+    assert solved["verified"] and not failed["verified"] and not ungenerated["verified"]
+
+
+def _row(status: str, solve_time_s: float, error: str | None = None) -> dict:
+    return {
+        **CidgikResult(status, IterationTrace(), solve_time=solve_time_s).to_json_dict(),
+        "seed": 0,
+        "setup_time_s": 0.1,
+        "error": error,
+    }
 
 
 def test_aggregate_times_only_rows_that_ran_a_solve():
-    """Rows whose generation or solve raised do not enter the solve-time mean as 0 s."""
-    solved = InstanceRow(seed=0, status="converged", success=True, setup_time_s=0.1, solve_time_s=2.0)
-    broken = [
-        InstanceRow(seed=1, status="generation_error", success=False, setup_time_s=0.1, error="e"),
-        InstanceRow(seed=2, status="error", success=False, setup_time_s=0.1, error="e"),
-    ]
-    agg = BenchmarkReport("arm", "free", 0, [solved, *broken], 1e-6).aggregate()
-    assert (agg["mean_solve_time_s"], agg["stddev_solve_time_s"]) == (2.0, 0.0)
+    """Rows whose generation or solve raised do not enter the solve-time quantiles as 0 s."""
+    solved = _row("converged", 2.0)
+    broken = [_row("generation_error", 0.0, "e"), _row("error", 0.0, "e")]
+    agg = BenchmarkReport("arm", "free", 0, [solved, *broken]).aggregate()
+    assert (agg["p50_solve_time_s"], agg["p95_solve_time_s"]) == (2.0, 2.0)
     assert agg["trials"] == 3
-    agg = BenchmarkReport("arm", "free", 0, broken, 1e-6).aggregate()
-    assert (agg["mean_solve_time_s"], agg["stddev_solve_time_s"]) == (None, None)
+    assert agg["statuses"] == {"converged": 1, "generation_error": 1, "error": 1}
+    agg = BenchmarkReport("arm", "free", 0, broken).aggregate()
+    assert (agg["p50_solve_time_s"], agg["p95_solve_time_s"]) == (None, None)
 
 
-def test_benchmark_csv_shape(chain_6dof):
-    report = run_benchmark(chain_6dof, "free", 2, 11, FAST)
-    lines = report.to_csv().strip().splitlines()
-    assert lines[0].startswith("seed,status,success")
-    assert len(lines) == 3
+def test_aggregate_reports_solve_time_quantiles():
+    rows = [_row("converged", t) for t in (1.0, 2.0, 3.0, 4.0, 10.0)]
+    agg = BenchmarkReport("arm", "free", 0, rows).aggregate()
+    assert agg["p50_solve_time_s"] == 3.0
+    assert agg["p95_solve_time_s"] == pytest.approx(8.8)
+    assert agg["p95_solve_time_s"] != agg["p50_solve_time_s"]

@@ -63,7 +63,6 @@ def test_solve_command_malformed(tmp_path):
         ["--eps", "0"],
         ["--eps", "nan"],
         ["--max-iter", "0"],
-        ["--h-tol", "0"],
     ],
 )
 def test_solve_bad_numeric_flag(toy_problem_file, flags, monkeypatch, capsys):
@@ -305,31 +304,6 @@ def test_log_env_var(toy_problem_file, monkeypatch, tmp_path):
     monkeypatch.setenv("CIDGIK_LOG", "debug")
     code = main(["solve", str(toy_problem_file), "--out", str(tmp_path / "o.json")])
     assert code == 0
-
-
-def test_bench_command_csv(tmp_path):
-    robot_path = Path(__file__).parent.parent / "robots" / "arm_6dof.json"
-    out = tmp_path / "report.csv"
-    code = main(
-        [
-            "bench",
-            "--robot",
-            str(robot_path),
-            "--env",
-            "free",
-            "--n",
-            "2",
-            "--seed",
-            "3",
-            "--solver-iters",
-            "6000",
-            "--csv",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    assert out.read_text().startswith("seed,status")
 
 
 @pytest.mark.parametrize(

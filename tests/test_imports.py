@@ -140,7 +140,7 @@ def test_import_loads_only_what_a_solve_runs_and_first_use_loads_the_rest():
         "assert 0.22 < low < 0.23 and abs(low + high - 1.0) < 1e-9",
         "options = cidgik.CidgikOptions(solver=cidgik.SolverSettings(max_iters=6000))\n"
         "report = cidgik.run_benchmark(cidgik.robots.arm_6dof(), 'free', 2, 7, options, jobs=2)\n"
-        "assert [row.seed for row in report.rows] == [7, 8] and report.successes == 2",
+        "assert [row['seed'] for row in report.rows] == [7, 8] and report.successes == 2",
     )
     assert cold_start_faults(after_import) == []
     assert cold_start_faults(after_solve) == []

@@ -112,8 +112,8 @@ def test_library_cli_and_bench_report_one_verdict(tmp_path, monkeypatch, capsys)
     assert "verified=yes" in capsys.readouterr().out
 
     assert result.verified and code == 0
-    assert row.success == payload["verified"] == result.verified
-    assert row.max_penetration == payload["max_penetration"] == result.max_penetration
+    assert row["verified"] == payload["verified"] == result.verified
+    assert row["max_penetration"] == payload["max_penetration"] == result.max_penetration
 
 
 def test_infeasible_result_carries_only_its_certificate():
