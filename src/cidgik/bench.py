@@ -20,8 +20,8 @@ from .workspace import environment
 logger = logging.getLogger("cidgik.bench")
 
 
-def jeffreys_interval(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Equal-tailed Jeffreys interval for a binomial proportion.
+def jeffreys_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Equal-tailed 95 % Jeffreys interval for a binomial proportion.
 
     Endpoints are quantiles of the Beta(s + 1/2, n - s + 1/2) posterior, found
     by a bracketed root-find on the regularized incomplete beta function; the
@@ -31,12 +31,10 @@ def jeffreys_interval(successes: int, trials: int, level: float = 0.95) -> tuple
         raise ValueError("trials must be at least 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
     import scipy.optimize
     import scipy.special
 
-    tail = (1.0 - level) / 2.0
+    tail = (1.0 - 0.95) / 2.0
     a = successes + 0.5
     b = trials - successes + 0.5
 

@@ -3,10 +3,12 @@
 Exit codes for `solve`: 0 verified success, 1 no verified configuration (the
 pass cap was reached, or the refined configuration failed verify_solution),
 2 infeasible, 3 input error (a bad file or an out-of-range flag).  Every
-subcommand exits 3 with an `error:` line when `--out` cannot be written: its
-directory is checked with the other inputs, before any solve or campaign
-runs, and a write that fails anyway ends the same way.  Set CIDGIK_LOG to
-error, info, or debug to control logging verbosity.
+subcommand exits 3 with an `error:` line when argparse rejects the command
+line (an unknown flag or subcommand, a missing or malformed value) and when
+`--out` cannot be written: its directory is checked with the other inputs,
+before any solve or campaign runs, and a write that fails anyway ends the
+same way.  Set CIDGIK_LOG to error, info, or debug to control logging
+verbosity.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def _options(args) -> CidgikOptions:
     """Options from the solver flags; raises ValueError on an out-of-range value."""
     return CidgikOptions(
         max_iterations=args.max_iter,
-        solver=SolverSettings(eps=args.eps, max_iters=args.solver_iters),
+        solver=SolverSettings(max_iters=args.solver_iters),
     )
 
 
@@ -63,7 +65,6 @@ def _input_error(e: Exception) -> int:
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=int, default=10, help="convex iteration cap")
-    parser.add_argument("--eps", type=float, default=1e-7, help="SDP solver tolerance")
     parser.add_argument(
         "--solver-iters", type=int, default=50000, help="SDP solver iteration cap"
     )
@@ -159,8 +160,16 @@ def cmd_export_sdpa(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exit 3 on a rejected command line, since 2 is `solve`'s infeasible code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cidgik",
         description="Distance-geometric inverse kinematics via rank-driven SDPs",
     )

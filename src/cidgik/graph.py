@@ -64,12 +64,12 @@ class QcqpInstance:
     """
 
     graph: DistanceGraph
+    robot: RobotModel
+    goals: list[Goal]
     spheres: list[Sphere] = field(default_factory=list)
     planes: list[tuple[int, Plane]] = field(default_factory=list)
     self_collision: list[tuple[int, int, float]] = field(default_factory=list)
     aux_points: list[AuxPoint] = field(default_factory=list)
-    robot: RobotModel | None = None
-    goals: list[Goal] = field(default_factory=list)
 
     @property
     def num_variables(self) -> int:
@@ -279,15 +279,11 @@ def assemble_qcqp(
 
     instance = QcqpInstance(
         graph=graph,
-        spheres=list(workspace.spheres),
-        planes=planes,
-        self_collision=[],
-        aux_points=[],
         robot=robot,
         goals=list(goals),
+        spheres=list(workspace.spheres),
+        planes=planes,
     )
-    for i, j, eps in workspace.self_collision:
-        instance = add_self_collision(instance, i, j, eps)
     if workspace.self_collision_eps is not None:
         adjacent = {(e.tail, e.head) for e in graph.edges}
         for i in range(graph.num_variables):
@@ -326,6 +322,4 @@ def feasible_points(instance: QcqpInstance, theta) -> np.ndarray:
 
     That is joint_points(robot, theta) @ selection(instance).
     """
-    if instance.robot is None:
-        raise ValueError("instance carries no robot model")
     return joint_points(instance.robot, theta) @ selection(instance)

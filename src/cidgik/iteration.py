@@ -15,6 +15,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from .workspace import penetration
 logger = logging.getLogger("cidgik.iteration")
 
 SYMMETRY_TOL = 1e-9
+
+# The refinement gate accepts a configuration whose exact lift has h below H_TOL.
+H_TOL = 1e-6
 
 # Verification thresholds: position (m), direction (rad), penetration depth (m).
 POSITION_TOL = 0.01
@@ -104,7 +108,8 @@ class IterationTrace:
 @dataclass(frozen=True)
 class CidgikOptions:
     max_iterations: int = 10
-    h_tol: float = 1e-6
+    # Not a field, so it cannot be set: ikbench/run.py reads options.h_tol.
+    h_tol: ClassVar[float] = H_TOL
     solver: SolverSettings = SolverSettings()
     # The nuclear-norm pass only initializes the direction, so it gets a
     # fixed budget instead of the full solver iteration cap.
@@ -112,8 +117,6 @@ class CidgikOptions:
 
     def __post_init__(self):
         _check_count(self.max_iterations, "max_iterations")
-        if not 0.0 < self.h_tol < math.inf:  # NaN fails too
-            raise ValueError("h_tol must be positive and finite")
         _check_count(self.first_solve_budget, "first_solve_budget")
 
 
@@ -300,10 +303,9 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     shorter than its anchors' gap (lifting._path_multipliers).  Otherwise no
     pass gets a gate; offers only read the iterate, so the passes run
     exactly as with a gate that declines them all.  The first refined
-    configuration whose
-    exact lift has h below h_tol and lifted residuals within the solver
-    tolerance ends the iteration `converged`, with X and h read off that
-    lift.  That configuration is checked once, by verify_solution,
+    configuration whose exact lift has h below H_TOL and lifted residuals
+    within the solver tolerance ends the iteration `converged`, with X and h
+    read off that lift.  That configuration is checked once, by verify_solution,
     and `verified` holds its verdict.  An SDP infeasibility ends the
     iteration with only the certificate and the h-trace; reaching the pass
     cap gives `max_iterations` with only the h-trace.  h is measured on the
@@ -313,7 +315,7 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
     options = options or CidgikOptions()
     instance = lift(qcqp)
     dim = instance.dim
-    tol_con = _constraint_tolerance(instance, options.solver)
+    tol_con = _constraint_tolerance(instance)
     reach = qcqp.robot.reach + LM_TOL * math.sqrt(dim)
     in_reach = all(float(np.linalg.norm(g.position)) <= reach for g in qcqp.goals)
 
@@ -334,7 +336,7 @@ def cidgik_solve(qcqp: QcqpInstance, options: CidgikOptions | None = None) -> Ci
         max_iters=min(options.solver.max_iters, options.first_solve_budget),
     )
     for k in range(options.max_iterations):
-        gate = _PassGate(qcqp, instance, tol_con, options.h_tol) if in_reach else None
+        gate = _PassGate(qcqp, instance, tol_con) if in_reach else None
         result = solve(instance, C, settings, warm_start=warm, accept=gate)
         infeasible = result.status == "infeasible"
         h = float("nan") if infeasible else excess_rank(result.Z, dim)
@@ -376,7 +378,7 @@ class _PassGate:
     follows, and then the hinged refinement again from its configuration,
     which returns at once when that configuration violates no row.  The
     configuration only counts if its exact lifted residuals pass the solver
-    tolerance, no inequality is violated and its h is below h_tol, so an
+    tolerance, no inequality is violated and its h is below H_TOL, so an
     accepted offer is a certified feasible rank-d point, not a guess; the
     gate returns (h, lifted Z, theta) for it.
 
@@ -386,15 +388,14 @@ class _PassGate:
     counts as one); a further stall restarts the count.  Later iterates
     still get their turn, since one nearer the feasible set can reconstruct
     to angles from which LM closes.  A converged LM that the gate rejects
-    (a collision, or h above h_tol) does not count as a stall, since a
+    (a collision, or h above H_TOL) does not count as a stall, since a
     later iterate can reconstruct to a configuration that passes.
     """
 
-    def __init__(self, qcqp: QcqpInstance, instance, tol_con: float, h_tol: float):
+    def __init__(self, qcqp: QcqpInstance, instance, tol_con: float):
         self.qcqp = qcqp
         self.instance = instance
         self.tol_con = tol_con
-        self.h_tol = h_tol
         self.plain = _Residuals(qcqp)
         self.hinged = _Residuals(qcqp, instance) if instance.num_inequalities else None
         self.declining = 0  # offers still to decline after the last stall
@@ -422,7 +423,7 @@ class _PassGate:
             not slack.size or float(np.min(slack)) >= -self.tol_con
         )
         hr = excess_rank(Zr, self.instance.dim)
-        return (hr, Zr, theta) if ok and hr < self.h_tol else None
+        return (hr, Zr, theta) if ok and hr < H_TOL else None
 
 
 def _full_point_matrix(qcqp: QcqpInstance, X: np.ndarray) -> np.ndarray:

@@ -10,8 +10,10 @@ end-effector goals, and workspace constraints::
      "self_collision_eps": eps?}
 
 A global self_collision_eps applies the separation inequality to every pair
-of variable points not already linked by an equality edge.  Serialization is
-deterministic (sorted keys) so identical problems produce identical bytes.
+of variable points not already linked by an equality edge.  A workspace
+with aux_points has no file form and is rejected before anything is written.
+Serialization is deterministic (sorted keys) so identical problems produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ def problem_to_dict(
     if robot.document is None:
         raise ValueError("robot carries no source document to embed")
     workspace = workspace or WorkspaceSpec()
+    if workspace.aux_points:
+        raise ValueError("a problem file cannot hold the workspace's aux_points")
     out = {
         "robot": robot.document,
         "goals": [

@@ -71,9 +71,7 @@ def arm_6dof() -> RobotModel:
     return load_robot(arm_6dof_document())
 
 
-def random_coplanar_chain_document(
-    num_joints: int, seed: int, dimension: int = 3
-) -> dict:
+def random_coplanar_chain_document(num_joints: int, seed: int) -> dict:
     """Random serial chain whose consecutive axes are coplanar by construction.
 
     Each new joint either keeps the parent's axis direction (parallel, free
@@ -81,8 +79,6 @@ def random_coplanar_chain_document(
     axis line (intersecting).  Link lengths fall in [0.2, 0.6] m.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
-    if dimension == 2:
-        return planar_chain_document(rng.uniform(0.2, 0.6, size=num_joints))
 
     def random_unit():
         while True:
@@ -132,5 +128,5 @@ def random_coplanar_chain_document(
     }
 
 
-def random_coplanar_chain(num_joints: int, seed: int, dimension: int = 3) -> RobotModel:
-    return load_robot(random_coplanar_chain_document(num_joints, seed, dimension))
+def random_coplanar_chain(num_joints: int, seed: int) -> RobotModel:
+    return load_robot(random_coplanar_chain_document(num_joints, seed))

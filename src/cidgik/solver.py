@@ -63,6 +63,9 @@ FIRST_PROBE = 100  # Farkas probes of the iterate at FIRST_PROBE * 2^k
 CERT_TOL = 1e-6
 CERT_POLISH_ROUNDS = 300  # cap on the alternating projections of a failed probe
 FIRST_OFFER = 10  # offers to the acceptance callback at FIRST_OFFER * 2^k
+# Every stopping test accepts a residual below EPS + EPS * scale, with scale
+# the size of the quantities it compares.
+EPS = 1e-7
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -71,15 +74,9 @@ class NumericalBreakdownError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    # Every stopping test accepts a residual below eps + eps * scale, with
-    # scale the size of the quantities it compares.
-    eps: float = 1e-7
     max_iters: int = 50000
 
     def __post_init__(self):
-        # An infinite eps would make every residual test pass vacuously.
-        if not 0.0 < self.eps < math.inf:  # NaN fails too
-            raise ValueError("eps must be positive and finite")
         _check_count(self.max_iters, "max_iters")
 
 
@@ -307,15 +304,15 @@ class _ConicData:
         return resid, float(np.max(np.abs(resid))) if resid.size else 0.0
 
 
-def _constraint_tolerance(instance: SdpInstance, settings: SolverSettings) -> float:
-    """Residual tolerance on every constraint row: eps + eps * max |rhs|.
+def _constraint_tolerance(instance: SdpInstance) -> float:
+    """Residual tolerance on every constraint row: EPS + EPS * max |rhs|.
 
     The solver's stopping tests and the refinement gate of cidgik_solve both
     accept a point against this one number.
     """
     rhs = np.concatenate([instance.eq_rhs, instance.ineq_rhs])
     rhs_scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-    return settings.eps + settings.eps * rhs_scale
+    return EPS + EPS * rhs_scale
 
 
 def _verify_certificate(
@@ -534,8 +531,8 @@ def solve(
         x0[:D] = space.vec(np.eye(instance.side))
     x0[D:] = np.maximum(data.c - data.B @ x0[:D], 0.0)
 
-    tol_con = _constraint_tolerance(instance, settings)
-    dual_tol = settings.eps + settings.eps
+    tol_con = _constraint_tolerance(instance)
+    dual_tol = EPS + EPS
     # Over-relaxed ADMM with a scaled dual u: x the affine point, z the cone
     # point.  When the objective ties over a face, z settles near the face's
     # center instead of a vertex, mimicking the max-rank solutions
@@ -569,9 +566,7 @@ def solve(
         converged = False
         if dual_res <= dual_tol:
             split = float(np.max(np.abs(x - z)))
-            split_tol = settings.eps + settings.eps * max(
-                float(np.max(np.abs(x))), float(np.max(np.abs(z)))
-            )
+            split_tol = EPS + EPS * max(float(np.max(np.abs(x))), float(np.max(np.abs(z))))
             if split <= split_tol:
                 eq_res, ineq_viol = _true_residuals(data, z)
                 converged = eq_res <= tol_con and ineq_viol <= tol_con
@@ -640,19 +635,17 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def export_sdpa(instance: SdpInstance, C: np.ndarray | None = None) -> str:
-    """Serialize the instance as sparse SDPA (.dat-s) text.
+def export_sdpa(instance: SdpInstance) -> str:
+    """Serialize the instance's nuclear-norm problem as sparse SDPA (.dat-s) text.
 
     The file encodes the standard SDPA pair whose dual is our problem
-    min tr(C Z) s.t. tr(A_k Z) = a_k, tr(B_j Z) <= b_j, Z PSD: the objective
-    matrix enters negated, inequalities gain a diagonal slack block, and the
+    min tr(Z) s.t. tr(A_k Z) = a_k, tr(B_j Z) <= b_j, Z PSD: the objective
+    matrix I enters negated, inequalities gain a diagonal slack block, and the
     right-hand sides become the SDPA cost vector.  Constraints are written
     equalities first, matrix entries upper-triangle row-major, so equal
     instances export byte-identical text.  A leading comment records the
     target rank, which the standard format cannot carry.
     """
-    if C is None:
-        C = np.eye(instance.side)
     n = instance.side
     n_eq = instance.num_equalities
     n_ineq = instance.num_inequalities
@@ -666,7 +659,7 @@ def export_sdpa(instance: SdpInstance, C: np.ndarray | None = None) -> str:
     rhs = np.concatenate([instance.eq_rhs, instance.ineq_rhs])
     lines.append(" ".join(_fmt(v) for v in rhs))
 
-    mats = np.concatenate([-np.asarray(C, dtype=float)[None], instance.eq_mats, instance.ineq_mats])
+    mats = np.concatenate([-np.eye(n)[None], instance.eq_mats, instance.ineq_mats])
     for matno, M in enumerate(mats):
         for i, j in zip(*np.nonzero(np.triu(M))):  # upper triangle, row-major
             lines.append(f"{matno} 1 {i + 1} {j + 1} {_fmt(M[i, j])}")

@@ -72,7 +72,6 @@ class WorkspaceSpec:
 
     spheres: list[Sphere] = field(default_factory=list)
     planes: list[tuple[int | None, Plane]] = field(default_factory=list)
-    self_collision: list[tuple[int, int, float]] = field(default_factory=list)
     aux_points: list[AuxPoint] = field(default_factory=list)
     self_collision_eps: float | None = None  # global eps for non-adjacent pairs
 

@@ -253,7 +253,7 @@ def test_criterion_7_unreachable_goals_never_converge():
 
 def test_criterion_8_sdpa_golden():
     toy = ck.build_toy_instance()
-    text = ck.export_sdpa(toy, np.eye(3))
+    text = ck.export_sdpa(toy)
     golden_ok = text == GOLDEN.read_text()
     parsed, C = ck.parse_sdpa(text)
     matrices_ok = (

@@ -55,8 +55,6 @@ def test_jeffreys_validation():
         jeffreys_interval(1, 0)
     with pytest.raises(ValueError):
         jeffreys_interval(5, 3)
-    with pytest.raises(ValueError):
-        jeffreys_interval(1, 2, level=1.0)
 
 
 @given(n=st.integers(1, 60), s=st.integers(0, 60))

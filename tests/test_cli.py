@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cidgik.cli
 from cidgik.cli import main
 from cidgik.generator import generate
 from cidgik.problemio import load_problem, save_generated, save_problem
@@ -59,10 +61,8 @@ def test_solve_command_malformed(tmp_path):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--solver-iters", "0"],
-        ["--eps", "0"],
-        ["--eps", "nan"],
-        ["--max-iter", "0"],
+        pytest.param(["--solver-iters", "0"], id="flags0"),
+        pytest.param(["--max-iter", "0"], id="flags3"),
     ],
 )
 def test_solve_bad_numeric_flag(toy_problem_file, flags, monkeypatch, capsys):
@@ -71,6 +71,42 @@ def test_solve_bad_numeric_flag(toy_problem_file, flags, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["solve", "p.json", "--max-iter", "abc"], id="malformed-value"),
+        pytest.param(["solve", "p.json", "--eps", "1e-7"], id="unknown-flag"),
+        pytest.param(["bench", "--env", "free", "--n", "2", "--seed", "3"], id="missing-flag"),
+        pytest.param(["frobnicate"], id="unknown-subcommand"),
+    ],
+)
+def test_rejected_command_line_exits_3(argv, capsys):
+    """argparse's own exit code 2 is `solve`'s code for infeasible."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 3
+    captured = capsys.readouterr()
+    assert any(line.startswith("error: ") for line in captured.err.splitlines())
+    assert captured.out == ""
+
+
+def test_documented_flags_exist(capsys):
+    """Every --flag in README's CLI section and in the cli docstring is offered
+    by some subcommand's --help, which exits 0."""
+    flag = re.compile(r"--[a-z][a-z-]*")
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(flag.findall(section + cidgik.cli.__doc__))
+    offered = set()
+    for command in ("solve", "bench", "gen", "export-sdpa"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        offered |= set(flag.findall(capsys.readouterr().out))
+    assert "--out" in documented
+    assert documented <= offered, sorted(documented - offered)
 
 
 @pytest.mark.parametrize(

@@ -42,15 +42,31 @@ FAST = CidgikOptions(solver=SolverSettings(max_iters=6000))
 @pytest.mark.parametrize(
     "bad",
     [
-        {"max_iterations": 0},
-        {"h_tol": 0.0},
-        {"h_tol": float("nan")},
-        {"first_solve_budget": 0},
+        pytest.param({"max_iterations": 0}, id="bad0"),
+        pytest.param({"first_solve_budget": 0}, id="bad3"),
     ],
 )
 def test_options_validation(bad):
     with pytest.raises(ValueError):
         CidgikOptions(**bad)
+
+
+def test_tolerances_are_constants_that_ikbench_still_reads():
+    """ikbench/run.py builds these two options and reads options.h_tol;
+    neither the gate's h tolerance nor the solver's eps can be set."""
+    options = CidgikOptions(solver=SolverSettings(max_iters=8000))
+    warmup = CidgikOptions(
+        max_iterations=2, first_solve_budget=50, solver=SolverSettings(max_iters=50)
+    )
+    assert options.h_tol == warmup.h_tol == cidgik.iteration.H_TOL == 1e-6
+    assert [f.name for f in dataclasses.fields(CidgikOptions)] == [
+        "max_iterations", "solver", "first_solve_budget"
+    ]
+    assert [f.name for f in dataclasses.fields(SolverSettings)] == ["max_iters"]
+    with pytest.raises(TypeError):
+        CidgikOptions(h_tol=1e-3)
+    with pytest.raises(TypeError):
+        SolverSettings(eps=1e-7)
 
 
 def random_psd(rng, n):
@@ -404,7 +420,7 @@ def test_a_stall_declines_the_next_offers_and_a_further_stall_restarts_the_count
     monkeypatch.setattr(cidgik.iteration, "refine_configuration", stalling_refine)
     problem = generate(chain_6dof, "octahedron", 0)
     instance = lift(problem.qcqp)
-    gate = cidgik.iteration._PassGate(problem.qcqp, instance, 1e-6, 1e-6)
+    gate = cidgik.iteration._PassGate(problem.qcqp, instance, 1e-6)
     Z = lift_points(feasible_points(problem.qcqp, problem.ground_truth))
     offered = []
     for _ in range(7):

@@ -464,7 +464,9 @@ def test_collinear_pair_flagged_degenerate():
         lambda: arm_6dof(),
         lambda: random_coplanar_chain(5, seed=3),
         lambda: random_coplanar_chain(6, seed=9),
-        lambda: random_coplanar_chain(4, seed=13, dimension=2),
+        lambda: load_robot(planar_chain_document(
+            np.random.Generator(np.random.Philox(key=13)).uniform(0.2, 0.6, size=4)
+        )),
     ],
 )
 def test_reconstruction_round_trip(make):

@@ -28,7 +28,7 @@ from cidgik import (
 from cidgik.kinematics import load_robot
 from cidgik.lifting import _path_multipliers
 from cidgik.robots import arm_6dof, random_coplanar_chain
-from cidgik.solver import NumericalBreakdownError, SolverSettings, _verify_certificate
+from cidgik.solver import EPS, NumericalBreakdownError, SolverSettings, _verify_certificate
 from conftest import panda_like_document
 
 GOLDEN = Path(__file__).parent / "data" / "toy_identity.dat-s"
@@ -36,29 +36,21 @@ GOLDEN = Path(__file__).parent / "data" / "toy_identity.dat-s"
 
 def test_settings_validation():
     with pytest.raises(ValueError):
-        SolverSettings(eps=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(eps=float("nan"))
-    with pytest.raises(ValueError):
         SolverSettings(max_iters=0)
 
 
 @pytest.mark.parametrize(
     "cls, field, value",
     [
-        (SolverSettings, "eps", float("inf")),
         (SolverSettings, "max_iters", 2.5),
         (SolverSettings, "max_iters", 100.0),
         (SolverSettings, "max_iters", True),
         (CidgikOptions, "max_iterations", 2.5),
         (CidgikOptions, "first_solve_budget", 50.0),
-        (CidgikOptions, "h_tol", float("inf")),
-        (CidgikOptions, "h_tol", float("nan")),
     ],
 )
 def test_fractional_counts_and_infinite_tolerances_rejected(cls, field, value):
-    """A fractional count used to fail later, in range(); an infinite eps
-    made every residual test pass vacuously."""
+    """A fractional count used to fail later, in range()."""
     with pytest.raises(ValueError):
         cls(**{field: value})
 
@@ -73,7 +65,7 @@ def test_toy_solve_feasible():
     )
     assert np.max(np.abs(eq)) < 1e-6
     assert np.min(slack) > -1e-6
-    assert np.min(np.linalg.eigvalsh(result.Z)) >= -10 * SolverSettings().eps
+    assert np.min(np.linalg.eigvalsh(result.Z)) >= -10 * EPS
 
 
 def test_toy_convex_iteration_concentrates_rank_one():
@@ -311,6 +303,26 @@ def test_dropping_a_path_multiplier_fails_verification(chain_6dof):
         dropped = y.copy()
         dropped[k] = 0.0
         assert _verify_certificate(instance, dropped, mu) is None
+
+
+def test_goal_barely_beyond_reach_is_certified_by_its_first_pass():
+    """Past reach by 1e-6 relative, no structural path certifies the goal, but
+    the first SDP pass does, through the octahedron's obstacle rows.  So such
+    goals must still run passes rather than end `max_iterations` at once."""
+    robot = arm_6dof()
+    up = np.array([0.0, 0.0, 1.0])
+    goal = Goal(end_effector=0, position=robot.reach * (1.0 + 1e-6) * up, direction=up)
+    qcqp = assemble_qcqp(robot, [goal], environment("octahedron", robot))
+    instance = lift(qcqp)
+    y = _path_multipliers(qcqp, instance)
+    mu = np.zeros(instance.num_inequalities)
+    assert y is None or _verify_certificate(instance, y, mu) is None
+    result = cidgik_solve(qcqp, CidgikOptions(solver=SolverSettings(max_iters=8000)))
+    assert result.status == "infeasible"
+    assert [r.solver_status for r in result.trace.records] == ["infeasible"]
+    cert = result.certificate
+    assert cert.mu.max() > 0.0
+    assert _verify_certificate(instance, cert.y, cert.mu) is not None
 
 
 def test_declined_offers_leave_the_pass_unchanged(chain_6dof):
@@ -978,9 +990,9 @@ def test_optimal_residual_contract(toy_qcqp):
     settings = SolverSettings()
     result = solve(instance, np.eye(instance.side), settings)
     assert result.status == "optimal"
-    bound = settings.eps + settings.eps * float(np.max(np.abs(instance.eq_rhs)))
+    bound = EPS + EPS * float(np.max(np.abs(instance.eq_rhs)))
     assert result.eq_residual <= bound
-    assert np.min(np.linalg.eigvalsh(result.Z)) >= -10 * settings.eps
+    assert np.min(np.linalg.eigvalsh(result.Z)) >= -10 * EPS
 
 
 def test_breakdown_on_nonfinite_objective(toy_qcqp):
@@ -996,12 +1008,12 @@ def test_breakdown_on_nonfinite_objective(toy_qcqp):
 
 def test_sdpa_golden_file():
     toy = build_toy_instance()
-    assert export_sdpa(toy, np.eye(3)) == GOLDEN.read_text()
+    assert export_sdpa(toy) == GOLDEN.read_text()
 
 
 def test_sdpa_round_trip_exact():
     toy = build_toy_instance()
-    text = export_sdpa(toy, np.eye(3))
+    text = export_sdpa(toy)
     parsed, C = parse_sdpa(text)
     assert parsed.side == 3 and parsed.dim == 1
     for a, b in zip(toy.eq_mats, parsed.eq_mats):
@@ -1011,7 +1023,7 @@ def test_sdpa_round_trip_exact():
     np.testing.assert_array_equal(parsed.eq_rhs, toy.eq_rhs)
     np.testing.assert_array_equal(parsed.ineq_rhs, toy.ineq_rhs)
     np.testing.assert_array_equal(C, np.eye(3))
-    assert export_sdpa(parsed, C) == text
+    assert export_sdpa(parsed) == text
 
 
 @pytest.mark.parametrize(
@@ -1037,7 +1049,7 @@ def test_sdpa_no_slack_block_without_inequalities():
     instance = SdpInstance(
         side=2, dim=1, eq_mats=[np.eye(2)], eq_rhs=np.array([1.0])
     )
-    text = export_sdpa(instance, np.eye(2))
+    text = export_sdpa(instance)
     lines = text.splitlines()
     assert lines[2] == "1"  # single PSD block
     assert lines[3] == "2"
@@ -1047,8 +1059,8 @@ def test_sdpa_no_slack_block_without_inequalities():
 
 def test_sdpa_export_stable_for_robot_instance(toy_qcqp):
     instance = lift(toy_qcqp)
-    text1 = export_sdpa(instance, np.eye(instance.side))
-    text2 = export_sdpa(instance, np.eye(instance.side))
+    text1 = export_sdpa(instance)
+    text2 = export_sdpa(instance)
     assert text1 == text2
     parsed, _ = parse_sdpa(text1)
     assert parsed.num_equalities == instance.num_equalities
