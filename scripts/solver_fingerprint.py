@@ -19,8 +19,11 @@ without one).  The instances are the arm_6dof benchmark keys below, an
 unreachable goal among the 25 table obstacles (whose certificate carries
 inequality multipliers mu), two goals inside the workspace's inner boundary
 ("inner": 3 cm from joint 1's origin, certified in pass 1 and in pass 2, so
-their certificates come from a cold and from a warm-started pass), the planar
-two-link toy with its keep-out disc and the fully stretched planar two-link.
+their certificates come from a cold and from a warm-started pass), cube key 0
+with an aux point at the midpoint of each link ("cube-midpoints-0": a link
+joins consecutive joint origins, and the last origin to the tip), so the
+aux points' rows of the lift are fingerprinted too, the planar two-link toy
+with its keep-out disc and the fully stretched planar two-link.
 More pass lines follow: the 3x3 toy SDP ("toy"), a warm-started
 rank-direction pass ("warm-octahedron-0": octahedron key 0, a 4000-iteration
 C = I pass, then one 4000-iteration pass with that iterate's direction_matrix
@@ -95,12 +98,23 @@ def _qcqp(robot, environment: str, key: int):
     return ck.assemble_qcqp(robot, [goal], workspace)
 
 
+def _link_midpoints(qcqp):
+    """qcqp with an aux point halfway along each link: joint origins in order, then the tip."""
+    graph = qcqp.graph
+    vertex = {label: v for v, label in enumerate(graph.variable_labels + graph.anchor_labels)}
+    ends = sorted(label for label in vertex if label[0] == "p") + [("ee", 0, "pos")]
+    for a, b in zip(ends, ends[1:]):
+        qcqp = ck.add_aux_point(qcqp, ck.AuxPoint(edge=(vertex[a], vertex[b]), alpha=0.5))
+    return qcqp
+
+
 def _instances():
-    """(name, qcqp) for every arm_6dof key, then the two planar two-link cases."""
+    """(name, qcqp) for every arm_6dof key and cube-midpoints-0, then the planar two-link cases."""
     robot = arm_6dof()
     for environment, keys in KEYS.items():
         for key in keys:
             yield f"{environment}-{key}", _qcqp(robot, environment, key)
+    yield "cube-midpoints-0", _link_midpoints(_qcqp(robot, "cube", 0))
     planar = planar_two_link()
     disc = ck.WorkspaceSpec(spheres=[ck.Sphere(center=np.array([1.0, 0.0]), radius=0.5)])
     reach = ck.Goal(end_effector=0, position=np.array([1.0, 1.0]))

@@ -23,28 +23,21 @@ logger = logging.getLogger("cidgik.bench")
 def jeffreys_interval(successes: int, trials: int) -> tuple[float, float]:
     """Equal-tailed 95 % Jeffreys interval for a binomial proportion.
 
-    Endpoints are quantiles of the Beta(s + 1/2, n - s + 1/2) posterior, found
-    by a bracketed root-find on the regularized incomplete beta function; the
-    lower endpoint is pinned to 0 when s = 0 and the upper to 1 when s = n.
+    Endpoints are quantiles of the Beta(s + 1/2, n - s + 1/2) posterior, read
+    off the inverse regularized incomplete beta function; the lower endpoint
+    is pinned to 0 when s = 0 and the upper to 1 when s = n.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    import scipy.optimize
-    import scipy.special
+    from scipy.special import betaincinv
 
     tail = (1.0 - 0.95) / 2.0
     a = successes + 0.5
     b = trials - successes + 0.5
-
-    def quantile(q: float) -> float:
-        return float(scipy.optimize.brentq(
-            lambda x: scipy.special.betainc(a, b, x) - q, 0.0, 1.0, xtol=1e-10
-        ))
-
-    low = 0.0 if successes == 0 else quantile(tail)
-    high = 1.0 if successes == trials else quantile(1.0 - tail)
+    low = 0.0 if successes == 0 else float(betaincinv(a, b, tail))
+    high = 1.0 if successes == trials else float(betaincinv(a, b, 1.0 - tail))
     return low, high
 
 

@@ -64,9 +64,12 @@ def _input_error(e: Exception) -> int:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-iter", type=int, default=10, help="convex iteration cap")
     parser.add_argument(
-        "--solver-iters", type=int, default=50000, help="SDP solver iteration cap"
+        "--max-iter", type=int, default=CidgikOptions.max_iterations, help="convex iteration cap"
+    )
+    parser.add_argument(
+        "--solver-iters", type=int, default=SolverSettings.max_iters,
+        help="SDP solver iteration cap",
     )
 
 

@@ -59,8 +59,10 @@ class DistanceGraph:
 class QcqpInstance:
     """A full feasibility instance: graph equalities plus workspace constraints.
 
-    Auxiliary points extend the variable set beyond the graph's: variable k
-    for k >= graph.num_variables is aux_points[k - graph.num_variables].
+    Auxiliary points extend the point set beyond the graph's variables:
+    point k for k >= graph.num_variables is aux_points[k - graph.num_variables],
+    a fixed mix of its edge's ends that the lift writes rows for but does
+    not carry as a variable.  Self-collision pairs index points.
     """
 
     graph: DistanceGraph
@@ -72,7 +74,7 @@ class QcqpInstance:
     aux_points: list[AuxPoint] = field(default_factory=list)
 
     @property
-    def num_variables(self) -> int:
+    def num_points(self) -> int:
         return self.graph.num_variables + len(self.aux_points)
 
     @property
@@ -82,7 +84,7 @@ class QcqpInstance:
     def constraint_counts(self) -> dict[str, int]:
         return {
             "equalities": len(self.graph.edges),
-            "obstacle_inequalities": self.num_variables * len(self.spheres),
+            "obstacle_inequalities": self.num_points * len(self.spheres),
             "self_collision": len(self.self_collision),
             "planes": len(self.planes),
         }
@@ -298,17 +300,17 @@ def assemble_qcqp(
 
 
 def selection(instance: QcqpInstance) -> np.ndarray:
-    """(layout columns, variables) matrix S that maps joint points to variable points.
+    """(layout columns, points) matrix S that maps joint points to the instance's points.
 
     Column v picks variable v's layout column; an aux point's column
     interpolates between its edge's ends, a goal anchor end reading the
     robot point it marks.  So joint_points(robot, theta) @ S is the
-    variable-point matrix a configuration realizes.
+    point matrix a configuration realizes, aux points last.
     """
     robot, graph = instance.robot, instance.graph
     index = robot.layout.index
     labels = graph.variable_labels + graph.anchor_labels
-    S = np.zeros((len(index), instance.num_variables))
+    S = np.zeros((len(index), instance.num_points))
     for v, label in enumerate(graph.variable_labels):
         S[index[label], v] = 1.0
     for k, aux in enumerate(instance.aux_points):
@@ -318,8 +320,10 @@ def selection(instance: QcqpInstance) -> np.ndarray:
 
 
 def feasible_points(instance: QcqpInstance, theta) -> np.ndarray:
-    """Variable-point matrix realized by a configuration (aux points included).
+    """The lift's variables, the graph's variable points, realized by a configuration.
 
-    That is joint_points(robot, theta) @ selection(instance).
+    That is joint_points(robot, theta) @ selection(instance) without the
+    aux points' columns, so lift_points of it is the exact lift Z(X).
     """
-    return joint_points(instance.robot, theta) @ selection(instance)
+    S = selection(instance)[:, : instance.graph.num_variables]
+    return joint_points(instance.robot, theta) @ S

@@ -130,8 +130,9 @@ class _Residuals:
     goal, P_dir - P_pos - direction for its direction point.  A hinged object
     (instance given) adds one row per inequality row k of the lift:
     min(b_k - tr(B_k Z(X)), 0) on the exact lift Z(X) = [X I]^T [X I] of the
-    variable points X = P S (see graph.selection), so what an obstacle asks
-    of a point is said only by lift().
+    variable points X = P S, with S the graph variables' columns of
+    graph.selection, so what an obstacle asks of a point, an aux point
+    included, is said only by lift().
     """
 
     def __init__(self, qcqp: QcqpInstance, instance: SdpInstance | None = None):
@@ -149,7 +150,7 @@ class _Residuals:
         self.directions = np.array([goals[k].direction for k in pointed], dtype=float).reshape(-1, d)
         self.hinged = instance is not None
         if self.hinged:
-            S = selection(qcqp)
+            S = selection(qcqp)[:, : qcqp.graph.num_variables]
             used = np.flatnonzero(S.any(axis=1))
             self.select = S[used]
             columns += list(used)
@@ -220,8 +221,6 @@ def refine_configuration(residuals: _Residuals, theta0) -> np.ndarray | None:
     """
     theta = np.asarray(theta0, dtype=float).copy()
     r, state = residuals(theta)
-    if r.size == 0:
-        return theta
     damping = 1e-8
     slow = 0
     eye = np.eye(len(theta))
@@ -435,7 +434,7 @@ def _full_point_matrix(qcqp: QcqpInstance, X: np.ndarray) -> np.ndarray:
     the trailing NaN column and are skipped during reconstruction.
     """
     graph = qcqp.graph
-    vertices = [X[:, : graph.num_variables], graph.anchors, np.full((graph.dim, 1), np.nan)]
+    vertices = [X, graph.anchors, np.full((graph.dim, 1), np.nan)]
     return np.hstack(vertices)[:, graph.column_vertex]
 
 

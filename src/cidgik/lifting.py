@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import QcqpInstance
+from .graph import DistanceGraph, QcqpInstance
 
 logger = logging.getLogger("cidgik.lifting")
 
@@ -74,25 +74,32 @@ def _stacked(kind: str, side: int, mats, rhs) -> tuple[np.ndarray, np.ndarray]:
     return mats, rhs
 
 
-def _distance_rows(M: np.ndarray, rows, k, W: np.ndarray, corners, nv: int) -> None:
-    """Write ||x_k - w||^2 into M[rows], one variable k and one point w per row.
+def _vertex_columns(graph: DistanceGraph) -> np.ndarray:
+    """(side, vertices) matrix V whose column v is vertex v as a vector of [X I].
 
-    x_k^T x_k - 2 w^T x_k + ||w||^2: the Gram diagonal, the X block column
-    (zero coordinates of w leave their entries at zero) and the constant
-    ||w||^2 (corners) routed through the pinned identity corner Z[-1, -1] = 1.
+    A variable is a unit column and an anchor sits in the corner rows, so
+    [X I] V holds every vertex's position.
     """
-    M[rows, k, k] = 1.0
-    for r in range(W.shape[1]):
-        nz = W[:, r] != 0.0
-        M[rows[nz], k[nz], nv + r] = M[rows[nz], nv + r, k[nz]] = -W[nz, r]
-    M[rows, -1, -1] = corners
+    n = graph.num_variables
+    V = np.zeros((n + graph.dim, n + graph.num_anchors))
+    V[np.arange(n), np.arange(n)] = 1.0
+    V[n:, n:] = graph.anchors
+    return V
 
 
-def _pair_rows(M: np.ndarray, rows, k, l) -> None:
-    """Write ||x_k - x_l||^2 into M[rows]: +1 on both diagonals, -1 between."""
-    M[rows, k, k] = 1.0
-    M[rows, l, l] = 1.0
-    M[rows, k, l] = M[rows, l, k] = -1.0
+def _gram_rows(M: np.ndarray, start: int, G: np.ndarray, d: int) -> None:
+    """Write ||[X I] g||^2 = tr(g g^T Z) into M[start:], one row g of G per matrix.
+
+    The corner block of g g^T is replaced by its trace on Z[-1, -1], which
+    the corner rows pin to 1.  Adding 0.0 turns the -0.0 of a product with a
+    zero factor into 0.0.
+    """
+    block = M[start : start + len(G)]
+    np.einsum("ki,kj->kij", G, G, out=block)
+    np.add(block, 0.0, out=block)
+    corner = G[:, -d:]
+    block[:, -d:, -d:] = 0.0
+    block[:, -1, -1] = (corner[:, None, :] @ corner[:, :, None])[:, 0, 0]
 
 
 def _plane_rows(M: np.ndarray, rows, planes, nv: int) -> None:
@@ -109,48 +116,41 @@ def _plane_rows(M: np.ndarray, rows, planes, nv: int) -> None:
 def lift(qcqp: QcqpInstance) -> SdpInstance:
     """Construct the SDP data for a feasibility instance.
 
-    Distance edges between variables use the +1/+1/-1 pattern on rows/columns
-    {k, l}; edges to an anchor fold the anchor into the constraint matrix
-    (border -w, corner ||w||^2).  The identity corner is pinned with
-    d(d+1)/2 upper-triangle equalities, planes select rows of the X block,
-    obstacles become negated inequalities, and auxiliary points contribute
-    linear ties on both the X block and the Gram rows.
+    Every squared distance is one Gram row (_gram_rows) of the difference
+    of two point columns of [X I]: a graph vertex is its _vertex_columns
+    column, an aux point y = (1 - alpha) x_i + alpha x_j the same mix of its
+    edge's columns, and a sphere center sits in the corner rows.  So an aux
+    point adds sphere and self-collision rows but no variable.  The identity
+    corner is pinned with d(d+1)/2 upper-triangle equalities, planes select
+    rows of the X block, and obstacles become negated inequalities.
 
     Each kind of row is written into one stacked array by index: equalities
-    are the edges, the corner, the "on" planes and the aux ties, in that
-    order; inequalities the "above" planes, every sphere for every variable
-    point (sphere-major) and the self-collision pairs.
+    are the edges, the corner and the "on" planes, in that order;
+    inequalities the "above" planes, every sphere for every point
+    (sphere-major; the graph's variables, then the aux points) and the
+    self-collision pairs.
     """
     graph = qcqp.graph
     d = graph.dim
-    nv = qcqp.num_variables
+    nv = graph.num_variables
     side = nv + d
-    n_graph = graph.num_variables
-    anchors = graph.anchors
     edges = graph.edges
     on = [(v, p) for v, p in qcqp.planes if p.relation == "on"]
     above = [(v, p) for v, p in qcqp.planes if p.relation != "on"]
     corner_r, corner_s = np.triu_indices(d)
     n_edge, n_corner = len(edges), len(corner_r)
-    n_aux = len(qcqp.aux_points) * (d + nv)
-    n_sphere = len(qcqp.spheres) * nv
+    n_sphere = len(qcqp.spheres) * qcqp.num_points
 
-    eq_mats = np.zeros((n_edge + n_corner + len(on) + n_aux, side, side))
+    eq_mats = np.zeros((n_edge + n_corner + len(on), side, side))
     eq_rhs = np.zeros(len(eq_mats))
     ineq_mats = np.zeros((len(above) + n_sphere + len(qcqp.self_collision), side, side))
     ineq_rhs = np.zeros(len(ineq_mats))
 
+    V = _vertex_columns(graph)
     tails = np.array([e.tail for e in edges], dtype=int)
     heads = np.array([e.head for e in edges], dtype=int)
+    _gram_rows(eq_mats, 0, V.T[tails] - V.T[heads], d)
     eq_rhs[:n_edge] = [e.weight for e in edges]
-    pair = np.flatnonzero(heads < n_graph)
-    _pair_rows(eq_mats, pair, tails[pair], heads[pair])
-    to_anchor = np.flatnonzero(heads >= n_graph)  # tail < head and anchors come last
-    points = [anchors[:, h - n_graph] for h in heads[to_anchor]]
-    _distance_rows(
-        eq_mats, to_anchor, tails[to_anchor], anchors[:, heads[to_anchor] - n_graph].T,
-        [float(w @ w) for w in points], nv,
-    )
 
     t = n_edge + np.arange(n_corner)
     eq_mats[t, nv + corner_r, nv + corner_s] = eq_mats[t, nv + corner_s, nv + corner_r] = (
@@ -160,59 +160,31 @@ def lift(qcqp: QcqpInstance) -> SdpInstance:
 
     t0 = n_edge + n_corner
     _plane_rows(eq_mats, t0 + np.arange(len(on)), on, nv)
-    eq_rhs[t0 : t0 + len(on)] = [p.offset for _, p in on]
-    t0 += len(on)
-
-    u, x_cols = np.arange(nv), nv + np.arange(d)
-    for k, aux in enumerate(qcqp.aux_points):
-        ky = n_graph + k
-        wa, wb = 1.0 - aux.alpha, aux.alpha
-        # X block: y_r - wa x_i_r - wb x_j_r = const
-        t = t0 + np.arange(d)
-        eq_mats[t, ky, x_cols] = eq_mats[t, x_cols, ky] = 0.5
-        # Gram rows: <y, x_u> = wa <x_i, x_u> + wb <x_j, x_u> for every variable u
-        g = t0 + d + u
-        eq_mats[g, u, ky] = eq_mats[g, ky, u] = 0.5
-        eq_mats[g[ky], ky, ky] = 1.0
-        rhs = 0.0
-        border, touched = np.zeros(d), np.zeros(d, dtype=bool)
-        for v, wgt in ((aux.edge[0], wa), (aux.edge[1], wb)):
-            if v < n_graph:
-                eq_mats[t, v, x_cols] = eq_mats[t, x_cols, v] = -0.5 * wgt
-                eq_mats[g, u, v] = eq_mats[g, v, u] = -0.5 * wgt
-                eq_mats[g[v], v, v] = -wgt
-            else:
-                w = anchors[:, v - n_graph]
-                rhs = rhs + wgt * w
-                nz = w != 0.0
-                border[nz] -= wgt * w[nz]
-                touched |= nz
-        eq_rhs[t] = rhs
-        for r in np.flatnonzero(touched):
-            eq_mats[g, u, nv + r] = eq_mats[g, nv + r, u] = 0.5 * border[r]
-        t0 += d + nv
+    eq_rhs[t0:] = [p.offset for _, p in on]
 
     _plane_rows(ineq_mats, np.arange(len(above)), above, nv)
     ineq_mats[: len(above)] *= -1.0  # x.n >= c  ->  tr(-A Z) <= -c
     ineq_rhs[: len(above)] = [-p.offset for _, p in above]
 
+    points = np.vstack([V[:, :nv].T] + [  # one row per point: variables, then aux points
+        (1.0 - aux.alpha) * V[:, aux.edge[0]] + aux.alpha * V[:, aux.edge[1]]
+        for aux in qcqp.aux_points
+    ])
     spheres = qcqp.spheres
     if spheres:
-        t = len(above) + np.arange(n_sphere)
-        centers = np.array([s.center for s in spheres], dtype=float)
-        _distance_rows(
-            ineq_mats, t, np.tile(u, len(spheres)), np.repeat(centers, nv, axis=0),
-            np.repeat([float(s.center @ s.center) for s in spheres], nv), nv,
-        )
-        keep_out = np.repeat([s.sense == "keep_out" for s in spheres], nv)
-        block = ineq_mats[t[0] : t[-1] + 1]
+        t0 = len(above)
+        centers = np.zeros((len(spheres), side))
+        centers[:, nv:] = [s.center for s in spheres]
+        _gram_rows(ineq_mats, t0, (points[None] - centers[:, None]).reshape(-1, side), d)
+        keep_out = np.repeat([s.sense == "keep_out" for s in spheres], len(points))
+        block = ineq_mats[t0 : t0 + n_sphere]
         np.negative(block, out=block, where=keep_out[:, None, None])
         r2 = [-s.radius**2 if s.sense == "keep_out" else s.radius**2 for s in spheres]
-        ineq_rhs[t] = np.repeat(r2, nv)
+        ineq_rhs[t0 : t0 + n_sphere] = np.repeat(r2, len(points))
 
     t0 = len(above) + n_sphere
     pairs = np.array([(i, j) for i, j, _ in qcqp.self_collision], dtype=int).reshape(-1, 2)
-    _pair_rows(ineq_mats, t0 + np.arange(len(pairs)), pairs[:, 0], pairs[:, 1])
+    _gram_rows(ineq_mats, t0, points[pairs[:, 0]] - points[pairs[:, 1]], d)
     ineq_mats[t0:] *= -1.0
     ineq_rhs[t0:] = [-eps for _, _, eps in qcqp.self_collision]
 
@@ -232,16 +204,14 @@ def _path_multipliers(qcqp: QcqpInstance, instance: SdpInstance) -> np.ndarray |
     the first such pair's shortest, from one Dijkstra search per anchor.
     """
     graph = qcqp.graph
-    n, nv = graph.num_variables, qcqp.num_variables
+    n = graph.num_variables
     lengths = np.sqrt([e.weight for e in graph.edges])
     adjacent = [[] for _ in range(n + graph.num_anchors)]
     for k, e in enumerate(graph.edges):
         adjacent[e.tail].append((e.head, k))
         adjacent[e.head].append((e.tail, k))
-    points = np.zeros((instance.side, len(adjacent)))  # each vertex as a vector g_i reads
-    points[np.arange(n), np.arange(n)] = 1.0
-    points[nv:, n:] = graph.anchors
-    gaps = np.linalg.norm(points[nv:, :, None] - points[nv:, None, :], axis=0)
+    points = _vertex_columns(graph)
+    gaps = np.linalg.norm(points[n:, :, None] - points[n:, None, :], axis=0)
     for a in range(n, len(adjacent) - 1):
         dist, via, heap = {a: 0.0}, {}, [(0.0, a)]
         while heap:
@@ -262,12 +232,12 @@ def _path_multipliers(qcqp: QcqpInstance, instance: SdpInstance) -> np.ndarray |
             walk.append(graph.edges[path[-1]].tail + graph.edges[path[-1]].head - walk[-1])
         L, D, l = dist[b], gaps[a, b], lengths[path]
         G = points[:, walk[:-1]] - points[:, walk[1:]]
-        G[nv:] -= np.outer(points[nv:, b] - points[nv:, a], l / L)
+        G[n:] -= np.outer(points[n:, b] - points[n:, a], l / L)
         y = np.zeros(instance.num_equalities)
         y[path] = 1.0 / l
         R = (G * y[path]) @ G.T - np.tensordot(y[path], instance.eq_mats[path], 1)
         r, s = np.triu_indices(graph.dim)
-        y[len(lengths) + np.arange(len(r))] = R[nv + r, nv + s] * np.where(r == s, 1.0, 2.0)
+        y[len(lengths) + np.arange(len(r))] = R[n + r, n + s] * np.where(r == s, 1.0, 2.0)
         logger.info("path bound: anchors %d and %d, L=%.6g < D=%.6g, L - D^2/L=%.3e",
                     a - n, b - n, L, D, L - D * D / L)
         return y

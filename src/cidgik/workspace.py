@@ -104,9 +104,9 @@ def add_self_collision(instance, i: int, j: int, eps: float):
         raise ValueError("self-collision constraint needs two distinct vertices")
     if not 0.0 < eps < math.inf:  # NaN fails too
         raise ValueError("self-collision threshold must be positive and finite")
-    nv = instance.num_variables
-    if not (0 <= i < nv and 0 <= j < nv):
-        raise ValueError("self-collision vertices must be variable points")
+    n = instance.num_points
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError("self-collision vertices must be variable or aux points")
     key = (min(i, j), max(i, j))
     kept = [c for c in instance.self_collision if (min(c[0], c[1]), max(c[0], c[1])) != key]
     kept.append((key[0], key[1], float(eps)))
@@ -116,9 +116,10 @@ def add_self_collision(instance, i: int, j: int, eps: float):
 def add_aux_point(instance, aux: AuxPoint):
     """Add a collision-checked point tied to the interior of an equality edge.
 
-    The new point y = (1-alpha) x_i + alpha x_j becomes one more variable,
-    entering the lifted problem through linear tie constraints and picking up
-    every obstacle inequality.  Returns a new instance.
+    The new point y = (1-alpha) x_i + alpha x_j is a fixed mix of its
+    edge's ends, so it adds no variable to the lift: it picks up a row for
+    every sphere, written from that mix, and may join self-collision pairs.
+    Returns a new instance.
     """
     i, j = aux.edge
     graph = instance.graph

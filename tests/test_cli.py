@@ -12,7 +12,7 @@ from cidgik.cli import main
 from cidgik.generator import generate
 from cidgik.problemio import load_problem, save_generated, save_problem
 from cidgik.robots import arm_6dof, planar_two_link
-from cidgik import Goal, Sphere, WorkspaceSpec, parse_sdpa
+from cidgik import CidgikOptions, Goal, SolverSettings, Sphere, WorkspaceSpec, parse_sdpa
 
 
 @pytest.fixture()
@@ -378,3 +378,20 @@ def test_failed_write_after_the_solve_exits_3(toy_problem_file, capsys):
     """A write that fails past the directory check is an input error too, not exit 1."""
     assert main(["solve", str(toy_problem_file), "--out", "/dev/full"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+SOLVER_FLAG_COMMANDS = [
+    ["solve", "problem.json"],
+    ["bench", "--robot", "robot.json", "--env", "free", "--n", "1", "--seed", "0"],
+]
+
+
+@pytest.mark.parametrize("command", SOLVER_FLAG_COMMANDS, ids=["solve", "bench"])
+def test_solver_flag_defaults_are_the_option_defaults(command, monkeypatch):
+    """--max-iter and --solver-iters read CidgikOptions' and SolverSettings' defaults, not copies."""
+    args = cidgik.cli.build_parser().parse_args(command)
+    assert cidgik.cli._options(args) == CidgikOptions()
+    monkeypatch.setattr(CidgikOptions, "max_iterations", 7)
+    monkeypatch.setattr(SolverSettings, "max_iters", 123)
+    args = cidgik.cli.build_parser().parse_args(command)
+    assert (args.max_iter, args.solver_iters) == (7, 123)

@@ -527,7 +527,7 @@ def test_clearance_rows_match_finite_differences(chain_6dof, toy_qcqp):
     """
     qcqp = _hinged_instance(chain_6dof)
     deep = _finite_difference_check(qcqp, keys=8)
-    aux_in_ball = len(qcqp.planes) + len(qcqp.spheres) * qcqp.num_variables - 1
+    aux_in_ball = len(qcqp.planes) + len(qcqp.spheres) * qcqp.num_points - 1
     self_collision = aux_in_ball + 1
     assert {aux_in_ball, self_collision} <= deep
     assert _finite_difference_check(toy_qcqp, keys=8) == {0}
@@ -556,8 +556,8 @@ def test_self_collision_rows_close_in_the_first_pass(chain_6dof):
     qcqp = problem.qcqp
     X = feasible_points(qcqp, problem.ground_truth)
     adjacent = {(e.tail, e.head) for e in qcqp.graph.edges}
-    for i in range(qcqp.num_variables):
-        for j in range(i + 1, qcqp.num_variables):
+    for i in range(qcqp.num_points):
+        for j in range(i + 1, qcqp.num_points):
             if (i, j) not in adjacent:
                 qcqp = add_self_collision(qcqp, i, j, 0.8 * float(np.sum((X[:, i] - X[:, j]) ** 2)))
     options = CidgikOptions(max_iterations=1, solver=SolverSettings(max_iters=8000))

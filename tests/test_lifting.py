@@ -17,10 +17,11 @@ from cidgik import (
     extract_points,
     forward_kinematics,
     generate,
+    joint_points,
     lift,
     lift_points,
 )
-from cidgik.graph import feasible_points
+from cidgik.graph import feasible_points, selection
 from cidgik.kinematics import load_robot
 from cidgik.robots import planar_two_link, random_coplanar_chain
 from conftest import DH_CHAINS, panda_like_document, random_dh_chain_document, sample_angles
@@ -251,15 +252,38 @@ def _edge_coeffs(k, l):
     return {(k, k): 1.0, (l, l): 1.0, (min(k, l), max(k, l)): -2.0}
 
 
+def _gram_coeffs(g, nv):
+    """||[X I] g||^2 expanded: g_a g_b on the Gram and X blocks, the corner's ||.||^2 on Z[-1, -1]."""
+    side = len(g)
+    coeffs = {(a, b): (1.0 if a == b else 2.0) * g[a] * g[b] for a in range(nv) for b in range(a, side)}
+    coeffs[(side - 1, side - 1)] = float(g[nv:] @ g[nv:])
+    return coeffs
+
+
 def _reference_lift(qcqp):
     """The lift written row by row: a coefficient dict per row, then a dense matrix."""
     graph = qcqp.graph
-    d, nv, n_graph = graph.dim, qcqp.num_variables, graph.num_variables
+    d = graph.dim
+    nv = n_graph = graph.num_variables  # the lift's variables are the graph's
     side = nv + d
     eq_mats, eq_rhs, ineq_mats, ineq_rhs = [], [], [], []
 
     def anchor_vec(v):
         return graph.anchors[:, v - n_graph]
+
+    def point_vec(v):
+        """Point v as a vector of [X I]: a unit vector, or an aux point's mix of its edge's ends."""
+        g = np.zeros(side)
+        if v < n_graph:
+            g[v] = 1.0
+            return g
+        aux = qcqp.aux_points[v - n_graph]
+        for u, wgt in zip(aux.edge, (1.0 - aux.alpha, aux.alpha)):
+            if u < n_graph:
+                g[u] += wgt
+            else:
+                g[nv:] += wgt * anchor_vec(u)
+        return g
 
     for e in graph.edges:
         if e.head < n_graph:
@@ -285,38 +309,15 @@ def _reference_lift(qcqp):
         else:
             ineq_mats.append(-A)
             ineq_rhs.append(-plane.offset)
-    for k, aux in enumerate(qcqp.aux_points):
-        ky = n_graph + k
-        i, j = aux.edge
-        wa, wb = 1.0 - aux.alpha, aux.alpha
-        for r in range(d):
-            coeffs = {(min(ky, nv + r), max(ky, nv + r)): 1.0}
-            rhs = 0.0
-            for v, wgt in ((i, wa), (j, wb)):
-                if v < n_graph:
-                    key = (min(v, nv + r), max(v, nv + r))
-                    coeffs[key] = coeffs.get(key, 0.0) - wgt
-                else:
-                    rhs += wgt * anchor_vec(v)[r]
-            eq_mats.append(_sym_from_coeffs(side, coeffs))
-            eq_rhs.append(rhs)
-        for u in range(nv):
-            coeffs = {(min(ky, u), max(ky, u)): 1.0}
-            for v, wgt in ((i, wa), (j, wb)):
-                if v < n_graph:
-                    key = (min(v, u), max(v, u))
-                    coeffs[key] = coeffs.get(key, 0.0) - wgt
-                else:
-                    for r, wr in enumerate(anchor_vec(v)):
-                        if wr != 0.0:
-                            key = (min(u, nv + r), max(u, nv + r))
-                            coeffs[key] = coeffs.get(key, 0.0) - wgt * wr
-            eq_mats.append(_sym_from_coeffs(side, coeffs))
-            eq_rhs.append(0.0)
     for sphere in qcqp.spheres:
         r2 = sphere.radius**2
-        for v in range(nv):
-            M = _sym_from_coeffs(side, _anchor_coeffs(v, sphere.center, nv, side))
+        center = np.concatenate([np.zeros(nv), sphere.center])
+        for v in range(qcqp.num_points):
+            if v < n_graph:
+                coeffs = _anchor_coeffs(v, sphere.center, nv, side)
+            else:
+                coeffs = _gram_coeffs(point_vec(v) - center, nv)
+            M = _sym_from_coeffs(side, coeffs)
             if sphere.sense == "keep_out":
                 ineq_mats.append(-M)
                 ineq_rhs.append(-r2)
@@ -324,7 +325,11 @@ def _reference_lift(qcqp):
                 ineq_mats.append(M)
                 ineq_rhs.append(r2)
     for i, j, eps in qcqp.self_collision:
-        ineq_mats.append(-_sym_from_coeffs(side, _edge_coeffs(i, j)))
+        if max(i, j) < n_graph:
+            coeffs = _edge_coeffs(i, j)
+        else:
+            coeffs = _gram_coeffs(point_vec(i) - point_vec(j), nv)
+        ineq_mats.append(-_sym_from_coeffs(side, coeffs))
         ineq_rhs.append(-eps)
     return SdpInstance(side, d, eq_mats, np.array(eq_rhs), ineq_mats, np.array(ineq_rhs))
 
@@ -393,3 +398,38 @@ def test_lift_matches_entrywise_reference(chain_6dof, case):
         assert a.shape == b.shape
         assert np.array_equal(a, b), name
         assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+@pytest.mark.parametrize("env", ["octahedron", "table"])
+def test_aux_points_add_sphere_rows_but_no_variable(chain_6dof, env):
+    """An aux point is a mix of points the lift already has: no variable and no equality row."""
+    qcqp = generate(chain_6dof, env, 2, table_obstacles=25).qcqp
+    graph = qcqp.graph
+    with_aux = qcqp
+    for e in graph.edges:
+        with_aux = add_aux_point(with_aux, AuxPoint(edge=(e.tail, e.head), alpha=0.5))
+    before, after = lift(qcqp), lift(with_aux)
+    assert after.side == before.side == graph.num_variables + graph.dim
+    assert np.array_equal(after.eq_mats, before.eq_mats)
+    assert np.array_equal(after.eq_rhs, before.eq_rhs)
+    assert after.num_inequalities == before.num_inequalities + len(qcqp.spheres) * len(graph.edges)
+
+
+@pytest.mark.parametrize(
+    "build,key", [(_hinged_instance, 3), (_variable_aux_instance, 2)], ids=["hinged", "variable-aux"]
+)
+def test_aux_sphere_rows_are_the_mixed_points_clearance(chain_6dof, build, key):
+    """On the exact lift of the graph's variables, an aux point's sphere slack is its clearance."""
+    qcqp = build(chain_6dof)
+    theta = generate(chain_6dof, "table", key, table_obstacles=25).ground_truth
+    points = joint_points(chain_6dof, theta) @ selection(qcqp)
+    n = qcqp.graph.num_variables
+    n_points = n + len(qcqp.aux_points)
+    assert n_points > n
+    _, slack = evaluate(lift(qcqp), lift_points(points[:, :n]))
+    first = sum(p.relation != "on" for _, p in qcqp.planes)  # the "above" planes' rows come first
+    for s, sphere in enumerate(qcqp.spheres):
+        for k in range(n, n_points):
+            gap = float(np.sum((points[:, k] - sphere.center) ** 2)) - sphere.radius**2
+            want = gap if sphere.sense == "keep_out" else -gap
+            assert slack[first + s * n_points + k] == pytest.approx(want, rel=0, abs=1e-12)

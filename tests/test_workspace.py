@@ -17,7 +17,7 @@ from cidgik import (
     penetration,
     solve,
 )
-from cidgik.graph import feasible_points
+from cidgik.graph import feasible_points, selection
 from cidgik.solver import SolverSettings
 from cidgik.workspace import AuxPoint, environment
 from cidgik.robots import planar_chain_document
@@ -133,14 +133,14 @@ def test_aux_point_midpoint():
     assert edge.weight == pytest.approx(4.0)
     aux = AuxPoint(edge=(edge.tail, edge.head), alpha=0.5)
     updated = add_aux_point(qcqp, aux)
-    assert updated.num_variables == qcqp.num_variables + 1
-    X = feasible_points(updated, theta)
-    y = X[:, -1]
-    a = X[:, edge.tail]  # the elbow, a variable
+    assert updated.num_points == qcqp.num_points + 1
+    points = joint_points(robot, theta) @ selection(updated)
+    y = points[:, -1]
+    a = points[:, edge.tail]  # the elbow, a variable
     b = updated.graph.anchors[:, edge.head - updated.graph.num_variables]
     assert np.linalg.norm(y - a) == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(y - b) == pytest.approx(1.0, abs=1e-9)
-    eq, _ = evaluate(lift(updated), lift_points(X))
+    eq, _ = evaluate(lift(updated), lift_points(feasible_points(updated, theta)))
     assert np.max(np.abs(eq)) < 1e-9
 
 
@@ -148,7 +148,7 @@ def test_two_aux_points_extend_variables(toy_qcqp):
     e = toy_qcqp.graph.edges[0]
     u1 = add_aux_point(toy_qcqp, AuxPoint(edge=(e.tail, e.head), alpha=0.3))
     u2 = add_aux_point(u1, AuxPoint(edge=(e.tail, e.head), alpha=0.7))
-    assert u2.num_variables == toy_qcqp.num_variables + 2
+    assert u2.num_points == toy_qcqp.num_points + 2
 
 
 def test_aux_point_validation(toy_qcqp):
