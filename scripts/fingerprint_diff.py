@@ -3,7 +3,7 @@
     python3 scripts/fingerprint_diff.py OLD NEW
 
 Lines are matched by what they describe (the instance and pass, the
-generate preset, the kinematics robot, the numpy line), not by position, so
+generate preset, the kinematics or graph robot, the numpy line), not by position, so
 a pass line that appears on one side only shows up as such.  A field is a
 hash when both sides hold a 40-digit hex SHA-1; every other field (status,
 iterations, passes, library versions, and a hash against null) is compared
@@ -17,7 +17,7 @@ import json
 import re
 import sys
 
-ID_FIELDS = ("instance", "pass", "generate", "kinematics")
+ID_FIELDS = ("instance", "pass", "generate", "kinematics", "graph")
 SHA1 = re.compile(r"[0-9a-f]{40}")
 
 

@@ -33,11 +33,15 @@ and a cold 4000-iteration C = I pass on each goal beyond reach
 ("cold-unreachable-0", "cold-unreachable-22", "cold-unreachable-table-0"),
 since cidgik_solve certifies those from a structural path before any pass
 and so prints no pass line for them.
-Last come two kinematics lines, for arm_6dof and random_coplanar_chain(7, 1)
+Then come two kinematics lines, for arm_6dof and random_coplanar_chain(7, 1)
 at 50 seeded configurations: the
 SHA-1 of the forward_kinematics frames (rotations, origins, axes), of
 joint_points, and of the theta reconstruct_angles reads back from those
-points.  BLAS runs on one thread, so the
+points.  Last come two graph lines, for random_coplanar_chain(7, 1) and for
+the coincident arm (arm_6dof with j1 raised to 0.27 m and j2 on j1's origin,
+so j2's point p merges onto an anchor), each with a pose goal at a seeded
+configuration: the SHA-1 of build_graph's edges (tails and heads, then
+weights), of its anchors and of its column_vertex.  BLAS runs on one thread, so the
 output does not depend on the caller's environment.  Run it at two commits
 and compare the outputs with
 
@@ -64,7 +68,12 @@ import numpy as np  # noqa: E402
 
 import cidgik as ck  # noqa: E402
 import cidgik.iteration  # noqa: E402
-from cidgik.robots import arm_6dof, planar_two_link, random_coplanar_chain  # noqa: E402
+from cidgik.robots import (  # noqa: E402
+    arm_6dof,
+    arm_6dof_document,
+    planar_two_link,
+    random_coplanar_chain,
+)
 from cidgik.workspace import ENVIRONMENT_NAMES  # noqa: E402
 
 # Benchmark workloads (ikbench/run.py) and keys; table uses 25 obstacles.
@@ -177,6 +186,26 @@ def _print_kinematics(name: str, robot) -> None:
                       "points": _sha1(*points), "reconstruct": _sha1(*theta)}))
 
 
+def _coincident_arm():
+    """arm_6dof with j1 raised to j2's height and j2 on j1's origin."""
+    document = arm_6dof_document()
+    document["joints"][0]["translation"] = [0.0, 0.0, 0.27]
+    document["joints"][1]["translation"] = [0.0, 0.0, 0.0]
+    return ck.load_robot(document)
+
+
+def _print_graph(name: str, robot) -> None:
+    rng = np.random.Generator(np.random.Philox(key=2025))
+    theta = rng.uniform(-np.pi, np.pi, robot.num_joints)
+    pose = ck.forward_kinematics(robot, theta)[0][0]
+    graph = ck.build_graph(robot, [ck.Goal(0, pose.position, pose.direction)])
+    ends = np.array([(e.tail, e.head) for e in graph.edges], dtype=np.int64)
+    weights = np.array([e.weight for e in graph.edges])
+    print(json.dumps({"graph": name, "edges": _sha1(ends, weights),
+                      "anchors": _sha1(graph.anchors),
+                      "column_vertex": _sha1(graph.column_vertex.astype(np.int64))}))
+
+
 def main():
     passes, solve = [], cidgik.iteration.solve
 
@@ -208,6 +237,8 @@ def main():
             _print_pass(f"cold-{environment}-{key}", 0, ck.solve(sdp, None, settings))
     _print_kinematics("arm_6dof", arm_6dof())
     _print_kinematics("chain7", random_coplanar_chain(7, 1))
+    _print_graph("chain7", random_coplanar_chain(7, 1))
+    _print_graph("coincident", _coincident_arm())
 
 
 if __name__ == "__main__":

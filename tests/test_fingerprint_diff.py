@@ -17,9 +17,9 @@ LINES = [
 ]
 
 
-def _diff(tmp_path, new_lines):
+def _diff(tmp_path, new_lines, old_lines=LINES):
     old, new = tmp_path / "old.txt", tmp_path / "new.txt"
-    for path, lines in ((old, LINES), (new, new_lines)):
+    for path, lines in ((old, old_lines), (new, new_lines)):
         path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     done = subprocess.run([sys.executable, str(SCRIPT), str(old), str(new)],
                           capture_output=True, text=True, timeout=60)
@@ -57,3 +57,15 @@ def test_value_change_or_missing_line_exits_1(tmp_path, new_lines):
     code, out = _diff(tmp_path, new_lines)
     assert code == 1
     assert out.splitlines()[-1].startswith("1 lines differ beyond their hashes")
+
+
+def test_graph_lines_are_told_apart_by_robot(tmp_path):
+    """Two graph lines share their fields, so only the robot's name tells them apart."""
+    graphs = [{"graph": name, "edges": "6" * 40, "anchors": "7" * 40, "column_vertex": "8" * 40}
+              for name in ("chain7", "coincident")]
+    code, out = _diff(tmp_path, [graphs[0], dict(graphs[1], edges="9" * 40)], graphs)
+    assert code == 0
+    assert out.splitlines() == [
+        "0 lines differ beyond their hashes; 1 of 2 differ in hashes only",
+        "  graph=coincident: edges",
+    ]
