@@ -33,7 +33,6 @@ from .kinematics import (
     forward_kinematics,
     joint_points,
     load_robot,
-    nominal_distances,
     reconstruct_angles,
 )
 from .lifting import (
@@ -107,7 +106,6 @@ __all__ = [
     "lift_points",
     "load_problem",
     "load_robot",
-    "nominal_distances",
     "parse_sdpa",
     "penetration",
     "reconstruct_angles",

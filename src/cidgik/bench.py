@@ -6,6 +6,7 @@ import concurrent.futures
 import functools
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass
 
@@ -136,9 +137,15 @@ def check_campaign(
     jobs: int = 1,
     table_obstacles: int = 100,
 ) -> None:
-    """Raise ValueError for a campaign that cannot run, before any instance or worker exists."""
+    """Raise ValueError for a campaign that cannot run, before any instance or worker exists.
+
+    jobs may not exceed the machine's CPU count: each job is one worker process.
+    """
     _check_count(count, "count")
     _check_count(jobs, "jobs")
+    cpus = os.cpu_count() or 1
+    if jobs > cpus:
+        raise ValueError(f"jobs must be at most the {cpus} CPUs of this machine, got {jobs}")
     _check_seed(base_seed)
     _check_seed(int(base_seed) + count - 1)
     environment(environment_name, robot, table_obstacles=table_obstacles)
@@ -155,7 +162,11 @@ def run_benchmark(
     table_obstacles: int = 100,
     robot_name: str = "robot",
 ) -> BenchmarkReport:
-    """Solve a seeded campaign; per-instance determinism holds for any job count."""
+    """Solve a seeded campaign; per-instance determinism holds for any job count.
+
+    The pool holds min(jobs, count) workers: under the fork start method
+    every worker starts at the first submit, whether it gets work or not.
+    """
     check_campaign(
         robot, environment_name, count, base_seed, jobs=jobs, table_obstacles=table_obstacles
     )
@@ -168,7 +179,7 @@ def run_benchmark(
     if jobs == 1:
         rows = list(map(one, seeds))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
             rows = list(pool.map(one, seeds))
     return BenchmarkReport(
         robot_name=robot_name,

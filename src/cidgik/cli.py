@@ -189,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--env", required=True, choices=ENVIRONMENT_NAMES)
     p_bench.add_argument("--n", required=True, type=int, help="instance count")
     p_bench.add_argument("--seed", required=True, type=int)
-    p_bench.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_bench.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers, at most the CPU count"
+    )
     p_bench.add_argument("--out", help="report path")
     p_bench.add_argument("--table-obstacles", type=int, default=100)
     _add_solver_flags(p_bench)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import RobotModel, joint_points, nominal_distances, structural_pairs
+from .kinematics import RobotModel, joint_points
 from .workspace import AuxPoint, Plane, Sphere, WorkspaceSpec, add_aux_point, add_self_collision
 
 MERGE_TOL = 1e-9
@@ -95,134 +95,96 @@ def build_graph(robot: RobotModel, goals: list[Goal]) -> DistanceGraph:
 
     Variable vertices are the points of unanchored joints; anchors are all
     points of anchored joints plus, per goal, the target position and (for
-    pose goals) the point one unit along the target direction.  Edge weights
-    come straight from the zero-configuration structural distances.  Points
-    that coincide at zero configuration (possible with intersecting axes) are
-    merged.  Pairs whose merged ends coincide or are both anchors, as when a
-    variable point merges onto an anchor, state nothing and give no edge.
+    pose goals) the point one unit along the target direction.  The pairs
+    are robot._rigid_pairs, read off the point table: two points one joint's
+    frame holds.  Edge weights are their squared distances at the zero
+    configuration.  Points that coincide there (possible with intersecting
+    axes) are merged, onto an anchor if one is among them, else onto the
+    earlier column.  Pairs whose merged ends coincide or are both anchors,
+    as when a variable point merges onto an anchor, state nothing and give
+    no edge.
     """
     if not goals:
         raise GraphError("at least one goal is required")
     layout = robot.layout
-    if layout.num_variables == 0:
+    nv = layout.num_variables
+    if nv == 0:
         raise GraphError("robot has no unanchored joints; nothing to solve for")
     d = robot.dimension
+    index = layout.index
 
-    goal_by_ee: dict[int, Goal] = {}
+    # Zero-configuration positions give merge geometry and edge weights; goal
+    # points anchor at their goal, and an end-effector point without one is unused.
+    P0 = joint_points(robot, np.zeros(len(robot.joints)))
+    points = P0.copy()
+    usable = np.array([c[0] != "ee" for c in layout.columns])
     for g in goals:
         if not 0 <= g.end_effector < len(robot.end_effectors):
             raise GraphError(f"goal for unknown end-effector {g.end_effector}")
-        if g.end_effector in goal_by_ee:
+        tip, end = index["ee", g.end_effector, "pos"], index["ee", g.end_effector, "dir"]
+        if usable[tip]:
             raise GraphError(f"duplicate goal for end-effector {g.end_effector}")
         pos = np.asarray(g.position, dtype=float)
         if pos.shape != (d,):
             raise GraphError(f"goal position must have dimension {d}")
         if not np.all(np.isfinite(pos)):
             raise GraphError("goal position must be finite")
+        usable[tip], points[:, tip] = True, pos
         if g.direction is not None:
             u = np.asarray(g.direction, dtype=float)
             if u.shape != (d,) or not abs(np.linalg.norm(u) - 1.0) <= 1e-9:  # NaN fails too
                 raise GraphError("goal direction must be a unit vector")
-        goal_by_ee[g.end_effector] = g
+            usable[end], points[:, end] = True, pos + u
+    anchor = usable & (np.arange(len(usable)) >= nv)
 
-    # Zero-configuration positions give merge geometry and edge weights.
-    P0 = joint_points(robot, np.zeros(len(robot.joints)))
-    col = layout.index
+    a, b = robot._rigid_pairs.T
+    keep = usable[a] & usable[b] & ~(anchor[a] & anchor[b])
+    a, b = a[keep], b[keep]
+    diff = (P0[:, a] - P0[:, b]).T
+    weights = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
 
-    def anchor_position(c) -> np.ndarray | None:
-        if c[0] in ("p", "q"):
-            return P0[:, col[c]]
-        _, k, kind = c
-        g = goal_by_ee.get(k)
-        if g is None:
-            return None
-        if kind == "pos":
-            return np.asarray(g.position, dtype=float)
-        if g.direction is None:
-            return None
-        return np.asarray(g.position, dtype=float) + np.asarray(g.direction, dtype=float)
-
-    variable_cols = list(layout.columns[: layout.num_variables])
-    anchor_cols = []
-    for c in layout.columns[layout.num_variables :]:
-        if anchor_position(c) is not None:
-            anchor_cols.append(c)
-
-    # Union-find over coincident structural pairs (merged points stay merged
-    # at every configuration because they are rigidly linked on a shared axis).
-    parent: dict[tuple, tuple] = {}
+    # Union-find over coincident pairs (merged points stay merged at every
+    # configuration because one frame holds both).  A root is the first of
+    # its set by (not an anchor, column).
+    root = list(range(len(usable)))
 
     def find(c):
-        while parent.get(c, c) != c:
-            parent[c] = parent.get(parent[c], parent[c])
-            c = parent[c]
+        while root[c] != c:
+            root[c] = c = root[root[c]]
         return c
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        # Prefer anchors as representatives; otherwise the earlier column.
-        a_anchor, b_anchor = ra in anchor_set, rb in anchor_set
-        if a_anchor and not b_anchor:
-            parent[rb] = ra
-        elif b_anchor and not a_anchor:
-            parent[ra] = rb
-        elif col.get(ra, 0) <= col.get(rb, 0):
-            parent[rb] = ra
-        else:
-            parent[ra] = rb
+    coincide = weights < MERGE_TOL**2
+    for x, y in zip(a[coincide].tolist(), b[coincide].tolist()):
+        first, second = sorted((find(x), find(y)), key=lambda c: (not anchor[c], c))
+        root[second] = first
 
-    anchor_set = set(anchor_cols)
-    usable = set(variable_cols) | anchor_set
-    pairs = []
-    for a, b in structural_pairs(robot):
-        if a in usable and b in usable:
-            pairs.append((a, b))
-    nominal = nominal_distances(robot)
-    for a, b in pairs:
-        if a in anchor_set and b in anchor_set:
-            continue
-        if nominal[(a, b)] < MERGE_TOL**2:
-            union(a, b)
-
-    # Final vertex numbering: surviving variables, then anchors.
-    variables = [c for c in variable_cols if find(c) == c]
-    vid: dict[tuple, int] = {c: i for i, c in enumerate(variables)}
-    anchors = [c for c in anchor_cols]
-    m = len(anchors)
-    anchor_mat = np.empty((d, m))
-    for i, c in enumerate(anchors):
-        anchor_mat[:, i] = anchor_position(c)
-        vid[c] = len(variables) + i
-
-    def vertex(c) -> int:
-        return vid[find(c)]
+    # Final vertex numbering: surviving variables, then anchors.  Every anchor
+    # keeps its own vertex; edges join the vertices of their ends' roots.
+    roots = np.array([find(c) for c in range(len(usable))])
+    variables = np.flatnonzero(roots[:nv] == np.arange(nv))
+    anchors = np.flatnonzero(anchor)
+    vertex = np.full(len(usable), -1)
+    vertex[variables] = np.arange(len(variables))
+    vertex[anchors] = len(variables) + np.arange(len(anchors))
+    merged = vertex[roots]
 
     edges: dict[tuple[int, int], float] = {}
-    for a, b in pairs:
-        u, v = vertex(a), vertex(b)
-        if u == v or min(u, v) >= len(variables):
+    for u, v, w in zip(merged[a].tolist(), merged[b].tolist(), weights.tolist()):
+        u, v = min(u, v), max(u, v)
+        if u == v or u >= len(variables):
             continue
-        w = nominal[(a, b)]
-        key = (min(u, v), max(u, v))
-        if key in edges and abs(edges[key] - w) <= 1e-12 * max(1.0, w):
+        if (u, v) in edges and abs(edges[u, v] - w) <= 1e-12 * max(1.0, w):
             continue
-        edges[key] = w
+        edges[u, v] = w
 
-    edge_list = [Edge(t, h, w) for (t, h), w in sorted(edges.items())]
-
-    column_vertex = [
-        vid[c] if c in vid else vertex(c) if c in usable else -1 for c in layout.columns
-    ]
     graph = DistanceGraph(
         dim=d,
         num_variables=len(variables),
-        anchors=anchor_mat,
-        edges=edge_list,
-        variable_labels=tuple(variables),
-        anchor_labels=tuple(anchors),
-        column_vertex=np.array(column_vertex, dtype=int),
+        anchors=points[:, anchors],
+        edges=[Edge(t, h, w) for (t, h), w in sorted(edges.items())],
+        variable_labels=tuple(layout.columns[c] for c in variables),
+        anchor_labels=tuple(layout.columns[c] for c in anchors),
+        column_vertex=np.where(vertex >= 0, vertex, merged),
     )
     _check_graph(graph)
     return graph

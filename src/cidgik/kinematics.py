@@ -2,14 +2,13 @@
 
 A robot is a tree of revolute joints.  Each unanchored joint carries a pair of
 points (p, q) one unit apart along its rotation axis; anchored joints (those
-whose axis never moves, e.g. the base) contribute fixed points instead.  All
-pairwise distances between points of consecutive joints are invariant to the
+whose axis never moves, e.g. the base) contribute fixed points instead.  The
+distance between any two points one joint's frame holds is invariant to the
 joint angles, which is what the distance-geometric solver exploits.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -227,6 +226,22 @@ class RobotModel:
                 owners.append(k)
                 offsets.append(self.joints[k].axis if kind == "q" else np.zeros(3))
         return np.array(owners, dtype=int), np.array(offsets, dtype=float).reshape(-1, 3, 1)
+
+    @cached_property
+    def _rigid_pairs(self) -> np.ndarray:
+        """(pairs, 2) layout columns a < b that one joint's frame holds both of.
+
+        Each column is held by its owner's frame (robot._point_table), and p
+        and q by the parent's frame too, since they lie on their joint's
+        axis.  So a pair's distance is the same at every configuration.
+        """
+        owners, _ = self._point_table
+        held = np.zeros((len(owners), len(self.joints)), dtype=bool)
+        held[np.arange(len(owners)), owners] = True
+        for c, (kind, k, *_) in enumerate(self.layout.columns):
+            if kind in ("p", "q") and self.joints[k].parent >= 0:
+                held[c, self.joints[k].parent] = True
+        return np.argwhere(np.triu(held @ held.T, 1))
 
     @cached_property
     def _references(self) -> tuple[tuple[tuple[int, np.ndarray], ...], ...]:
@@ -474,65 +489,6 @@ def _points(robot: RobotModel, frames: JointFrames, columns=slice(None)) -> np.n
     owners, offsets = robot._point_table
     o = owners[columns]
     return frames.origins[o] + (frames.rotations[o] @ offsets[columns])[..., 0]
-
-
-def structural_pairs(robot: RobotModel) -> list[tuple[tuple, tuple]]:
-    """Point pairs whose distance is fixed by the kinematic structure.
-
-    Per joint: the unit (p, q) edge.  Per consecutive joint pair: all cross
-    pairs between the two point sets.  Per end effector: pairs from the parent
-    joint's points to the tip and direction points.  Per joint with more than
-    one point set attached to its frame (child joints' points, end effectors'
-    tip and direction points): all cross pairs between those sets, since
-    pairs to the joint's own axis alone would let each set swing about it
-    on its own.
-    """
-    layout = robot.layout
-    planar = robot.dimension == 2
-
-    def pts(i):
-        return [("p", i)] if planar else [("p", i), ("q", i)]
-
-    pairs = []
-    if not planar:
-        for i in range(len(robot.joints)):
-            pairs.append((("p", i), ("q", i)))
-    for i, j in enumerate(robot.joints):
-        if j.parent < 0:
-            continue
-        for a in pts(j.parent):
-            for b in pts(i):
-                pairs.append((a, b))
-    for k, ee in enumerate(robot.end_effectors):
-        for a in pts(ee.parent):
-            pairs.append((a, ("ee", k, "pos")))
-            pairs.append((a, ("ee", k, "dir")))
-    for i, children in enumerate(robot.children):
-        attached = [pts(c) for c in children] + [
-            [("ee", k, "pos"), ("ee", k, "dir")]
-            for k, ee in enumerate(robot.end_effectors)
-            if ee.parent == i
-        ]
-        for first, second in itertools.combinations(attached, 2):
-            pairs.extend(itertools.product(first, second))
-    index = layout.index
-    return [(a, b) if index[a] < index[b] else (b, a) for a, b in pairs]
-
-
-def nominal_distances(robot: RobotModel) -> dict[tuple[tuple, tuple], float]:
-    """Squared distances of all structural pairs, computed at theta = 0.
-
-    Both points of every pair are fixed in one joint's frame (a joint's own
-    (p, q) lie on its axis, fixed in its frame too), so these values hold at
-    any theta; tests assert the invariance directly through forward kinematics.
-    """
-    P = joint_points(robot, np.zeros(len(robot.joints)))
-    index = robot.layout.index
-    out = {}
-    for a, b in structural_pairs(robot):
-        diff = P[:, index[a]] - P[:, index[b]]
-        out[(a, b)] = float(diff @ diff)
-    return out
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,6 @@ class InfeasibilityCertificate:
 
     y: np.ndarray
     mu: np.ndarray
-    S: np.ndarray
     value: float
     min_eigenvalue: float
 
@@ -329,9 +328,7 @@ def _verify_certificate(
     value = float(instance.eq_rhs @ y) + float(instance.ineq_rhs @ mu)
     min_eig = float(np.linalg.eigvalsh(S)[0]) if instance.side else 0.0
     if value <= -CERT_TOL and min_eig >= -CERT_TOL:
-        return InfeasibilityCertificate(
-            y=y, mu=mu, S=S, value=value, min_eigenvalue=min_eig
-        )
+        return InfeasibilityCertificate(y=y, mu=mu, value=value, min_eigenvalue=min_eig)
     return None
 
 

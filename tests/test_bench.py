@@ -98,6 +98,44 @@ def test_nonpositive_jobs_rejected(chain_6dof, jobs, monkeypatch):
         run_benchmark(chain_6dof, "free", 2, 0, FAST, jobs=jobs)
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        SerialPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs,count,workers", [(5, 2, 2), (2, 3, 2), (8, 8, 8)])
+def test_pool_holds_no_more_workers_than_instances(chain_6dof, jobs, count, workers, monkeypatch):
+    """Under fork every worker starts at the first submit, so the pool holds no spare ones."""
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("cidgik.bench.solve_one", lambda robot, env, seed, **kw: {"seed": seed})
+    SerialPool.sizes.clear()
+    report = run_benchmark(chain_6dof, "free", count, 3, FAST, jobs=jobs)
+    assert SerialPool.sizes == [workers]
+    assert [row["seed"] for row in report.rows] == list(range(3, 3 + count))
+
+
+def test_jobs_above_the_cpu_count_rejected(chain_6dof, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)  # must not be reached
+    monkeypatch.setattr("cidgik.bench.solve_one", None)
+    with pytest.raises(ValueError, match="jobs must be at most the 4 CPUs of this machine, got 5"):
+        run_benchmark(chain_6dof, "free", 2, 0, FAST, jobs=5)
+
+
 @pytest.mark.parametrize("count", [-3, 2.5])
 def test_bad_table_obstacles_rejected_before_the_campaign(chain_6dof, count, monkeypatch):
     monkeypatch.setattr("cidgik.bench.solve_one", None)  # must not be reached

@@ -142,6 +142,19 @@ def test_bench_seed_out_of_range_exits_3(seed, n, monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_bench_jobs_above_the_cpu_count_exits_3(monkeypatch, capsys):
+    """--jobs 5000 used to fork 5000 workers for a two-instance campaign."""
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("cidgik.cli.run_benchmark", None)  # must not be reached
+    robot_path = Path(__file__).parent.parent / "robots" / "arm_6dof.json"
+    argv = ["bench", "--robot", str(robot_path), "--env", "free", "--seed", "3", "--n", "2",
+            "--jobs", "5000"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: jobs must be at most the 2 CPUs")
+    assert captured.out == ""
+
+
 ARM_JSON = Path(__file__).parent.parent / "robots" / "arm_6dof.json"
 
 

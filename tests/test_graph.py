@@ -16,7 +16,14 @@ from cidgik import (
 )
 from cidgik.graph import Edge, _check_graph, feasible_points, selection
 from cidgik.kinematics import joint_points, load_robot
-from conftest import coincident_arm_document, sample_angles, two_arm_tree
+from conftest import (
+    DH_CHAINS,
+    coincident_arm_document,
+    panda_like_document,
+    random_dh_chain_document,
+    sample_angles,
+    two_arm_tree,
+)
 
 
 def lifted(qcqp, X):
@@ -31,6 +38,47 @@ def pose_goals(robot, theta):
         Goal(end_effector=k, position=p.position, direction=p.direction)
         for k, p in enumerate(poses)
     ]
+
+
+# (num_variables, num_anchors, edges) for pose goals at the Philox-40
+# configuration, as the hand-listed pairs that _rigid_pairs replaced gave them.
+GRAPH_COUNTS = {
+    "fig2": (4, 4, 14),
+    "two-arm-tree-0": (16, 6, 52),
+    "two-arm-tree-45": (16, 6, 52),
+    "panda-like": (10, 4, 28),
+    "coincident": (9, 4, 26),
+    **{f"dh-{n}-{seed}": (2 * n - 2, 4, 5 * n - 1) for n, seed in DH_CHAINS},
+}
+GRAPH_ROBOTS = {
+    "two-arm-tree-0": lambda: two_arm_tree(0.0),
+    "two-arm-tree-45": lambda: two_arm_tree(np.pi / 4),
+    "panda-like": lambda: load_robot(panda_like_document()),
+    "coincident": lambda: load_robot(coincident_arm_document()),
+    **{
+        f"dh-{n}-{seed}": lambda n=n, seed=seed: load_robot(random_dh_chain_document(n, seed))
+        for n, seed in DH_CHAINS
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(GRAPH_COUNTS))
+def test_rigid_pair_graph_counts_and_invariant_weights(name, request):
+    """The graph keeps its size, and every edge weight holds at any configuration."""
+    robot = request.getfixturevalue("fig2_robot") if name == "fig2" else GRAPH_ROBOTS[name]()
+    rng = np.random.Generator(np.random.Philox(key=40))
+    graph = build_graph(robot, pose_goals(robot, sample_angles(rng, robot.num_joints)))
+    assert (graph.num_variables, graph.num_anchors, len(graph.edges)) == GRAPH_COUNTS[name]
+    # A vertex's label is a layout column, and a goal anchor's is the robot
+    # point it marks, so each edge reads its two robot points.
+    labels = graph.variable_labels + graph.anchor_labels
+    index = robot.layout.index
+    tails = [index[labels[e.tail]] for e in graph.edges]
+    heads = [index[labels[e.head]] for e in graph.edges]
+    weights = np.array([e.weight for e in graph.edges])
+    for _ in range(20):
+        P = joint_points(robot, sample_angles(rng, robot.num_joints))
+        assert np.max(np.abs(np.sum((P[:, tails] - P[:, heads]) ** 2, axis=0) - weights)) < 1e-10
 
 
 def test_fig2_graph_counts(fig2_robot):

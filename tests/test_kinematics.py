@@ -14,7 +14,6 @@ from cidgik import (
     lift,
     lift_points,
     load_robot,
-    nominal_distances,
     reconstruct_angles,
 )
 from cidgik.graph import selection
@@ -394,10 +393,15 @@ def test_parallel_axis_cross_distances():
             "end_effectors": [{"parent": "b", "tip": [0.1, 0.0, 0.0]}],
         }
     )
-    nominal = nominal_distances(robot)
+    index = robot.layout.index
+    pairs = {tuple(pair) for pair in robot._rigid_pairs.tolist()}
+    P0 = joint_points(robot, np.zeros(2))
 
     def dist(a, b):
-        return nominal[(a, b)] if (a, b) in nominal else nominal[(b, a)]
+        i, j = sorted((index[a], index[b]))
+        assert (i, j) in pairs
+        diff = P0[:, i] - P0[:, j]
+        return float(diff @ diff)
 
     L2 = 0.25
     assert dist(("p", 0), ("p", 1)) == pytest.approx(L2, abs=1e-12)
@@ -411,16 +415,18 @@ def test_nominal_distance_invariance(seed, chain_6dof):
     robots = {0: chain_6dof, 1: random_coplanar_chain(5, seed=21),
               2: random_coplanar_chain(7, seed=22), 3: two_arm_tree(np.pi / 4)}
     robot = robots[seed]
-    nominal = nominal_distances(robot)
-    index = robot.layout.index
+    a, b = robot._rigid_pairs.T
+    assert a.size > 0
+
+    def squared_distances(P):
+        return np.sum((P[:, a] - P[:, b]) ** 2, axis=0)
+
+    nominal = squared_distances(joint_points(robot, np.zeros(robot.num_joints)))
     rng = np.random.Generator(np.random.Philox(key=100 + seed))
     worst = 0.0
     for _ in range(100):
         theta = sample_angles(rng, robot.num_joints)
-        P = joint_points(robot, theta)
-        for (a, b), w in nominal.items():
-            diff = P[:, index[a]] - P[:, index[b]]
-            worst = max(worst, abs(float(diff @ diff) - w))
+        worst = max(worst, np.max(np.abs(squared_distances(joint_points(robot, theta)) - nominal)))
     assert worst < 1e-10
 
 

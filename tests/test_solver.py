@@ -104,6 +104,7 @@ def test_contradictory_equalities_infeasible():
     cert = _verify_certificate(instance, result.certificate.y, result.certificate.mu)
     assert cert.value < 0.0
     assert cert.min_eigenvalue > -1e-6
+    assert list(vars(cert)) == ["y", "mu", "value", "min_eigenvalue"]  # S is not kept
 
 
 def test_unreachable_goal_certified(chain_6dof):
